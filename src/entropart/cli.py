@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .analysis import (CLOSURE_TOLERANCE, LIMIT_TOLERANCE, SCALING_TOLERANCE,
                        analyze_field, analyze_model, hydrogen_reference)
-from .backends import active_backend_name
 from .models import METHODS
 from .molecule import Molecule
 from .quadrature import AtomicGridSpec, build_molecular_grid
@@ -57,9 +56,12 @@ def _fnum(x) -> str:
 def _parse_floats(text, name):
     toks = [t for chunk in str(text).split(",") for t in chunk.split()]
     try:
-        return tuple(float(t) for t in toks)
+        values = tuple(float(t) for t in toks)
     except ValueError:
         raise UsageError(f"{name}: cannot parse {text!r} as numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{name}: values must be finite, got {text!r}")
+    return values
 
 
 def _parse_bool(text, name):
@@ -288,7 +290,6 @@ def _meta(settings, command, extra=None):
         "tool": f"entropart {__version__}",
         "command": command,
         "units": settings.units,
-        "backend": active_backend_name(),
         "grid": {
             "n_radial": settings.grid_spec.n_radial,
             "lebedev": settings.grid_spec.lebedev_order,
@@ -406,7 +407,6 @@ def cmd_sweep(args):
     comments = [f"entropart {__version__} sweep",
                 f"method = {settings.method}",
                 f"units = {settings.units}",
-                f"backend = {active_backend_name()}",
                 settings.grid_comment()] + _reference_comments(block)
     json_doc = {
         "meta": _meta(settings, "sweep", {"method": settings.method}),
@@ -490,7 +490,6 @@ def cmd_analyze(args):
                 f"input = {args.wfn}",
                 f"title = {doc.title}",
                 f"units = {settings.units}",
-                f"backend = {active_backend_name()}",
                 settings.grid_comment()]
     json_doc = {
         "meta": _meta(settings, "analyze",
@@ -545,7 +544,6 @@ def cmd_atom(args):
     comments = [f"entropart {__version__} atom",
                 f"source = {source}",
                 f"units = {settings.units}",
-                f"backend = {active_backend_name()}",
                 settings.grid_comment()]
     json_doc = {"meta": _meta(settings, "atom", {"source": source}),
                 "rows": [row]}

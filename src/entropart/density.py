@@ -5,7 +5,8 @@ primitives. Assigning every primitive to its nucleus partitions rho into
 pair contributions rho^AB(r) = sum_{i in A, j in B} c_ij phi_i phi_j; the
 coefficient matrix is kept symmetric and two-sided, so the pointwise
 closure sum_{A,B} rho^AB = rho holds by construction, and rho^AB for
-A != B is reported one-sided (totals count it twice).
+A != B is reported one-sided (totals count it twice). Primitive values and
+the quadratic forms come from the NumPy kernels in ``backends``.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .backends import get_backend
+from .backends import eval_primitives, quad_form, quad_form_block
 from .molecule import Molecule
 
 # Cartesian monomial exponents for the standard type codes 1..20
@@ -109,7 +110,7 @@ class PrimitiveBasis:
     def evaluate(self, points) -> np.ndarray:
         """(nprim, npts) matrix of primitive values."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return get_backend().eval_primitives(
+        return eval_primitives(
             pts, self.prim_centers, self.exponents, self.norms, self.ang_pows)
 
     def atom_rows(self, a: int) -> np.ndarray:
@@ -123,8 +124,11 @@ class DensityMatrix:
         c = np.asarray(coefficients, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        if not np.allclose(c, c.T, atol=1e-12, rtol=0.0):
-            raise ValueError("coefficient matrix must be symmetric to 1e-12")
+        # relative to the largest entry, never tighter than 1e-12 absolute
+        tol = 1e-12 * max(1.0, float(np.abs(c).max(initial=0.0)))
+        if not np.allclose(c, c.T, atol=tol, rtol=0.0):
+            raise ValueError("coefficient matrix must be symmetric to 1e-12 "
+                             "relative to its largest entry")
         # store the exactly symmetrized form so A,B and B,A evaluations agree bitwise
         self.coefficients = 0.5 * (c + c.T)
         self.n_electrons = float(n_electrons)
@@ -172,20 +176,19 @@ class PairDensityField:
 
     def density(self, points, primitive_values=None, block_size: int = 32768) -> np.ndarray:
         """Total density, clamped to be nonnegative (see ClampDiagnostics)."""
-        backend = get_backend()
         if primitive_values is not None:
-            return self._clamp(backend.quad_form(self.dm.coefficients, primitive_values))
+            return self._clamp(quad_form(self.dm.coefficients, primitive_values))
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
         for start in range(0, len(pts), block_size):
             sl = slice(start, min(start + block_size, len(pts)))
-            rho[sl] = backend.quad_form(self.dm.coefficients, self.basis.evaluate(pts[sl]))
+            rho[sl] = quad_form(self.dm.coefficients, self.basis.evaluate(pts[sl]))
         return self._clamp(rho)
 
     def pair_density(self, a: int, b: int, points, primitive_values=None) -> np.ndarray:
         """One-sided pair term rho^AB; symmetric in (a, b). Not clamped."""
         G = self.basis.evaluate(points) if primitive_values is None else primitive_values
-        return get_backend().quad_form_block(
+        return quad_form_block(
             self.dm.coefficients, G, self._rows[a], self._rows[b])
 
     def pair_fields(self, points, block_size: int = 32768):
@@ -199,14 +202,13 @@ class PairDensityField:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         npts = len(pts)
         nat = len(self.molecule)
-        backend = get_backend()
         pairs = {(a, b): np.empty(npts)
                  for a in range(nat) for b in range(a, nat)}
         for start in range(0, npts, block_size):
             sl = slice(start, min(start + block_size, npts))
             G = self.basis.evaluate(pts[sl])
             for (a, b), out in pairs.items():
-                out[sl] = backend.quad_form_block(
+                out[sl] = quad_form_block(
                     self.dm.coefficients, G, self._rows[a], self._rows[b])
         rho = np.zeros(npts)
         for (a, b), v in pairs.items():

@@ -4,7 +4,8 @@ radial transform, Lebedev angular nodes.
 A molecular grid is the union of per-atom product grids (radial x angular),
 each point carrying weight 4*pi * w_rad * w_ang * omega_Becke. Points whose
 combined weight falls below 1e-16 are dropped; they contribute nothing at
-the tolerances this package states.
+the tolerances this package states. The cell weights come from the NumPy
+kernel ``backends.becke_weights_kernel``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from . import lebedev
-from .backends import get_backend
+from .backends import becke_weights_kernel
 from .molecule import Molecule
 
 WEIGHT_SCREEN = 1e-16
@@ -105,8 +106,8 @@ def becke_weights(points, centers, radii=None, stiffness: int = 3,
             if np.linalg.norm(centers[a] - centers[b]) < 1e-10:
                 raise ValueError(
                     f"coincident centers {a} and {b}: confocal coordinate degenerate")
-    w = get_backend().becke_weights_kernel(pts, centers, radii,
-                                           int(stiffness), bool(size_adjust))
+    w = becke_weights_kernel(pts, centers, radii, int(stiffness),
+                             bool(size_adjust))
     return w[:, 0] if single else w
 
 

@@ -153,6 +153,9 @@ def parse_wfn(text: str) -> WfnDocument:
         raise WfnParseError(header_line, "header",
                             "expected 'N MOL ORBITALS M PRIMITIVES K NUCLEI'")
     n_mo, n_prim, n_nuclei = (int(g) for g in m.groups())
+    if n_mo == 0 or n_prim == 0:
+        raise WfnParseError(header_line, "header",
+                            "a density needs at least one orbital and one primitive")
 
     nuclei = []
     for _ in range(n_nuclei):
@@ -280,7 +283,8 @@ def density_matrix_from_mos(doc: WfnDocument,
                           for a, t in zip(doc.prim_exponent, doc.prim_type)])
         C = C / norms[None, :]
     c = np.einsum("k,ki,kj->ij", occ, C, C)
-    return DensityMatrix(c, float(occ.sum()))
+    # the einsum rounds c_ij and c_ji differently; average them exactly
+    return DensityMatrix(0.5 * (c + c.T), float(occ.sum()))
 
 
 def field_from_document(doc: WfnDocument,

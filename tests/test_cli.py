@@ -170,6 +170,20 @@ def test_usage_errors_exit_2(tmp_path):
     assert "n_radail" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--method", "hf", "--distances={}"),
+    ("sweep", "--method", "hf", "--distances", "1.4", "--alphas={}"),
+    ("grid-dump", "--distances={}"),
+], ids=["sweep-distances", "sweep-alphas", "grid-dump-distances"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_exit_2(argv, token):
+    proc = run_cli(*(a.format(token) for a in argv), *QUICK)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+
+
 def test_corrupt_wfn_exits_1_with_location(tmp_path, wfn_fixtures):
     src = wfn_fixtures["paths"]["h2_hf"].read_text()
     bad = tmp_path / "bad.wfn"

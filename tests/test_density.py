@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from entropart.backends import quad_form, quad_form_block
 from entropart.density import (TYPE_POWS, ContractedS, DensityMatrix,
-                               PairDensityField, PrimitiveBasis,
-                               contracted_overlap, primitive_norm)
+                               PairDensityField, Primitive, PrimitiveBasis,
+                               contracted_overlap, eval_primitive,
+                               primitive_norm)
 from entropart.models import sto6g_hydrogen
 from entropart.molecule import Atom, Molecule
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid, integrate
@@ -47,6 +49,38 @@ def test_primitive_normalization_on_grid(code):
     assert integrate(phi * phi, grid) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_eval_primitives_matches_pointwise_for_every_type(rng):
+    # all 20 angular types, spread over the centers of a three-atom molecule
+    mol = Molecule([Atom("C", 6, (0.0, 0.0, 0.0)),
+                    Atom("O", 8, (0.3, -0.2, 1.4)),
+                    Atom("H", 1, (-1.1, 0.9, 0.5))])
+    codes = sorted(TYPE_POWS)
+    centers = [i % 3 for i in range(len(codes))]
+    exps = rng.uniform(0.2, 3.0, size=len(codes))
+    basis = PrimitiveBasis(mol, centers, codes, exps)
+    pts = rng.normal(scale=1.5, size=(50, 3))
+    G = basis.evaluate(pts)
+    assert G.shape == (len(codes), len(pts))
+    for i, (code, ci, alpha) in enumerate(zip(codes, centers, exps)):
+        p = Primitive(ci, TYPE_POWS[code], float(alpha))
+        want = [eval_primitive(p, mol.positions[ci], r) for r in pts]
+        np.testing.assert_allclose(G[i], want, rtol=1e-13, atol=1e-300)
+
+
+def test_quad_form_is_sum_of_pair_blocks(rng):
+    n, npts = 12, 500
+    c = rng.normal(size=(n, n))
+    c = 0.5 * (c + c.T)
+    g = rng.normal(size=(n, npts))
+    rows = [np.arange(0, 4), np.arange(4, 9), np.arange(9, 12)]
+    total = np.zeros(npts)
+    for a in range(3):
+        for b in range(a, 3):
+            term = quad_form_block(c, g, rows[a], rows[b])
+            total += term if a == b else 2.0 * term
+    np.testing.assert_allclose(quad_form(c, g), total, rtol=1e-12, atol=1e-12)
+
+
 def test_basis_validation():
     mol = Molecule([Atom("H", 1, (0.0, 0.0, 0.0))])
     with pytest.raises(ValueError, match="equal lengths"):
@@ -65,6 +99,21 @@ def test_density_matrix_symmetry_enforced():
     dm = DensityMatrix(np.array([[1.0, 0.2 + 4e-13], [0.2, 1.0]]),
                        n_electrons=2.0)
     assert dm.coefficients[0, 1] == dm.coefficients[1, 0]
+
+
+def test_density_matrix_symmetry_tolerance_scales(rng):
+    # MO coefficients near 100 with fractional occupations: the contraction
+    # leaves an asymmetry far above 1e-12 absolute, tiny relative to max|c|
+    C = rng.normal(scale=100.0, size=(8, 30))
+    occ = rng.uniform(0.0, 2.0, size=8)
+    c = np.einsum("k,ki,kj->ij", occ, C, C)
+    assert np.abs(c - c.T).max() > 1e-12
+    dm = DensityMatrix(c, n_electrons=occ.sum())
+    np.testing.assert_array_equal(dm.coefficients, dm.coefficients.T)
+    # a real asymmetry is still rejected at that scale
+    c[0, 1] += 1e-9 * np.abs(c).max()
+    with pytest.raises(ValueError, match="symmetric"):
+        DensityMatrix(c, n_electrons=occ.sum())
 
 
 def _h2_field(R=1.4):

@@ -122,6 +122,18 @@ def test_becke_partition_of_unity(rng):
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("size_adjust", [False, True])
+@pytest.mark.parametrize("stiffness", [1, 3, 5])
+def test_becke_partition_of_unity_mixed_radii(rng, stiffness, size_adjust):
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [1.0, 0.8, 0.3]])
+    radii = np.array([0.66, 0.66, 1.32])   # mixed: equal and 2:1 pairs
+    pts = rng.normal(scale=2.0, size=(400, 3))
+    w = becke_weights(pts, centers, radii, stiffness=stiffness,
+                      size_adjust=size_adjust)
+    assert (w >= 0).all() and (w <= 1).all()
+    assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-12
+
+
 def test_becke_single_point_shape():
     centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4]])
     w = becke_weights(np.array([0.0, 0.0, 0.7]), centers)

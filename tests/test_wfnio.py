@@ -5,10 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from entropart.density import PrimitiveBasis
+from entropart.molecule import Molecule
 from entropart.quadrature import build_molecular_grid, integrate
 from entropart.wfnio import (WfnParseError, basis_from_document,
-                             density_matrix_from_mos, field_from_document,
-                             molecule_from_document, parse_wfn, write_wfn)
+                             build_document, density_matrix_from_mos,
+                             field_from_document, molecule_from_document,
+                             parse_wfn, write_wfn)
 
 
 def _roundtrip(doc):
@@ -209,6 +212,33 @@ def test_parse_error_reports_line_and_record(wfn_fixtures):
 
     with pytest.raises(WfnParseError, match="cannot read OCC NO"):
         parse_wfn(_corrupt(text, "OCC NO = 2.0", "OCC NO = junk"))
+
+
+def test_zero_counts_rejected(wfn_fixtures):
+    import dataclasses
+    doc = wfn_fixtures["docs"]["h2_hf"]
+    no_mos = write_wfn(dataclasses.replace(doc, mos=(), n_mo=0))
+    text = write_wfn(doc)
+    header = _lines(text)[1]
+    no_prims = text.replace(
+        header, re.sub(r"\d+(\s+PRIMITIVES)", r"0\1", header))
+    for bad in (no_mos, no_prims):
+        with pytest.raises(WfnParseError,
+                           match="line 2, header record: a density"):
+            parse_wfn(bad)
+
+
+def test_density_matrix_from_mos_large_coefficients(rng):
+    # MO coefficients near 100 with fractional occupations: the contraction
+    # is not symmetric to 1e-12 absolute unless built symmetric
+    mol = Molecule.h2(1.4)
+    n_prim = 24
+    basis = PrimitiveBasis(mol, np.arange(n_prim) % 2, np.ones(n_prim),
+                           rng.uniform(0.2, 5.0, size=n_prim))
+    mos = [(occ, 0.0, rng.normal(scale=100.0, size=n_prim))
+           for occ in rng.uniform(0.05, 1.95, size=10)]
+    dm = density_matrix_from_mos(build_document(mol, basis, mos))
+    np.testing.assert_array_equal(dm.coefficients, dm.coefficients.T)
 
 
 def test_parse_error_str_carries_location():
