@@ -49,23 +49,28 @@ class FieldAnalysis:
                     math.fsum(dec.pair_partition.p4.values()) - 1.0)
         return res
 
+    def identity_violations(self, closure_tol: float = CLOSURE_TOLERANCE,
+                            scaling_tol: float = SCALING_TOLERANCE) -> dict:
+        """The residuals outside tolerance: closure_tol for the closure
+        residuals, scaling_tol for the others."""
+        return {name: value for name, value in self.identity_residuals().items()
+                if not abs(value) <= (closure_tol if "closure" in name
+                                      else scaling_tol)}
+
     def identities_ok(self, closure_tol: float = CLOSURE_TOLERANCE,
                       scaling_tol: float = SCALING_TOLERANCE) -> bool:
-        for name, value in self.identity_residuals().items():
-            tol = closure_tol if "closure" in name else scaling_tol
-            if not (abs(value) <= tol):
-                return False
-        return True
+        return not self.identity_violations(closure_tol, scaling_tol)
 
 
 def analyze_field(field: PairDensityField, grid: MolecularGrid,
                   alphas=(), block_size: int = 32768) -> FieldAnalysis:
     """Evaluate the field once and run every requested decomposition."""
+    before = dataclasses.replace(field.diagnostics)
     rho, pairs = field.pair_fields(grid.points, block_size=block_size)
     n_grid = integrate(rho, weights=grid.weights)
     check_normalization(n_grid, field.n_electrons)
-    shannon = shannon_from_arrays(rho, pairs, grid.weights,
-                                  field.n_electrons, field.diagnostics)
+    shannon = shannon_from_arrays(rho, pairs, grid.weights, field.n_electrons,
+                                  field.diagnostics.since(before))
     renyi = {float(a): renyi_decompose(rho, pairs, grid.weights, float(a), n_grid)
              for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,

@@ -11,20 +11,20 @@ check failure under --strict-limits.
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .analysis import (CLOSURE_TOLERANCE, LIMIT_TOLERANCE, SCALING_TOLERANCE,
-                       analyze_field, analyze_model, hydrogen_reference)
+from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
+                       hydrogen_reference)
 from .models import METHODS
 from .molecule import Molecule
-from .quadrature import AtomicGridSpec, build_molecular_grid
+from .quadrature import AtomicGridSpec, build_molecular_grid, grid_estimate
 from .wfnio import WfnParseError, field_from_document, parse_wfn
-
-LN2 = math.log(2.0)
 
 _DEFAULTS = {
     "method": "fci",
@@ -94,53 +94,50 @@ def load_config(path):
     return data
 
 
-def _merged(args, key, cast=None):
+# a string from the flag or the config file is cast to the default's type
+_CASTS = {bool: _parse_bool, int: lambda text, name: int(text),
+          tuple: _parse_floats}
+
+
+def _merged(args, key):
     """CLI flag > config file > default."""
     value = getattr(args, key, None)
     if value is None:
-        raw = getattr(args, "_config", {}).get(key)
-        if raw is None:
-            return _DEFAULTS[key]
-        try:
-            value = cast(raw, key) if cast else raw
-        except ValueError:
-            raise UsageError(f"{key}: cannot parse config value {raw!r}") from None
-    return value
+        value = args._config.get(key, _DEFAULTS[key])
+    cast = _CASTS.get(type(_DEFAULTS[key]))
+    if cast is None or not isinstance(value, str):
+        return value
+    try:
+        return cast(value, key)
+    except ValueError:
+        raise UsageError(f"{key}: cannot parse config value {value!r}") from None
 
 
 class Settings:
     """Validated, merged options for one invocation."""
 
-    def __init__(self, args, need_method=False, need_distances=False):
+    def __init__(self, args, sweep=False):
         args._config = load_config(args.config) if getattr(args, "config", None) else {}
         self.units = _merged(args, "units")
         if self.units not in ("nats", "bits"):
             raise UsageError(f"units must be nats or bits, got {self.units!r}")
-        self.scale = 1.0 if self.units == "nats" else 1.0 / LN2
+        self.scale = 1.0 if self.units == "nats" else 1.0 / math.log(2.0)
         self.format = _merged(args, "format")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
         self.out = _merged(args, "out")
 
-        self.n_radial = int(_merged(args, "n_radial", lambda v, k: int(v)))
-        self.lebedev = int(_merged(args, "lebedev", lambda v, k: int(v)))
-        self.stiffness = int(_merged(args, "stiffness", lambda v, k: int(v)))
-        if getattr(args, "no_size_adjust", None):
-            size_adjust = False
-        else:
-            raw = args._config.get("size_adjust")
-            size_adjust = _DEFAULTS["size_adjust"] if raw is None \
-                else _parse_bool(raw, "size_adjust")
+        # the CSV grid comment and JSON meta.grid
+        self.grid = g = {key: _merged(args, key) for key in
+                         ("n_radial", "lebedev", "stiffness", "size_adjust")}
         try:
             self.grid_spec = AtomicGridSpec(
-                n_radial=self.n_radial, lebedev_order=self.lebedev,
-                stiffness=self.stiffness, size_adjust=size_adjust)
+                n_radial=g["n_radial"], lebedev_order=g["lebedev"],
+                stiffness=g["stiffness"], size_adjust=g["size_adjust"])
         except ValueError as e:
             raise UsageError(str(e)) from None
 
-        self.alphas = _merged(args, "alphas", _parse_floats)
-        if isinstance(self.alphas, str):
-            self.alphas = _parse_floats(self.alphas, "alphas")
+        self.alphas = _merged(args, "alphas")
         for a in self.alphas:
             if a <= 0:
                 raise UsageError(f"alphas must be positive, got {a:g}")
@@ -148,158 +145,155 @@ class Settings:
                 raise UsageError(
                     "alpha = 1 is the Shannon case; it is always computed")
 
-        self.method = None
-        if need_method:
+        self.method = self.distances = None
+        if sweep:
             self.method = _merged(args, "method")
             if self.method not in METHODS:
                 raise UsageError(f"method must be one of {'/'.join(METHODS)}, "
                                  f"got {self.method!r}")
-        self.distances = None
-        if need_distances:
-            d = _merged(args, "distances", _parse_floats)
-            if isinstance(d, str):
-                d = _parse_floats(d, "distances")
+            self.distances = d = _merged(args, "distances")
             if not d:
                 raise UsageError("at least one distance is required")
             if any(r <= 0 for r in d):
                 raise UsageError("distances must be strictly positive")
             if any(b <= a for a, b in zip(d, d[1:])):
                 raise UsageError("distances must be strictly increasing")
-            self.distances = tuple(d)
 
-        self.jobs = int(_merged(args, "jobs", lambda v, k: int(v)))
+        self.jobs = _merged(args, "jobs")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-        self.emit_plot_script = bool(getattr(args, "emit_plot_script", None)
-                                     or _parse_bool(args._config.get(
-                                         "emit_plot_script", "false"),
-                                         "emit_plot_script"))
-        self.strict_limits = bool(getattr(args, "strict_limits", None)
-                                  or _parse_bool(args._config.get(
-                                      "strict_limits", "false"),
-                                      "strict_limits"))
-        self.raw_primitives = bool(getattr(args, "raw_primitives", None)
-                                   or _parse_bool(args._config.get(
-                                       "raw_primitives", "false"),
-                                       "raw_primitives"))
+        self.emit_plot_script = _merged(args, "emit_plot_script")
+        self.strict_limits = _merged(args, "strict_limits")
+        self.raw_primitives = _merged(args, "raw_primitives")
 
     def grid_comment(self):
-        return (f"grid: n_radial={self.grid_spec.n_radial} "
-                f"lebedev={self.grid_spec.lebedev_order} "
-                f"stiffness={self.grid_spec.stiffness} "
-                f"size_adjust={self.grid_spec.size_adjust}")
+        return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
+
+    def require_grid_fits(self, n_atoms):
+        """Refuse, before anything is allocated, a grid larger than memory."""
+        points, nbytes = grid_estimate(n_atoms, self.grid_spec)
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, OSError, ValueError):
+            return  # the platform does not say
+        if nbytes > memory:
+            raise UsageError(
+                f"a grid of {points} points needs at least {nbytes / 2**30:.1f} "
+                f"GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
-def _entropy_columns(fa, scale):
-    """Flatten one FieldAnalysis into ordered (column, value) pairs."""
-    cols = {"N": fa.n_grid}
-    for prefix, terms in (("S", fa.shannon.density), ("sigma_S", fa.shannon.shape)):
-        cols[f"{prefix}_total"] = terms.total * scale
-        cols[f"{prefix}_add"] = terms.add * scale
-        cols[f"{prefix}_nadd"] = terms.nadd * scale
+def _leaf(column, path, key, value):
+    """A value named key both after the CSV column prefix and under the JSON path."""
+    return f"{column}_{key}", path + (key,), value
+
+
+def _flat_leaves(row):
+    """Leaves of a flat row, whose CSV columns are its JSON keys."""
+    return [(key, (key,), value) for key, value in row.items()]
+
+
+def _analysis_leaves(fa, scale):
+    """Every number of one analysed row, once: (CSV column, JSON path, value).
+
+    The column is None for the JSON-only leaves, the Renyi moments and the
+    identity residuals.
+    """
+    yield "N", ("N",), fa.n_grid
+    for part, prefix in (("density", "S"), ("shape", "sigma_S")):
+        terms = getattr(fa.shannon, part)
+        path = ("shannon", part)
+        for key in ("total", "add", "nadd"):
+            yield _leaf(prefix, path, key, getattr(terms, key) * scale)
         for a, v in sorted(terms.net.items()):
-            cols[f"{prefix}_net_{a}"] = v * scale
+            yield _leaf(f"{prefix}_net", path + ("net",), str(a), v * scale)
+        # JSON keeps the group for one centre, where it is empty
+        yield None, path + ("overlap",), {}
         for (a, b), v in sorted(terms.overlap.items()):
-            cols[f"{prefix}_overlap_{a}_{b}"] = v * scale
+            yield (f"{prefix}_overlap_{a}_{b}", path + ("overlap", f"{a},{b}"),
+                   v * scale)
     for alpha, dec in sorted(fa.renyi.items()):
-        lab = f"renyi{alpha:g}"
-        cols[f"{lab}_S_rho"] = dec.totals.density * scale
-        cols[f"{lab}_S_sigma"] = dec.totals.shape * scale
+        lab = f"{alpha:g}"
+        column, path = f"renyi{lab}", ("renyi", lab)
+        yield _leaf(column, path, "S_rho", dec.totals.density * scale)
+        yield _leaf(column, path, "S_sigma", dec.totals.shape * scale)
+        yield None, path + ("moment",), dec.totals.moment
         for a, p in sorted(dec.net_terms.p_atom.items()):
-            cols[f"{lab}_p_atom_{a}"] = p
-        cols[f"{lab}_S_net"] = dec.net_terms.net * scale
-        cols[f"{lab}_S_nadd_intra"] = dec.net_terms.nadd_intra * scale
-        if dec.pair_partition is not None:
-            cols[f"{lab}_S_add2"] = dec.pair_partition.add * scale
-            cols[f"{lab}_S_nadd2"] = dec.pair_partition.nadd * scale
-            for tup, p in sorted(dec.pair_partition.p4.items()):
-                cols["p4_" + ".".join(str(i) for i in tup)] = p
-    return cols
+            yield _leaf(f"{column}_p_atom", path + ("p_atom",), str(a), p)
+        yield _leaf(column, path, "S_net", dec.net_terms.net * scale)
+        yield _leaf(column, path, "S_nadd_intra",
+                    dec.net_terms.nadd_intra * scale)
+        pp = dec.pair_partition
+        if pp is not None:
+            yield _leaf(column, path, "S_add2", pp.add * scale)
+            yield _leaf(column, path, "S_nadd2", pp.nadd * scale)
+            for tup, p in sorted(pp.p4.items()):
+                yield ("p4_" + ".".join(map(str, tup)),
+                       path + ("p4", ",".join(map(str, tup))), p)
+    for name, v in fa.identity_residuals().items():
+        # p4 sums are probabilities, which carry no unit
+        yield (None, ("identities", name),
+               v if name.endswith("_p4_sum") else v * scale)
 
 
-def _terms_json(terms, scale):
-    return {
-        "total": terms.total * scale,
-        "add": terms.add * scale,
-        "nadd": terms.nadd * scale,
-        "net": {str(a): v * scale for a, v in sorted(terms.net.items())},
-        "overlap": {f"{a},{b}": v * scale
-                    for (a, b), v in sorted(terms.overlap.items())},
-    }
+def _columns(leaves):
+    """The CSV part of a row: column -> value, in column order."""
+    return {column: value for column, _, value in leaves if column is not None}
 
 
-def _row_json(fa, scale, head):
-    obj = dict(head)
-    obj["N"] = fa.n_grid
-    obj["shannon"] = {"density": _terms_json(fa.shannon.density, scale),
-                      "shape": _terms_json(fa.shannon.shape, scale)}
-    renyi = {}
-    for alpha, dec in sorted(fa.renyi.items()):
-        entry = {
-            "S_rho": dec.totals.density * scale,
-            "S_sigma": dec.totals.shape * scale,
-            "moment": dec.totals.moment,
-            "p_atom": {str(a): p
-                       for a, p in sorted(dec.net_terms.p_atom.items())},
-            "S_net": dec.net_terms.net * scale,
-            "S_nadd_intra": dec.net_terms.nadd_intra * scale,
-        }
-        if dec.pair_partition is not None:
-            entry["S_add2"] = dec.pair_partition.add * scale
-            entry["S_nadd2"] = dec.pair_partition.nadd * scale
-            entry["p4"] = {",".join(str(i) for i in tup): p
-                           for tup, p in sorted(dec.pair_partition.p4.items())}
-        renyi[f"{alpha:g}"] = entry
-    if renyi:
-        obj["renyi"] = renyi
-    obj["identities"] = {k: v * scale
-                         for k, v in fa.identity_residuals().items()}
-    return obj
+def _nest(leaves):
+    """The JSON part of a row: the leaves nested along their paths."""
+    doc = {}
+    for _, path, value in leaves:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return doc
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+@contextlib.contextmanager
+def _output(path):
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
-def _write_csv(stream, comments, rows):
+def _write_csv(stream, comments, columns, rows):
     for line in comments:
         stream.write(f"# {line}\n")
-    cols = list(rows[0].keys())
-    stream.write(",".join(cols) + "\n")
+    stream.write(",".join(columns) + "\n")
     for row in rows:
-        stream.write(",".join(_fnum(row[c]) for c in cols) + "\n")
+        stream.write(",".join(_fnum(row[c]) for c in columns) + "\n")
 
 
-def _emit(settings, comments, rows, json_doc):
-    stream, close = _open_out(settings.out)
-    try:
+def _emit(settings, command, rows, extra, reference=None):
+    """Write rows of leaves as CSV or JSON.
+
+    Both formats carry the same provenance: the command, the extra
+    key/value pairs, the units, the grid and the reference block, as
+    comment lines above the CSV header or as JSON meta and reference.
+    """
+    with _output(settings.out) as stream:
         if settings.format == "csv":
-            _write_csv(stream, comments, rows)
+            comments = [f"entropart {__version__} {command}",
+                        *(f"{k} = {v}" for k, v in extra.items()),
+                        f"units = {settings.units}", settings.grid_comment()]
+            for section, values in (reference or {}).items():
+                body = " ".join(f"{k}={_fnum(v)}" for k, v in values.items())
+                comments.append(f"reference {section}: {body}")
+            tables = [_columns(leaves) for leaves in rows]
+            _write_csv(stream, comments, list(tables[0]), tables)
         else:
-            json.dump(json_doc, stream, indent=2)
+            doc = {"meta": {"tool": f"entropart {__version__}",
+                            "command": command, "units": settings.units,
+                            "grid": settings.grid, **extra}}
+            if reference:
+                doc["reference"] = reference
+            doc["rows"] = [_nest(leaves) for leaves in rows]
+            json.dump(doc, stream, indent=2)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def _meta(settings, command, extra=None):
-    meta = {
-        "tool": f"entropart {__version__}",
-        "command": command,
-        "units": settings.units,
-        "grid": {
-            "n_radial": settings.grid_spec.n_radial,
-            "lebedev": settings.grid_spec.lebedev_order,
-            "stiffness": settings.grid_spec.stiffness,
-            "size_adjust": settings.grid_spec.size_adjust,
-        },
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _reference_block(settings):
@@ -323,14 +317,6 @@ def _reference_block(settings):
     return block
 
 
-def _reference_comments(block):
-    out = []
-    for section in ("atom", "limits"):
-        body = " ".join(f"{k}={_fnum(v)}" for k, v in block[section].items())
-        out.append(f"reference {section}: {body}")
-    return out
-
-
 def _sweep_worker(task):
     method, R, spec, alphas = task
     try:
@@ -339,27 +325,24 @@ def _sweep_worker(task):
         raise ValueError(f"at R={R:g}: {e}") from None
 
 
-def _check_identities(rows_fa, labels):
-    failures = []
-    for fa, label in zip(rows_fa, labels):
-        if not fa.identities_ok():
-            bad = {k: v for k, v in fa.identity_residuals().items()
-                   if abs(v) > (CLOSURE_TOLERANCE if "closure" in k
-                                else SCALING_TOLERANCE)}
-            failures.append(f"{label}: {bad}")
-    return failures
+def _identity_exit(labelled):
+    """Exit code 3, with one stderr line per row that fails an identity, or 0."""
+    code = 0
+    for label, fa in labelled:
+        bad = fa.identity_violations()
+        if bad:
+            print(f"identity violation: {label}: {bad}", file=sys.stderr)
+            code = 3
+    return code
 
 
-def _plot_script(csv_path, rows, block, settings):
-    cols = list(rows[0].keys())
+def _plot_script(csv_path, cols, block, units):
 
     def idx(name):
         return cols.index(name) + 1
 
     terms = [("S_total", "total"), ("S_net_0", "net (atom 1)"),
              ("S_overlap_0_1", "overlap"), ("S_nadd", "nonadditive")]
-    available = [(c, t) for c, t in terms if c in cols]
-    unit = settings.units
     lines = [
         "# gnuplot script; run as: gnuplot <this file>",
         'set datafile separator ","',
@@ -368,12 +351,12 @@ def _plot_script(csv_path, rows, block, settings):
         f'set output "{csv_path.rsplit(".", 1)[0]}.png"',
         "set multiplot layout 2,1",
         'set xlabel "R (bohr)"',
-        f'set ylabel "entropy ({unit})"',
+        f'set ylabel "entropy ({units})"',
         "set key outside right",
         f"atom_limit = {_fnum(block['limits']['S_rho'])}",
         "plot " + ", \\\n     ".join(
             [f'"{csv_path}" using {idx("R")}:{idx(c)} with linespoints title "{t}"'
-             for c, t in available]
+             for c, t in terms]
             + ['atom_limit with lines dashtype 2 title "isolated-atom limit"']),
         f"shape_limit = {_fnum(block['limits']['sigma_S'])}",
         "plot " + ", \\\n     ".join(
@@ -385,11 +368,17 @@ def _plot_script(csv_path, rows, block, settings):
     return "\n".join(lines) + "\n"
 
 
+# CSV columns of the entropy limits whose names differ; the energy limit
+# "E" names no column and is not checked
+_LIMIT_COLUMNS = {"S_rho": "S_total", "sigma_S": "sigma_S_total"}
+
+
 def cmd_sweep(args):
-    settings = Settings(args, need_method=True, need_distances=True)
+    settings = Settings(args, sweep=True)
     if settings.emit_plot_script and (settings.format != "csv"
-                                      or settings.out in (None, "-")):
+                                      or settings.out == "-"):
         raise UsageError("--emit-plot-script requires --format csv and --out FILE")
+    settings.require_grid_fits(2)
     tasks = [(settings.method, R, settings.grid_spec, settings.alphas)
              for R in settings.distances]
     if settings.jobs > 1 and len(tasks) > 1:
@@ -399,67 +388,35 @@ def cmd_sweep(args):
         results = [_sweep_worker(t) for t in tasks]
 
     block = _reference_block(settings)
-    rows = []
-    for res in results:
-        row = {"R": res.separation, "E_total": res.energy}
-        row.update(_entropy_columns(res.analysis, settings.scale))
-        rows.append(row)
-    comments = [f"entropart {__version__} sweep",
-                f"method = {settings.method}",
-                f"units = {settings.units}",
-                settings.grid_comment()] + _reference_comments(block)
-    json_doc = {
-        "meta": _meta(settings, "sweep", {"method": settings.method}),
-        "reference": block,
-        "rows": [_row_json(res.analysis, settings.scale,
-                           {"R": res.separation, "E_total": res.energy})
-                 for res in results],
-    }
-    _emit(settings, comments, rows, json_doc)
+    rows = [[*_flat_leaves({"R": res.separation, "E_total": res.energy}),
+             *_analysis_leaves(res.analysis, settings.scale)]
+            for res in results]
+    _emit(settings, "sweep", rows, {"method": settings.method}, block)
 
     if settings.emit_plot_script:
         script_path = settings.out.rsplit(".", 1)[0] + ".gp"
         with open(script_path, "w") as fh:
-            fh.write(_plot_script(settings.out, rows, block, settings))
+            fh.write(_plot_script(settings.out, list(_columns(rows[0])),
+                                  block, settings.units))
         print(f"plot script written to {script_path}", file=sys.stderr)
 
-    failures = _check_identities(
-        [r.analysis for r in results],
-        [f"R={r.separation:g}" for r in results])
-    if failures:
-        for f in failures:
-            print(f"identity violation: {f}", file=sys.stderr)
-        return 3
-
-    if settings.strict_limits:
-        last = results[-1]
-        s = settings.scale
-        checks = [
-            ("S_rho", last.analysis.shannon.density.total * s,
-             block["limits"]["S_rho"]),
-            ("sigma_S", last.analysis.shannon.shape.total * s,
-             block["limits"]["sigma_S"]),
-        ]
-        for alpha in sorted(last.analysis.renyi):
-            lab = f"renyi{alpha:g}"
-            dec = last.analysis.renyi[alpha]
-            checks.append((f"{lab}_S_rho", dec.totals.density * s,
-                           block["limits"][f"{lab}_S_rho"]))
-            checks.append((f"{lab}_S_sigma", dec.totals.shape * s,
-                           block["limits"][f"{lab}_S_sigma"]))
-        tol = LIMIT_TOLERANCE * s
-        bad = [(name, value, limit) for name, value, limit in checks
-               if not abs(value - limit) <= tol]
-        if bad:
-            for name, value, limit in bad:
-                print(f"strict-limits failure at R={last.separation:g}: "
-                      f"{name} = {value!r}, limit {limit!r}, "
-                      f"|diff| > {tol:g}", file=sys.stderr)
-            return 4
-    return 0
+    code = _identity_exit((f"R={r.separation:g}", r.analysis) for r in results)
+    if code or not settings.strict_limits:
+        return code
+    last = _columns(rows[-1])
+    tol = LIMIT_TOLERANCE * settings.scale
+    for name, limit in block["limits"].items():
+        value = last.get(_LIMIT_COLUMNS.get(name, name))
+        if value is not None and not abs(value - limit) <= tol:
+            print(f"strict-limits failure at R={results[-1].separation:g}: "
+                  f"{name} = {value!r}, limit {limit!r}, "
+                  f"|diff| > {tol:g}", file=sys.stderr)
+            code = 4
+    return code
 
 
-def _load_wfn_field(path, settings):
+def _analyze_wfn(path, settings, single_center=False):
+    """Read, check and analyse one .wfn file: (document, FieldAnalysis)."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -473,112 +430,78 @@ def _load_wfn_field(path, settings):
                            f"{e.args[0].split(': ', 1)[-1]}") from None
     field = field_from_document(
         doc, normalized_primitives=not settings.raw_primitives)
-    return doc, field
+    if single_center and len(field.molecule) != 1:
+        raise UsageError(
+            f"atom subcommand needs a single-center file; "
+            f"{path} has {len(field.molecule)} nuclei")
+    settings.require_grid_fits(len(field.molecule))
+    grid = build_molecular_grid(field.molecule, settings.grid_spec)
+    return doc, analyze_field(field, grid, alphas=settings.alphas)
 
 
 def cmd_analyze(args):
     settings = Settings(args)
-    doc, field = _load_wfn_field(args.wfn, settings)
-    grid = build_molecular_grid(field.molecule, settings.grid_spec)
-    fa = analyze_field(field, grid, alphas=settings.alphas)
-    head = {}
-    if doc.total_energy is not None:
-        head["E_total"] = doc.total_energy
-    row = dict(head)
-    row.update(_entropy_columns(fa, settings.scale))
-    comments = [f"entropart {__version__} analyze",
-                f"input = {args.wfn}",
-                f"title = {doc.title}",
-                f"units = {settings.units}",
-                settings.grid_comment()]
-    json_doc = {
-        "meta": _meta(settings, "analyze",
-                      {"input": args.wfn, "title": doc.title}),
-        "rows": [_row_json(fa, settings.scale, head)],
-    }
-    _emit(settings, comments, [row], json_doc)
-    failures = _check_identities([fa], [args.wfn])
-    if failures:
-        for f in failures:
-            print(f"identity violation: {f}", file=sys.stderr)
-        return 3
-    return 0
+    doc, fa = _analyze_wfn(args.wfn, settings)
+    head = {} if doc.total_energy is None else {"E_total": doc.total_energy}
+    row = [*_flat_leaves(head), *_analysis_leaves(fa, settings.scale)]
+    _emit(settings, "analyze", [row], {"input": args.wfn, "title": doc.title})
+    return _identity_exit([(args.wfn, fa)])
 
 
 def cmd_atom(args):
     settings = Settings(args)
-    if getattr(args, "wfn", None):
-        doc, field = _load_wfn_field(args.wfn, settings)
-        if len(field.molecule) != 1:
-            raise UsageError(
-                f"atom subcommand needs a single-center file; "
-                f"{args.wfn} has {len(field.molecule)} nuclei")
-        grid = build_molecular_grid(field.molecule, settings.grid_spec)
-        fa = analyze_field(field, grid, alphas=settings.alphas)
+    if args.wfn:
+        doc, fa = _analyze_wfn(args.wfn, settings, single_center=True)
+        n_grid, energy = fa.n_grid, doc.total_energy
+        s_rho, s_sigma = fa.shannon.density.total, fa.shannon.shape.total
+        renyi = {alpha: dec.totals for alpha, dec in fa.renyi.items()}
         one_electron = abs(fa.n_declared - 1.0) < 1e-12
-        row = {"N": fa.n_grid,
-               "S_rho": fa.shannon.density.total * settings.scale}
-        # for one electron the shape function equals the density exactly
-        row["sigma_S"] = row["S_rho"] if one_electron \
-            else fa.shannon.shape.total * settings.scale
-        for alpha, dec in sorted(fa.renyi.items()):
-            lab = f"renyi{alpha:g}"
-            row[f"{lab}_S_rho"] = dec.totals.density * settings.scale
-            row[f"{lab}_S_sigma"] = row[f"{lab}_S_rho"] if one_electron \
-                else dec.totals.shape * settings.scale
-            row[f"{lab}_moment"] = dec.totals.moment
-        if doc.total_energy is not None:
-            row["E"] = doc.total_energy
         source = args.wfn
     else:
+        settings.require_grid_fits(1)
         ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas)
-        row = {"N": ref.n_grid, "S_rho": ref.shannon * settings.scale}
-        row["sigma_S"] = row["S_rho"]
-        for alpha in sorted(ref.renyi):
-            lab = f"renyi{alpha:g}"
-            row[f"{lab}_S_rho"] = ref.renyi[alpha].density * settings.scale
-            row[f"{lab}_S_sigma"] = row[f"{lab}_S_rho"]
-            row[f"{lab}_moment"] = ref.renyi[alpha].moment
-        row["E"] = ref.energy
+        n_grid, energy, renyi = ref.n_grid, ref.energy, ref.renyi
+        s_rho = s_sigma = ref.shannon
+        one_electron = True
         source = "built-in H (six-Gaussian s contraction)"
-    comments = [f"entropart {__version__} atom",
-                f"source = {source}",
-                f"units = {settings.units}",
-                settings.grid_comment()]
-    json_doc = {"meta": _meta(settings, "atom", {"source": source}),
-                "rows": [row]}
-    _emit(settings, comments, [row], json_doc)
+    # for one electron the shape function equals the density exactly
+    row = {"N": n_grid, "S_rho": s_rho * settings.scale}
+    row["sigma_S"] = row["S_rho"] if one_electron else s_sigma * settings.scale
+    for alpha, totals in sorted(renyi.items()):
+        lab = f"renyi{alpha:g}"
+        row[f"{lab}_S_rho"] = totals.density * settings.scale
+        row[f"{lab}_S_sigma"] = row[f"{lab}_S_rho"] if one_electron \
+            else totals.shape * settings.scale
+        row[f"{lab}_moment"] = totals.moment
+    if energy is not None:
+        row["E"] = energy
+    _emit(settings, "atom", [_flat_leaves(row)], {"source": source})
     return 0
 
 
 def cmd_grid_dump(args):
     settings = Settings(args)
-    d = getattr(args, "distances", None)
-    if d is None:
-        d = args._config.get("distances")
-    if d is None:
+    if getattr(args, "distances", None) is None \
+            and "distances" not in args._config:
         molecule = Molecule([("H", (0.0, 0.0, 0.0))])
         what = "single H atom at the origin"
     else:
-        dist = _parse_floats(d, "distances") if isinstance(d, str) else d
+        dist = _merged(args, "distances")
         if len(dist) != 1:
             raise UsageError("grid-dump takes exactly one distance")
         if dist[0] <= 0:
             raise UsageError("distances must be strictly positive")
         molecule = Molecule.h2(dist[0])
         what = f"H2 at R={dist[0]:g} bohr"
+    settings.require_grid_fits(len(molecule))
     grid = build_molecular_grid(molecule, settings.grid_spec)
-    stream, close = _open_out(settings.out)
-    try:
+    with _output(settings.out) as stream:
         stream.write(f"# entropart {__version__} grid-dump: {what}\n")
         stream.write(f"# {settings.grid_comment()}\n")
         stream.write("x,y,z,weight,owner_atom\n")
         for p, w, o in zip(grid.points, grid.weights, grid.owner_atom):
             stream.write(f"{_fnum(p[0])},{_fnum(p[1])},{_fnum(p[2])},"
                          f"{_fnum(w)},{int(o)}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -599,7 +522,8 @@ def build_parser():
                         help="angular nodes per shell (default 194)")
     common.add_argument("--stiffness", type=int,
                         help="cell-function smoothing iterations (default 3)")
-    common.add_argument("--no-size-adjust", action="store_true", default=None,
+    common.add_argument("--no-size-adjust", action="store_false", default=None,
+                        dest="size_adjust",
                         help="disable radius-based cell boundary shifts")
     common.add_argument("--out", help="output path (default stdout)")
 
@@ -610,6 +534,11 @@ def build_parser():
                          help="entropy units (default nats)")
     measure.add_argument("--format", choices=["csv", "json"],
                          help="output format (default csv)")
+
+    wfn_input = argparse.ArgumentParser(add_help=False)
+    wfn_input.add_argument("--raw-primitives", action="store_true", default=None,
+                           help="treat MO coefficients as multiplying "
+                                "unnormalized primitives")
 
     p = sub.add_parser("sweep", parents=[common, measure],
                        help="dissociation sweep of a built-in H2 model")
@@ -627,21 +556,15 @@ def build_parser():
                         "infinite-separation references")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("analyze", parents=[common, measure],
+    p = sub.add_parser("analyze", parents=[common, measure, wfn_input],
                        help="analyze a .wfn wavefunction file")
     p.add_argument("wfn", help="path to the .wfn file")
-    p.add_argument("--raw-primitives", action="store_true", default=None,
-                   help="treat MO coefficients as multiplying unnormalized "
-                        "primitives")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("atom", parents=[common, measure],
+    p = sub.add_parser("atom", parents=[common, measure, wfn_input],
                        help="isolated-atom reference constants")
     p.add_argument("wfn", nargs="?",
                    help="optional single-center .wfn (default: built-in H)")
-    p.add_argument("--raw-primitives", action="store_true", default=None,
-                   help="treat MO coefficients as multiplying unnormalized "
-                        "primitives")
     p.set_defaults(func=cmd_atom)
 
     p = sub.add_parser("grid-dump", parents=[common],
@@ -657,15 +580,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

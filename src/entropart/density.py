@@ -141,6 +141,11 @@ class ClampDiagnostics:
     clamped: int = 0    # values in (NEGATIVE_CLAMP, 0) set to 0
     negated: int = 0    # values below NEGATIVE_CLAMP replaced by |value|
 
+    def since(self, earlier: ClampDiagnostics) -> ClampDiagnostics:
+        """The counts added after the snapshot ``earlier`` was taken."""
+        return ClampDiagnostics(clamped=self.clamped - earlier.clamped,
+                                negated=self.negated - earlier.negated)
+
 
 class PairDensityField:
     """Density plus its atom-pair partition, evaluated on point arrays."""

@@ -48,6 +48,17 @@ class AtomicGridSpec:
             raise ValueError("stiffness must be >= 1")
 
 
+def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
+    """(points, bytes) of a molecular grid before it is built.
+
+    Points are counted before weight screening; bytes are what the finished
+    grid's arrays hold (three coordinates, a weight and an owner index per
+    point), far less than an analysis on the grid needs.
+    """
+    points = n_atoms * spec.n_radial * spec.lebedev_order
+    return points, points * 5 * 8
+
+
 def radial_grid(n: int, bragg_radius: float):
     """Radial nodes and weights for one atom.
 

@@ -102,7 +102,7 @@ class ShannonDecomposition:
     n_grid: float
     density: ShannonTerms
     shape: ShannonTerms
-    diagnostics: ClampDiagnostics
+    diagnostics: ClampDiagnostics  # counts of the evaluation behind this result
 
     @property
     def scaling_residual(self) -> float:
@@ -141,9 +141,10 @@ def shannon_from_arrays(rho, pairs, weights, n_declared: float,
 def shannon_decompose(field: PairDensityField, grid: MolecularGrid,
                       block_size: int = 32768) -> ShannonDecomposition:
     """Decompose the Shannon entropy of a field over a molecular grid."""
+    before = dataclasses.replace(field.diagnostics)
     rho, pairs = field.pair_fields(grid.points, block_size=block_size)
-    return shannon_from_arrays(rho, pairs, grid.weights,
-                               field.n_electrons, field.diagnostics)
+    return shannon_from_arrays(rho, pairs, grid.weights, field.n_electrons,
+                               field.diagnostics.since(before))
 
 
 def asymptotic_shannon_reference(atom_entropies, electron_counts):

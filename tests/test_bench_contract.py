@@ -48,9 +48,10 @@ def _bindings():
             if callable(v)}
 
 
-def test_tracer_binds_every_target_and_restores(tracing):
+def test_tracer_binds_every_target_and_restores(tracing, tmp_path):
     field = hf_model(1.4).field()
     before = _bindings()
+    main = entropart.cli.main
     tracer = tracing.Tracer()
     tracer.install()  # raises if a target has no binding to wrap
     try:
@@ -60,11 +61,23 @@ def test_tracer_binds_every_target_and_restores(tracing):
         analyze_field(field, grid, alphas=(2.0,))
         field.density(grid.points)  # the quad_form path
         tracer.end_op()
+        # the sweep workload's operation, on a tiny grid
+        tracer.begin_op(2)
+        code = entropart.cli.main(
+            ["sweep", "--method", "fci", "--distances", "1.4", "--alphas",
+             "0.5,2", "--n-radial", "80", "--lebedev", "50", "--format",
+             "json", "--out", str(tmp_path / "sweep.json")])
+        tracer.end_op()
     finally:
         tracer.uninstall()
+    assert code == 0
     counts = tracer.summary(1)["counts"]
     for name in KERNELS:
         assert counts.get(f"backends.{name}.calls", 0) > 0, name
+    sweep_counts = tracer.summary(2)["counts"]
+    assert sweep_counts["cli.main.calls"] == 1
+    assert sweep_counts["analysis.analyze_model.calls"] == 1
+    assert entropart.cli.main is main
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())

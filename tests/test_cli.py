@@ -59,15 +59,69 @@ def test_sweep_csv(tmp_path):
             total, abs=1e-9)
 
 
-def test_sweep_json_values_match_csv(tmp_path):
-    args = ("sweep", "--method", "hf", "--distances", "1.4", "--alphas", "2",
-            *QUICK)
-    csv_path = tmp_path / "s.csv"
-    json_path = tmp_path / "s.json"
-    run_cli(*args, "--format", "csv", "--out", str(csv_path), check=0)
-    run_cli(*args, "--format", "json", "--out", str(json_path), check=0)
-    _, _, rows = read_csv(csv_path)
-    doc = json.loads(json_path.read_text())
+def json_path_of(column):
+    """The JSON path of an analysis row's CSV column, by the rule in README."""
+    if column in ("R", "E_total", "N"):
+        return (column,)
+    if column.startswith("p4_"):
+        return ("renyi", "2", "p4", column[3:].replace(".", ","))
+    if column.startswith("renyi"):
+        label, rest = column[5:].split("_", 1)
+        if rest.startswith("p_atom_"):
+            return ("renyi", label, "p_atom", rest[7:])
+        return ("renyi", label, rest)
+    part, rest = (("shape", column[8:]) if column.startswith("sigma_S_")
+                  else ("density", column[2:]))
+    group, _, key = rest.partition("_")
+    return ("shannon", part, group) + ((key.replace("_", ","),) if key else ())
+
+
+def json_leaves(node, path=()):
+    if not isinstance(node, dict):
+        return {path: node}
+    out = {}
+    for key, value in node.items():
+        out.update(json_leaves(value, path + (key,)))
+    return out
+
+
+def test_sweep_json_values_match_csv(tmp_path, wfn_fixtures):
+    wfn = wfn_fixtures["paths"]
+    # every CSV column equals its JSON leaf bit for bit; the Renyi moments
+    # and the identity residuals are the JSON-only leaves, and atom rows
+    # are flat
+    cases = {
+        "sweep": ("sweep", "--method", "hf", "--distances", "1.4,4",
+                  "--alphas", "0.5,2,3", *QUICK),
+        "analyze": ("analyze", str(wfn["h2_fci"]), "--alphas", "0.5,2,3",
+                    *QUICK),
+        "analyze-one-center": ("analyze", str(wfn["gaussian"]), "--alphas",
+                               "2", *QUICK),
+        "atom": ("atom", "--alphas", "0.5,2", *QUICK),
+        "atom-wfn": ("atom", str(wfn["gaussian"]), "--alphas", "2,3", *QUICK),
+    }
+    for name, args in cases.items():
+        csv_path = tmp_path / f"{name}.csv"
+        json_path = tmp_path / f"{name}.json"
+        run_cli(*args, "--format", "csv", "--out", str(csv_path), check=0)
+        run_cli(*args, "--format", "json", "--out", str(json_path), check=0)
+        _, header, rows = read_csv(csv_path)
+        doc = json.loads(json_path.read_text())
+        assert len(rows) == len(doc["rows"]), name
+        for crow, jrow in zip(rows, doc["rows"]):
+            leaves = json_leaves(jrow)
+            paths = {c: (c,) if name.startswith("atom") else json_path_of(c)
+                     for c in header}
+            for column, path in paths.items():
+                assert float(crow[column]) == leaves[path], (name, column)
+            json_only = set(leaves) - set(paths.values())
+            assert all(p[0] == "identities" or p[-1] == "moment"
+                       for p in json_only), (name, json_only)
+        if name.startswith("analyze"):
+            assert "overlap" in jrow["shannon"]["density"]
+
+    _, _, rows = read_csv(tmp_path / "sweep.csv")
+    doc = json.loads((tmp_path / "sweep.json").read_text())
     jrow = doc["rows"][0]
     crow = rows[0]
     assert float(crow["S_total"]) == jrow["shannon"]["density"]["total"]
@@ -106,6 +160,15 @@ def test_units_bits_scales_entropies_only(tmp_path):
     # probabilities, counts and energies are unit free
     for col in ("N", "E_total", "renyi2_p_atom_0", "p4_0.0.0.0"):
         assert row_b[col] == row_n[col]
+    # so is the residual of the p4 sum; the other residuals are entropies
+    docs = {}
+    for units in ("nats", "bits"):
+        proc = run_cli(*base, "--units", units, "--format", "json", check=0)
+        docs[units] = json.loads(proc.stdout)["rows"][0]["identities"]
+    assert docs["nats"]["renyi2_p4_sum"] != 0.0
+    assert docs["bits"]["renyi2_p4_sum"] == docs["nats"]["renyi2_p4_sum"]
+    assert docs["bits"]["renyi2_scaling"] * ln2 == pytest.approx(
+        docs["nats"]["renyi2_scaling"], rel=1e-12)
 
 
 def test_parallel_sweep_is_deterministic(tmp_path):
@@ -182,6 +245,31 @@ def test_non_finite_numbers_exit_2(argv, token):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--method", "hf", "--distances", "1.4"),
+    ("analyze", "{h2_hf}"),
+    ("atom",),
+    ("grid-dump", "--distances", "1.4"),
+], ids=["sweep", "analyze", "atom", "grid-dump"])
+def test_grid_larger_than_memory_exits_2(argv, wfn_fixtures, monkeypatch,
+                                         capsys):
+    import entropart.cli
+    import entropart.quadrature
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    # refused from the estimate alone, before any grid array exists
+    monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
+    paths = {k: str(v) for k, v in wfn_fixtures["paths"].items()}
+    code = entropart.cli.main([a.format(**paths) for a in argv]
+                              + ["--n-radial", str(10**12)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error:") and "physical memory" in err
 
 
 def test_corrupt_wfn_exits_1_with_location(tmp_path, wfn_fixtures):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from entropart.analysis import analyze_field
 from entropart.backends import quad_form, quad_form_block
 from entropart.density import (TYPE_POWS, ContractedS, DensityMatrix,
                                PairDensityField, Primitive, PrimitiveBasis,
@@ -177,6 +178,27 @@ def test_negative_density_clamp_and_warning():
     assert (rho >= 0).all()
     assert field.diagnostics.negated > 0
     assert any("absolute values" in str(w.message) for w in caught)
+
+
+def test_clamp_counts_of_a_result_stay_fixed():
+    mol = Molecule.h2(1.4)
+    basis = PrimitiveBasis(mol, [0, 1], [1, 1], [1.0, 1.0])
+    c = np.array([[1.0, -1.2], [-1.2, 1.0]])
+    grid = build_molecular_grid(mol, AtomicGridSpec(n_radial=60,
+                                                    lebedev_order=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # declare the electron count the clamped density integrates to
+        probe = PairDensityField(basis, DensityMatrix(c, n_electrons=1.0))
+        n = integrate(probe.pair_fields(grid.points)[0], grid)
+        field = PairDensityField(basis, DensityMatrix(c, n_electrons=n))
+        diag = analyze_field(field, grid).shannon.diagnostics
+        counts = (diag.clamped, diag.negated)
+        assert diag.negated > 0
+        field.density(grid.points)
+    assert (diag.clamped, diag.negated) == counts
+    # the field keeps the running total over both calls
+    assert field.diagnostics.negated > diag.negated
 
 
 def test_contracted_overlap_reproduces_reference_value():

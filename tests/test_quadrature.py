@@ -6,7 +6,8 @@ import pytest
 
 from entropart.molecule import Atom, Molecule
 from entropart.quadrature import (AtomicGridSpec, becke_weights,
-                                  build_molecular_grid, integrate, radial_grid)
+                                  build_molecular_grid, grid_estimate,
+                                  integrate, radial_grid)
 
 HYDROGENIC_S = 3.0 + math.log(math.pi)
 
@@ -59,10 +60,17 @@ def test_grid_spec_validation():
 
 def test_single_atom_grid_point_count():
     mol = Molecule([Atom("H", 1, (0.0, 0.0, 0.0))])
-    grid = build_molecular_grid(mol, AtomicGridSpec(n_radial=200,
-                                                    lebedev_order=110))
+    spec = AtomicGridSpec(n_radial=200, lebedev_order=110)
+    grid = build_molecular_grid(mol, spec)
     assert len(grid) == 200 * 110
     assert (grid.owner_atom == 0).all()
+    # one atom screens no point, so the estimate is exact
+    assert grid_estimate(1, spec) == (len(grid), grid.points.nbytes
+                                      + grid.weights.nbytes
+                                      + grid.owner_atom.nbytes)
+    # estimated only: this grid would need 289 GiB
+    assert grid_estimate(2, AtomicGridSpec(n_radial=20_000_000)) == (
+        7_760_000_000, 310_400_000_000)
 
 
 def test_single_atom_hydrogenic_entropy():

@@ -80,10 +80,15 @@ def test_additive_part_sums_exactly(model_analysis):
 def test_closure_and_scaling_residuals(model_analysis):
     for method in ("hf", "hl", "fci"):
         for separation in (1.4, 4.0):
-            sh = model_analysis(method, separation).analysis.shannon
+            fa = model_analysis(method, separation).analysis
+            sh = fa.shannon
             assert abs(sh.density.closure_residual) < 1e-10
             assert abs(sh.shape.closure_residual) < 1e-10
             assert abs(sh.scaling_residual) < 1e-10
+            assert fa.identity_violations() == {} and fa.identities_ok()
+            nonzero = {k: v for k, v in fa.identity_residuals().items() if v}
+            assert fa.identity_violations(0.0, 0.0) == nonzero
+            assert fa.identities_ok(0.0, 0.0) == (not nonzero)
 
 
 def test_entropy_rises_toward_separated_atoms(model_analysis, atom_ref):
