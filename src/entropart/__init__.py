@@ -25,7 +25,7 @@ from .renyi import (Renyi2Partition, RenyiDecomposition, RenyiNetTerms,
                     renyi_decompose, renyi_net_nadd_intra, renyi_total)
 from .shannon import (ShannonDecomposition, ShannonTerms,
                       asymptotic_shannon_reference, safe_log,
-                      shannon_decompose, shannon_point_terms)
+                      shannon_point_terms)
 from .wfnio import (WfnDocument, WfnParseError, build_document,
                     density_matrix_from_mos, field_from_document, parse_wfn,
                     write_wfn)
@@ -47,7 +47,7 @@ __all__ = [
     "asymptotic_renyi_reference", "renyi2_partition", "renyi_decompose",
     "renyi_net_nadd_intra", "renyi_total",
     "ShannonDecomposition", "ShannonTerms", "asymptotic_shannon_reference",
-    "safe_log", "shannon_decompose", "shannon_point_terms",
+    "safe_log", "shannon_point_terms",
     "WfnDocument", "WfnParseError", "build_document",
     "density_matrix_from_mos", "field_from_document", "parse_wfn",
     "write_wfn", "__version__",

@@ -10,10 +10,9 @@ import math
 from .density import PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid, integrate
-from .renyi import (RenyiDecomposition, RenyiTotals, asymptotic_renyi_reference,
-                    renyi_decompose, renyi_total)
+from .renyi import asymptotic_renyi_reference, renyi_decompose
 from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
-                      check_normalization, safe_log, shannon_from_arrays)
+                      check_normalization, shannon_from_arrays)
 
 # row-level identity tolerances used by reporting tools
 CLOSURE_TOLERANCE = 1e-8    # add - nadd = total, both entropy families
@@ -63,13 +62,13 @@ class FieldAnalysis:
 
 
 def analyze_field(field: PairDensityField, grid: MolecularGrid,
-                  alphas=(), block_size: int = 32768) -> FieldAnalysis:
+                  alphas=()) -> FieldAnalysis:
     """Evaluate the field once and run every requested decomposition."""
     before = dataclasses.replace(field.diagnostics)
-    rho, pairs = field.pair_fields(grid.points, block_size=block_size)
+    rho, pairs = field.pair_fields(grid.points)
     n_grid = integrate(rho, weights=grid.weights)
     check_normalization(n_grid, field.n_electrons)
-    shannon = shannon_from_arrays(rho, pairs, grid.weights, field.n_electrons,
+    shannon = shannon_from_arrays(rho, pairs, grid.weights, n_grid,
                                   field.diagnostics.since(before))
     renyi = {float(a): renyi_decompose(rho, pairs, grid.weights, float(a), n_grid)
              for a in alphas}
@@ -131,12 +130,9 @@ def hydrogen_reference(spec: AtomicGridSpec = None, alphas=(),
     is supplied.
     """
     field = atom_field(basis)
-    grid = build_molecular_grid(field.molecule, spec)
-    rho = field.density(grid.points)
-    n_grid = integrate(rho, weights=grid.weights)
-    check_normalization(n_grid, 1.0)
-    shannon = -integrate(rho * safe_log(rho), weights=grid.weights)
-    renyi = {float(a): renyi_total(rho, grid.weights, float(a), n_grid)
-             for a in alphas}
-    return AtomReference(energy=hydrogen_atom_energy(basis), n_grid=n_grid,
-                         shannon=shannon, renyi=renyi)
+    analysis = analyze_field(field, build_molecular_grid(field.molecule, spec),
+                             alphas=alphas)
+    return AtomReference(energy=hydrogen_atom_energy(basis),
+                         n_grid=analysis.n_grid,
+                         shannon=analysis.shannon.density.total,
+                         renyi={a: dec.totals for a, dec in analysis.renyi.items()})

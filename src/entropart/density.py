@@ -129,7 +129,7 @@ class DensityMatrix:
         if not np.allclose(c, c.T, atol=tol, rtol=0.0):
             raise ValueError("coefficient matrix must be symmetric to 1e-12 "
                              "relative to its largest entry")
-        # store the exactly symmetrized form so A,B and B,A evaluations agree bitwise
+        # store the exactly symmetrized form: quad_form assumes a symmetric D
         self.coefficients = 0.5 * (c + c.T)
         self.n_electrons = float(n_electrons)
         if self.n_electrons <= 0:
@@ -179,22 +179,14 @@ class PairDensityField:
                 rho[bad] = np.abs(rho[bad])
         return rho
 
-    def density(self, points, primitive_values=None, block_size: int = 32768) -> np.ndarray:
+    def density(self, points, block_size: int = 32768) -> np.ndarray:
         """Total density, clamped to be nonnegative (see ClampDiagnostics)."""
-        if primitive_values is not None:
-            return self._clamp(quad_form(self.dm.coefficients, primitive_values))
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
         for start in range(0, len(pts), block_size):
             sl = slice(start, min(start + block_size, len(pts)))
             rho[sl] = quad_form(self.dm.coefficients, self.basis.evaluate(pts[sl]))
         return self._clamp(rho)
-
-    def pair_density(self, a: int, b: int, points, primitive_values=None) -> np.ndarray:
-        """One-sided pair term rho^AB; symmetric in (a, b). Not clamped."""
-        G = self.basis.evaluate(points) if primitive_values is None else primitive_values
-        return quad_form_block(
-            self.dm.coefficients, G, self._rows[a], self._rows[b])
 
     def pair_fields(self, points, block_size: int = 32768):
         """All unique pair terms and the clamped total.

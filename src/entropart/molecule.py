@@ -40,12 +40,6 @@ def atomic_number(symbol: str) -> int:
     return z
 
 
-def element_symbol(z: int) -> str:
-    if not 1 <= z < len(_SYMBOLS):
-        raise ValueError(f"atomic number {z} out of supported range")
-    return _SYMBOLS[z]
-
-
 def bragg_radius(z: int) -> float:
     """Bragg-Slater radius in bohr for atomic number ``z``."""
     try:
@@ -98,11 +92,6 @@ class Molecule:
 
     def __len__(self):
         return len(self.atoms)
-
-    @property
-    def labels(self):
-        """Per-atom labels like H1, H2 (symbol + 1-based index)."""
-        return [f"{a.symbol}{i + 1}" for i, a in enumerate(self.atoms)]
 
     def bragg_radii(self):
         return np.array([bragg_radius(a.z) for a in self.atoms])

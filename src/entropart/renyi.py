@@ -6,13 +6,13 @@ atomic net and intra-atomic nonadditive terms.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
 from .density import NEGATIVE_CLAMP
-from .quadrature import integrate
-from .shannon import safe_log
+from .quadrature import _CHUNK, integrate
 
 # orders this close to 1 are rejected; the Shannon module is the limit
 ALPHA_ONE_GUARD = 1e-9
@@ -45,6 +45,11 @@ def _alpha_power(x, alpha: float, name: str):
     return np.maximum(x, 0.0) ** alpha
 
 
+def _log0(v: float) -> float:
+    """log|v|, with the value 0 assigned at v = 0."""
+    return math.log(abs(v)) if v != 0 else 0.0
+
+
 @dataclasses.dataclass(frozen=True)
 class RenyiTotals:
     """Total Renyi entropy of the density and of its shape function."""
@@ -58,21 +63,20 @@ class RenyiTotals:
 def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
     """Order-alpha Renyi entropy of a density sampled on a grid.
 
-    The shape value is computed from sigma = rho / n_grid pointwise,
-    where n_grid is the grid integral of the density.
+    The shape value follows by exact scaling: the shape function, the
+    density divided by its grid integral n_grid, has the moment
+    int sigma**alpha = int rho**alpha / n_grid**alpha.
     """
     alpha = _validate_alpha(alpha)
-    rho = np.asarray(rho, dtype=float)
     moment = integrate(_alpha_power(rho, alpha, "the density"), weights=weights)
     if moment <= 0 or not math.isfinite(moment):
         raise ValueError(f"integral of rho**alpha is {moment!r}; "
                          "cannot take its logarithm")
-    sigma_moment = integrate(
-        _alpha_power(rho / n_grid, alpha, "the shape function"), weights=weights)
     pref = 1.0 / (1.0 - alpha)
+    log_moment = math.log(moment)
     return RenyiTotals(alpha=alpha, moment=moment,
-                       density=pref * math.log(moment),
-                       shape=pref * math.log(sigma_moment))
+                       density=pref * log_moment,
+                       shape=pref * (log_moment - alpha * math.log(n_grid)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,35 +97,42 @@ class Renyi2Partition:
         return self.add - self.nadd - self.total
 
 
+def _gram(pairs, keys, weights) -> np.ndarray:
+    """Matrix of int x_i x_j over the pair terms in the order of keys.
+
+    The grid is walked in the fixed integration chunks; each chunk gives
+    every entry's partial at once, and each entry is the exactly rounded
+    sum of its partials, as ``integrate`` would give it.
+    """
+    partials = []
+    for start in range(0, len(weights), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        block = np.stack([pairs[k][sl] for k in keys])
+        partials.append((block * weights[sl]) @ block.T)
+    partials = np.array(partials)
+    gram = np.empty((len(keys), len(keys)))
+    for i in range(len(keys)):
+        for j in range(i, len(keys)):
+            gram[i, j] = gram[j, i] = math.fsum(partials[:, i, j])
+    return gram
+
+
 def renyi2_partition(pairs, weights) -> Renyi2Partition:
     """Pair-pair partition of the order-2 entropy from pair-term arrays."""
     keys = sorted(pairs.keys())
-    index = {k: i for i, k in enumerate(keys)}
     nat = max(b for _, b in keys) + 1
-    gram = np.empty((len(keys), len(keys)))
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys[i:], start=i):
-            gram[i, j] = gram[j, i] = integrate(
-                pairs[ki] * pairs[kj], weights=weights)
-
-    def unique(a, b):
-        return index[(a, b) if a <= b else (b, a)]
-
-    tuples = [(a, b, c, d)
-              for a in range(nat) for b in range(nat)
-              for c in range(nat) for d in range(nat)]
-    integrals = {t: gram[unique(t[0], t[1]), unique(t[2], t[3])]
-                 for t in tuples}
+    gram = _gram(pairs, keys, weights)
+    # the Gram row of each ordered atom pair; (b, a) shares that of (a, b)
+    row = {(a, b): keys.index((min(a, b), max(a, b)))
+           for a, b in itertools.product(range(nat), repeat=2)}
+    integrals = {p + q: gram[row[p], row[q]]
+                 for p, q in itertools.product(row, repeat=2)}
     norm = math.fsum(integrals.values())
     if norm <= 0 or not math.isfinite(norm):
         raise ValueError(f"ordered pair-pair integrals sum to {norm!r}")
     p4 = {t: v / norm for t, v in integrals.items()}
-
-    def log0(v):
-        return math.log(abs(v)) if v != 0 else 0.0
-
-    add = -math.fsum(p4[t] * log0(integrals[t]) for t in tuples)
-    nadd = -math.fsum(p4[t] * log0(p4[t]) for t in tuples)
+    add = -math.fsum(p4[t] * _log0(v) for t, v in integrals.items())
+    nadd = -math.fsum(p * _log0(p) for p in p4.values())
     return Renyi2Partition(p4=p4, add=add, nadd=nadd, total=-math.log(norm))
 
 
@@ -135,33 +146,23 @@ class RenyiNetTerms:
     nadd_intra: float
 
 
-def renyi_net_nadd_intra(rho, pairs, weights, alpha: float) -> RenyiNetTerms:
+def renyi_net_nadd_intra(pairs, weights, alpha: float,
+                         moment: float) -> RenyiNetTerms:
     """Atomic-density contributions to the order-alpha entropy.
 
-    p_atom[A] is the share of the rho**alpha integral carried by the
-    atomic diagonal term (rho^AA)**alpha.
+    moment is the integral of rho**alpha (``RenyiTotals.moment``);
+    p_atom[A] is the share of it carried by the atomic diagonal term
+    (rho^AA)**alpha.
     """
     alpha = _validate_alpha(alpha)
-    moment = integrate(_alpha_power(rho, alpha, "the density"), weights=weights)
-    if moment <= 0 or not math.isfinite(moment):
-        raise ValueError(f"integral of rho**alpha is {moment!r}; "
-                         "cannot take its logarithm")
     pref = 1.0 / (1.0 - alpha)
-    p_atom = {}
-    atom_moments = {}
-    for (a, b), x in sorted(pairs.items()):
-        if a != b:
-            continue
-        m = integrate(_alpha_power(x, alpha, f"the net density of atom {a}"),
-                      weights=weights)
-        atom_moments[a] = m
-        p_atom[a] = m / moment
-
-    def log0(v):
-        return math.log(abs(v)) if v != 0 else 0.0
-
-    net = pref * math.fsum(p_atom[a] * log0(atom_moments[a]) for a in p_atom)
-    nadd_intra = pref * math.fsum(p_atom[a] * log0(p_atom[a]) for a in p_atom)
+    atom_moments = {
+        a: integrate(_alpha_power(x, alpha, f"the net density of atom {a}"),
+                     weights=weights)
+        for (a, b), x in sorted(pairs.items()) if a == b}
+    p_atom = {a: m / moment for a, m in atom_moments.items()}
+    net = pref * math.fsum(p_atom[a] * _log0(atom_moments[a]) for a in p_atom)
+    nadd_intra = pref * math.fsum(p_atom[a] * _log0(p_atom[a]) for a in p_atom)
     return RenyiNetTerms(alpha=alpha, p_atom=p_atom, net=net,
                          nadd_intra=nadd_intra)
 
@@ -185,7 +186,7 @@ def renyi_decompose(rho, pairs, weights, alpha: float,
     """
     alpha = _validate_alpha(alpha)
     totals = renyi_total(rho, weights, alpha, n_grid)
-    net_terms = renyi_net_nadd_intra(rho, pairs, weights, alpha)
+    net_terms = renyi_net_nadd_intra(pairs, weights, alpha, totals.moment)
     partition = renyi2_partition(pairs, weights) if alpha == 2.0 else None
     return RenyiDecomposition(alpha=alpha, totals=totals,
                               net_terms=net_terms, pair_partition=partition)

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .density import ClampDiagnostics, PairDensityField
-from .quadrature import MolecularGrid, integrate
+from .density import ClampDiagnostics
+from .quadrature import integrate
 
 # the grid must reproduce the electron count this well before entropies
 # are trusted at all
@@ -71,34 +71,50 @@ class ShannonTerms:
         return self.add - self.nadd - self.total
 
 
-def _decompose_arrays(rho, pairs, weights) -> ShannonTerms:
-    log_rho = safe_log(rho)
-    total = -integrate(rho * log_rho, weights=weights)
+def _integrals(rho, pairs, weights):
+    """The grid integrals behind a decomposition: -int rho log rho, and for
+    every unique pair term x = rho^AB the triple (-int x log x,
+    -int x log(x / rho), int x)."""
+    total = -integrate(rho * safe_log(rho), weights=weights)
     denom = np.where(rho > 0, rho, 1.0)
+    parts = {}
+    for key, x in sorted(pairs.items()):
+        q = np.where(rho > 0, x / denom, 0.0)
+        parts[key] = (-integrate(x * safe_log(x), weights=weights),
+                      -integrate(x * safe_log(q), weights=weights),
+                      integrate(x, weights=weights))
+    return total, parts
+
+
+def _terms(total, parts, n: float = 1.0) -> ShannonTerms:
+    """Decomposition of rho / n from the integrals of rho (``_integrals``).
+
+    Exact scaling: -(x/n) log(x/n) = (-x log x + x ln n) / n for every pair
+    term x, and x / rho does not change, so nadd scales as 1/n; with n the
+    grid integral of rho the total becomes total / n + ln n. n = 1 gives
+    the density terms themselves.
+    """
+    log_n = math.log(n)
     net = {}
     overlap = {}
     nadd_parts = []
-    for (a, b), x in sorted(pairs.items()):
-        log_x = safe_log(x)
-        q = np.where(rho > 0, x / denom, 0.0)
-        one_sided = -integrate(x * log_x, weights=weights)
-        nadd_ab = -integrate(x * safe_log(q), weights=weights)
+    for (a, b), (one_sided, nadd_ab, population) in parts.items():
+        mult = 1.0 if a == b else 2.0
+        value = mult * (one_sided + log_n * population) / n
         if a == b:
-            net[a] = one_sided
-            nadd_parts.append(nadd_ab)
+            net[a] = value
         else:
-            overlap[(a, b)] = 2.0 * one_sided
-            nadd_parts.append(2.0 * nadd_ab)
+            overlap[(a, b)] = value
+        nadd_parts.append(mult * nadd_ab / n)
     add = math.fsum(list(net.values()) + list(overlap.values()))
-    return ShannonTerms(total=total, add=add, nadd=math.fsum(nadd_parts),
-                        net=net, overlap=overlap)
+    return ShannonTerms(total=total / n + log_n, add=add,
+                        nadd=math.fsum(nadd_parts), net=net, overlap=overlap)
 
 
 @dataclasses.dataclass(frozen=True)
 class ShannonDecomposition:
     """Density and shape-function Shannon decompositions on one grid."""
 
-    n_declared: float
     n_grid: float
     density: ShannonTerms
     shape: ShannonTerms
@@ -119,32 +135,17 @@ def check_normalization(n_grid: float, n_declared: float) -> None:
             f"{n_declared!r}; the quadrature is inadequate for this system")
 
 
-def shannon_from_arrays(rho, pairs, weights, n_declared: float,
+def shannon_from_arrays(rho, pairs, weights, n_grid: float,
                         diagnostics: ClampDiagnostics) -> ShannonDecomposition:
     """Decomposition from an already evaluated (rho, pairs) field.
 
-    The shape-function variant divides the density and every pair term by
-    the grid electron count pointwise before taking logarithms, so the
-    scaling identity between the two totals holds to rounding.
+    n_grid is the grid integral of rho. The shape-function terms follow
+    from the same integrals as the density terms, by exact scaling.
     """
-    n_grid = integrate(rho, weights=weights)
-    check_normalization(n_grid, n_declared)
-    density = _decompose_arrays(rho, pairs, weights)
-    sigma = rho / n_grid
-    sigma_pairs = {k: v / n_grid for k, v in pairs.items()}
-    shape = _decompose_arrays(sigma, sigma_pairs, weights)
+    total, parts = _integrals(rho, pairs, weights)
     return ShannonDecomposition(
-        n_declared=n_declared, n_grid=n_grid,
-        density=density, shape=shape, diagnostics=diagnostics)
-
-
-def shannon_decompose(field: PairDensityField, grid: MolecularGrid,
-                      block_size: int = 32768) -> ShannonDecomposition:
-    """Decompose the Shannon entropy of a field over a molecular grid."""
-    before = dataclasses.replace(field.diagnostics)
-    rho, pairs = field.pair_fields(grid.points, block_size=block_size)
-    return shannon_from_arrays(rho, pairs, grid.weights, field.n_electrons,
-                               field.diagnostics.since(before))
+        n_grid=n_grid, density=_terms(total, parts),
+        shape=_terms(total, parts, n_grid), diagnostics=diagnostics)
 
 
 def asymptotic_shannon_reference(atom_entropies, electron_counts):

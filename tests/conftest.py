@@ -3,12 +3,16 @@
 Grid construction and field evaluation dominate test runtime, so analyses
 are cached per (method, separation, grid, alphas) for the whole session.
 """
+import math
+
 import numpy as np
 import pytest
 
 from entropart import (AtomicGridSpec, analyze_model, hydrogen_reference,
-                       hl_model, hf_model, fci_model, natural_orbitals)
-from entropart.wfnio import build_document, write_wfn
+                       hl_model, hf_model, fci_model, natural_orbitals,
+                       sto6g_hydrogen)
+from entropart.wfnio import (build_document, field_from_document, parse_wfn,
+                             write_wfn)
 
 STANDARD_ALPHAS = (0.5, 2.0, 3.0)
 
@@ -80,6 +84,35 @@ def wfn_fixtures(tmp_path_factory):
         p.write_text(write_wfn(doc))
         paths[name] = p
     return {"paths": paths, "docs": docs}
+
+
+def _h3_document(side=1.65):
+    """Equilateral H3 over STO-6G contractions expanded to primitives: the
+    bonding orbital doubly occupied and one antibonding orbital singly, so
+    three centres with every atom pair carrying a non-zero block of the
+    density matrix."""
+    from entropart.density import PrimitiveBasis, contracted_overlap
+    from entropart.molecule import Molecule
+
+    phi = sto6g_hydrogen()
+    mol = Molecule([("H", (0.0, 0.0, 0.0)), ("H", (side, 0.0, 0.0)),
+                    ("H", (side / 2.0, side * math.sqrt(3.0) / 2.0, 0.0))])
+    nprim = len(phi.exponents)
+    basis = PrimitiveBasis(mol, center_index=np.repeat(np.arange(3), nprim),
+                           type_codes=np.ones(3 * nprim, dtype=int),
+                           exponents=np.tile(phi.exponents, 3))
+    s = contracted_overlap(phi, phi, side)
+    bonding = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0 + 6.0 * s)
+    antibonding = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0 - 2.0 * s)
+    mos = [(2.0, -0.6, np.kron(bonding, phi.coefficients)),
+           (1.0, 0.1, np.kron(antibonding, phi.coefficients))]
+    return build_document(mol, basis, mos, title=f"H3 side={side!r}")
+
+
+@pytest.fixture(scope="session")
+def h3_wfn_field():
+    """The H3 field as read back from its .wfn text."""
+    return field_from_document(parse_wfn(write_wfn(_h3_document())))
 
 
 @pytest.fixture()

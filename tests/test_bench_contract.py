@@ -81,3 +81,26 @@ def test_tracer_binds_every_target_and_restores(tracing, tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_each_grid_integral_is_taken_once(tracing, h3_wfn_field):
+    # one integral of rho; the Shannon pass takes int rho log rho and, per
+    # unique pair, int x log x, int x log(x / rho) and int x; each order
+    # alpha takes int rho**alpha and one moment per atom
+    h2 = hf_model(1.4).field()
+    for field in (h2, h3_wfn_field):
+        nat = len(field.molecule)
+        n_pairs = nat * (nat + 1) // 2
+        alphas = (0.5, 2.0)
+        grid = build_molecular_grid(
+            field.molecule, AtomicGridSpec(n_radial=150, lebedev_order=110))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op(1)
+            analyze_field(field, grid, alphas=alphas)
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        calls = tracer.summary(1)["counts"]["quadrature.integrate.calls"]
+        assert calls <= 1 + (1 + 3 * n_pairs) + len(alphas) * (1 + nat)

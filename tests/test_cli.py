@@ -145,30 +145,36 @@ def test_sweep_without_alphas_is_shannon_only(tmp_path):
 
 
 def test_units_bits_scales_entropies_only(tmp_path):
-    base = ("sweep", "--method", "hf", "--distances", "1.4", "--alphas", "2",
-            *QUICK)
+    # several rows, because the p4-sum residual of any one row may round
+    # to exactly zero
+    base = ("sweep", "--method", "hf", "--distances", "1.4,2,3,4,6",
+            "--alphas", "2", *QUICK)
     nats = tmp_path / "nats.csv"
     bits = tmp_path / "bits.csv"
     run_cli(*base, "--out", str(nats), check=0)
     run_cli(*base, "--units", "bits", "--out", str(bits), check=0)
-    _, _, (row_n,) = read_csv(nats)
-    _, _, (row_b,) = read_csv(bits)
+    _, _, rows_n = read_csv(nats)
+    _, _, rows_b = read_csv(bits)
+    assert len(rows_n) == len(rows_b) == 5
     ln2 = math.log(2.0)
-    for col in ("S_total", "S_nadd", "sigma_S_total", "renyi2_S_rho"):
-        assert float(row_b[col]) * ln2 == pytest.approx(float(row_n[col]),
-                                                        rel=1e-13)
-    # probabilities, counts and energies are unit free
-    for col in ("N", "E_total", "renyi2_p_atom_0", "p4_0.0.0.0"):
-        assert row_b[col] == row_n[col]
+    for row_n, row_b in zip(rows_n, rows_b):
+        for col in ("S_total", "S_nadd", "sigma_S_total", "renyi2_S_rho"):
+            assert float(row_b[col]) * ln2 == pytest.approx(
+                float(row_n[col]), rel=1e-13)
+        # probabilities, counts and energies are unit free
+        for col in ("N", "E_total", "renyi2_p_atom_0", "p4_0.0.0.0"):
+            assert row_b[col] == row_n[col]
     # so is the residual of the p4 sum; the other residuals are entropies
     docs = {}
     for units in ("nats", "bits"):
         proc = run_cli(*base, "--units", units, "--format", "json", check=0)
-        docs[units] = json.loads(proc.stdout)["rows"][0]["identities"]
-    assert docs["nats"]["renyi2_p4_sum"] != 0.0
-    assert docs["bits"]["renyi2_p4_sum"] == docs["nats"]["renyi2_p4_sum"]
-    assert docs["bits"]["renyi2_scaling"] * ln2 == pytest.approx(
-        docs["nats"]["renyi2_scaling"], rel=1e-12)
+        docs[units] = [row["identities"]
+                       for row in json.loads(proc.stdout)["rows"]]
+    assert any(ids["renyi2_p4_sum"] != 0.0 for ids in docs["nats"])
+    for ids_n, ids_b in zip(docs["nats"], docs["bits"], strict=True):
+        assert ids_b["renyi2_p4_sum"] == ids_n["renyi2_p4_sum"]
+        assert ids_b["renyi2_scaling"] * ln2 == pytest.approx(
+            ids_n["renyi2_scaling"], rel=1e-12)
 
 
 def test_parallel_sweep_is_deterministic(tmp_path):

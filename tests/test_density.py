@@ -140,11 +140,6 @@ def test_pair_fields_close_pointwise(rng):
     assert set(pairs) == {(0, 0), (0, 1), (1, 1)}
     total = pairs[(0, 0)] + 2.0 * pairs[(0, 1)] + pairs[(1, 1)]
     np.testing.assert_allclose(total, rho, rtol=1e-12, atol=1e-300)
-    # the one-sided cross block is symmetric in its atom arguments
-    # (up to summation order in the kernel)
-    np.testing.assert_allclose(field.pair_density(0, 1, pts),
-                               field.pair_density(1, 0, pts),
-                               rtol=1e-13, atol=1e-300)
 
 
 def test_pair_fields_blocked_evaluation_matches(rng):

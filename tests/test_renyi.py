@@ -76,7 +76,8 @@ def test_single_atom_partition_is_trivial():
     assert part.p4[(0, 0, 0, 0)] == 1.0
     assert part.nadd == 0.0
     assert abs(part.closure_residual) < 1e-12
-    net = renyi_net_nadd_intra(rho, pairs, grid.weights, 2.0)
+    moment = renyi_total(rho, grid.weights, 2.0, 1.0).moment
+    net = renyi_net_nadd_intra(pairs, grid.weights, 2.0, moment)
     assert net.p_atom[0] == pytest.approx(1.0, rel=1e-14)
     assert net.nadd_intra == pytest.approx(0.0, abs=1e-14)
 
@@ -211,9 +212,10 @@ def test_fractional_alpha_rejects_negative_blocks():
                                                     lebedev_order=26))
     rho, pairs = field.pair_fields(grid.points)
     with pytest.raises(ValueError, match="fractional"):
-        renyi_net_nadd_intra(rho, pairs, grid.weights, 0.5)
+        renyi_net_nadd_intra(pairs, grid.weights, 0.5, 1.0)
     # integer orders keep the sign instead
-    net = renyi_net_nadd_intra(rho, pairs, grid.weights, 3.0)
+    moment = renyi_total(rho, grid.weights, 3.0, 1.0).moment
+    net = renyi_net_nadd_intra(pairs, grid.weights, 3.0, moment)
     assert math.isfinite(net.net)
 
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from entropart.analysis import analyze_field
 from entropart.models import atom_field
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid
 from entropart.shannon import (asymptotic_shannon_reference,
                                check_normalization, safe_log,
-                               shannon_decompose, shannon_point_terms)
+                               shannon_point_terms)
 
 LN2 = math.log(2.0)
 
@@ -28,7 +29,7 @@ def test_single_atom_decomposition_is_all_net():
     field = atom_field()
     grid = build_molecular_grid(field.molecule,
                                 AtomicGridSpec(n_radial=200, lebedev_order=110))
-    dec = shannon_decompose(field, grid)
+    dec = analyze_field(field, grid).shannon
     terms = dec.density
     assert terms.overlap == {}
     assert terms.net[0] == terms.add
@@ -165,4 +166,4 @@ def test_decompose_rejects_unnormalized_field():
     grid = build_molecular_grid(field.molecule,
                                 AtomicGridSpec(n_radial=4, lebedev_order=6))
     with pytest.raises(ValueError, match="quadrature"):
-        shannon_decompose(field, grid)
+        analyze_field(field, grid)

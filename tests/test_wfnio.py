@@ -252,7 +252,7 @@ def test_document_accessors(wfn_fixtures):
     doc = wfn_fixtures["docs"]["h2_hf"]
     mol = molecule_from_document(doc)
     assert len(mol) == 2
-    assert mol.labels == ["H1", "H2"]
+    assert [a.symbol for a in mol.atoms] == ["H", "H"]
     basis = basis_from_document(doc)
     assert len(basis) == doc.n_prim
     field = field_from_document(doc)
