@@ -5,9 +5,9 @@ analyze (one .wfn file), atom (isolated-atom reference constants), and
 grid-dump (quadrature points and weights). Output is CSV or JSON with
 bit-identical numeric values between the two formats.
 
-Exit codes: 0 success, 1 runtime failure (bad file, inadequate grid),
-2 usage or config error, 3 per-row identity violation, 4 asymptotic
-check failure under --strict-limits.
+Exit codes: 0 success, 1 runtime failure (bad file, inadequate grid, out
+of memory), 2 usage or config error, 3 per-row identity violation,
+4 asymptotic check failure under --strict-limits.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
                        hydrogen_reference)
 from .models import METHODS
-from .molecule import Molecule
+from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import AtomicGridSpec, build_molecular_grid, grid_estimate
 from .wfnio import WfnParseError, field_from_document, parse_wfn
 
@@ -62,6 +62,11 @@ def _parse_floats(text, name):
     if not all(map(math.isfinite, values)):
         raise UsageError(f"{name}: values must be finite, got {text!r}")
     return values
+
+
+def _check_distances(distances):
+    if not all(0 < r <= MAX_COORDINATE for r in distances):
+        raise UsageError(f"distances must be in (0, {MAX_COORDINATE:g}] bohr")
 
 
 def _parse_bool(text, name):
@@ -154,8 +159,7 @@ class Settings:
             self.distances = d = _merged(args, "distances")
             if not d:
                 raise UsageError("at least one distance is required")
-            if any(r <= 0 for r in d):
-                raise UsageError("distances must be strictly positive")
+            _check_distances(d)
             if any(b <= a for a, b in zip(d, d[1:])):
                 raise UsageError("distances must be strictly increasing")
 
@@ -381,8 +385,10 @@ def cmd_sweep(args):
     settings.require_grid_fits(2)
     tasks = [(settings.method, R, settings.grid_spec, settings.alphas)
              for R in settings.distances]
-    if settings.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=settings.jobs) as pool:
+    # a fork pool starts all of its workers at the first submit
+    workers = min(settings.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -489,8 +495,7 @@ def cmd_grid_dump(args):
         dist = _merged(args, "distances")
         if len(dist) != 1:
             raise UsageError("grid-dump takes exactly one distance")
-        if dist[0] <= 0:
-            raise UsageError("distances must be strictly positive")
+        _check_distances(dist)
         molecule = Molecule.h2(dist[0])
         what = f"H2 at R={dist[0]:g} bohr"
     settings.require_grid_fits(len(molecule))
@@ -580,8 +585,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, RuntimeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (UsageError, RuntimeError, ValueError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2 if isinstance(e, UsageError) else 1
 
 

@@ -213,6 +213,17 @@ class PairDensityField:
         return self._clamp(rho), pairs
 
 
+def _gaussian_product(ea, ca, A, eb, cb, B):
+    """s-Gaussian product theorem: c_i e^(-a_i |r-A|^2) c_j e^(-b_j |r-B|^2) =
+    c_i c_j K_ij e^(-p |r-P|^2), p = a_i + b_j, P = (a_i A + b_j B) / p,
+    K = e^(-a_i b_j |A-B|^2 / p). Returns p, P and c_i c_j K over (La, Lb)."""
+    ea, eb = ea[:, None], eb[None, :]
+    p = ea + eb
+    K = np.exp(-ea * eb / p * float((A - B) @ (A - B)))
+    P = (ea[..., None] * A + eb[..., None] * B) / p[..., None]
+    return p, P, ca[:, None] * cb[None, :] * K
+
+
 class ContractedS:
     """Normalized contraction of s primitives on one center.
 
@@ -227,18 +238,11 @@ class ContractedS:
             raise ValueError("exponents must be positive")
         if len(c) != len(self.exponents):
             raise ValueError("coefficient/exponent length mismatch")
-        s = self._raw_overlap(self.exponents, c, self.exponents, c, 0.0)
-        self.coefficients = c / math.sqrt(s)
         # contraction coefficient times primitive normalization constant
-        self.ncoef = self.coefficients * (2.0 * self.exponents / math.pi) ** 0.75
-
-    @staticmethod
-    def _raw_overlap(ea, ca, eb, cb, R):
-        na = (2.0 * ea / math.pi) ** 0.75
-        nb = (2.0 * eb / math.pi) ** 0.75
-        p = ea[:, None] + eb[None, :]
-        s = (math.pi / p) ** 1.5 * np.exp(-ea[:, None] * eb[None, :] / p * R * R)
-        return float((ca * na) @ s @ (cb * nb))
+        self.ncoef = c * (2.0 * self.exponents / math.pi) ** 0.75
+        norm = math.sqrt(contracted_overlap(self, self, 0.0))
+        self.coefficients = c / norm
+        self.ncoef = self.ncoef / norm
 
     def value(self, r):
         """Radial value at distance(s) r from the center."""
@@ -252,5 +256,6 @@ def contracted_overlap(fa: ContractedS, fb: ContractedS, R: float) -> float:
         raise TypeError("contracted_overlap supports s-type contractions only")
     if R < 0:
         raise ValueError("distance must be nonnegative")
-    return ContractedS._raw_overlap(fa.exponents, fa.coefficients,
-                                    fb.exponents, fb.coefficients, R)
+    p, _, cK = _gaussian_product(fa.exponents, fa.ncoef, np.zeros(3),
+                                 fb.exponents, fb.ncoef, np.array([0.0, 0.0, R]))
+    return float(((math.pi / p) ** 1.5 * cK).sum())

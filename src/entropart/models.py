@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .density import ContractedS, DensityMatrix, PairDensityField, PrimitiveBasis
+from .density import (ContractedS, DensityMatrix, PairDensityField,
+                      PrimitiveBasis, _gaussian_product)
 from .molecule import Molecule
 
 # STO-6G for hydrogen, zeta = 1.24 scaling (Basis Set Exchange).
@@ -34,14 +35,18 @@ def sto6g_hydrogen() -> ContractedS:
     return ContractedS(STO6G_H_EXPONENTS, STO6G_H_COEFFICIENTS)
 
 
-def boys_f0(t: float) -> float:
-    """Zeroth Boys function F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t))."""
-    if t < 0:
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def boys_f0(t):
+    """Zeroth Boys function F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), elementwise."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise ValueError("Boys argument must be nonnegative")
-    if t < 1e-13:
-        return 1.0 - t / 3.0
-    st = math.sqrt(t)
-    return 0.5 * math.sqrt(math.pi / t) * math.erf(st)
+    small = t < 1e-13
+    u = np.where(small, 1.0, t)  # keeps the erf form away from t = 0
+    erf = np.asarray(_erf(np.sqrt(u)), dtype=float)
+    return np.where(small, 1.0 - t / 3.0, 0.5 * np.sqrt(math.pi / u) * erf)[()]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,6 +79,29 @@ class IntegralSet:
         return self.T_AB + self.VA_AB + self.VB_AB
 
 
+def _one_electron(exponents, product, R2, nuclei):
+    """Overlap, kinetic energy and -<phi|1/|r - C||phi'> per nucleus C from
+    the Gaussian product of phi and phi', a squared distance R2 apart."""
+    p, P, cK = product
+    mu = np.outer(exponents, exponents) / p
+    s = cK * (math.pi / p) ** 1.5
+    attraction = [-float((cK * 2.0 * math.pi / p
+                          * boys_f0(p * ((P - C) ** 2).sum(-1))).sum())
+                  for C in nuclei]
+    return (float(s.sum()), float((s * mu * (3.0 - 2.0 * mu * R2)).sum()),
+            attraction)
+
+
+def _eri(bra, ket):
+    """(ij|kl) over the contraction from the Gaussian products (p, P, cK)
+    of ij and of kl, broadcast over (L, L, L, L)."""
+    p, P, cp = (x[:, :, None, None] for x in bra)
+    q, Q, cq = ket
+    t = p * q / (p + q) * ((P - Q) ** 2).sum(-1)
+    pref = 2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q))
+    return float((cp * cq * pref * boys_f0(t)).sum())
+
+
 def integral_engine(basis: ContractedS, R: float) -> IntegralSet:
     """All integrals needed by the models, for two copies of ``basis``
     placed R bohr apart. Closed forms for s Gaussians via F0."""
@@ -81,57 +109,20 @@ def integral_engine(basis: ContractedS, R: float) -> IntegralSet:
         raise TypeError("integral engine supports s-type contractions only")
     if R <= 0:
         raise ValueError("internuclear distance must be positive")
-    exps = basis.exponents
-    ncf = basis.ncoef
+    e, c = basis.exponents, basis.ncoef
     A = np.zeros(3)
     B = np.array([0.0, 0.0, R])
-    L = len(exps)
-
-    def one_electron(Ri, Rj):
-        s = t = va = vb = 0.0
-        R2 = float(((Ri - Rj) ** 2).sum())
-        for i in range(L):
-            for j in range(L):
-                a, b = exps[i], exps[j]
-                p = a + b
-                K = math.exp(-a * b / p * R2)
-                base = ncf[i] * ncf[j] * (math.pi / p) ** 1.5 * K
-                s += base
-                t += base * a * b / p * (3.0 - 2.0 * a * b / p * R2)
-                P = (a * Ri + b * Rj) / p
-                pref = ncf[i] * ncf[j] * 2.0 * math.pi / p * K
-                va -= pref * boys_f0(p * float(((P - A) ** 2).sum()))
-                vb -= pref * boys_f0(p * float(((P - B) ** 2).sum()))
-        return s, t, va, vb
-
-    def eri(Ri, Rj, Rk, Rl):
-        # (ij|kl) over the contraction; s-type Gaussian product theorem + F0
-        out = 0.0
-        for i in range(L):
-            for j in range(L):
-                p = exps[i] + exps[j]
-                P = (exps[i] * Ri + exps[j] * Rj) / p
-                Kij = math.exp(-exps[i] * exps[j] / p * float(((Ri - Rj) ** 2).sum()))
-                cij = ncf[i] * ncf[j] * Kij
-                for k in range(L):
-                    for l in range(L):
-                        q = exps[k] + exps[l]
-                        Q = (exps[k] * Rk + exps[l] * Rl) / q
-                        Kkl = math.exp(-exps[k] * exps[l] / q
-                                       * float(((Rk - Rl) ** 2).sum()))
-                        pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-                        out += (cij * ncf[k] * ncf[l] * Kkl * pref
-                                * boys_f0(p * q / (p + q) * float(((P - Q) ** 2).sum())))
-        return out
-
-    S_AA, T_AA, VA_AA, VB_AA = one_electron(A, A)
-    S_AB, T_AB, VA_AB, VB_AB = one_electron(A, B)
-    del S_AA  # 1 by normalization; the AB value is the overlap of interest
+    aa = _gaussian_product(e, c, A, e, c, A)
+    ab = _gaussian_product(e, c, A, e, c, B)
+    bb = _gaussian_product(e, c, B, e, c, B)
+    # the AA overlap is 1 by normalization
+    _, T_AA, (VA_AA, VB_AA) = _one_electron(e, aa, 0.0, (A, B))
+    S_AB, T_AB, (VA_AB, VB_AB) = _one_electron(e, ab, R * R, (A, B))
     return IntegralSet(
         R=R, S=S_AB, T_AA=T_AA, T_AB=T_AB,
         VA_AA=VA_AA, VB_AA=VB_AA, VA_AB=VA_AB, VB_AB=VB_AB,
-        eri_aaaa=eri(A, A, A, A), eri_aabb=eri(A, A, B, B),
-        eri_abab=eri(A, B, A, B), eri_aaab=eri(A, A, A, B),
+        eri_aaaa=_eri(aa, aa), eri_aabb=_eri(aa, bb),
+        eri_abab=_eri(ab, ab), eri_aaab=_eri(aa, ab),
     )
 
 
@@ -154,17 +145,20 @@ class H2Model:
 
     def field(self) -> PairDensityField:
         """Expand to the primitive-level density matrix."""
-        mol = self.molecule()
-        nprim = len(self.basis.exponents)
-        basis = PrimitiveBasis(
-            mol,
-            center_index=np.repeat([0, 1], nprim),
-            type_codes=np.ones(2 * nprim, dtype=int),
-            exponents=np.tile(self.basis.exponents, 2),
-        )
-        cc = np.outer(self.basis.coefficients, self.basis.coefficients)
-        dprim = np.kron(self.pair_coefficients, cc)
-        return PairDensityField(basis, DensityMatrix(dprim, n_electrons=2.0))
+        return _expanded_field(self.basis, self.molecule(),
+                               self.pair_coefficients, 2.0)
+
+
+def _expanded_field(basis, molecule, pair_coefficients, n_electrons):
+    """The density sum_AB C_AB phi_A phi_B over the primitives of ``basis``
+    placed on every nucleus of ``molecule``."""
+    nat, nprim = len(molecule), len(basis.exponents)
+    pb = PrimitiveBasis(molecule, center_index=np.repeat(np.arange(nat), nprim),
+                        type_codes=np.ones(nat * nprim, dtype=int),
+                        exponents=np.tile(basis.exponents, nat))
+    dprim = np.kron(pair_coefficients,
+                    np.outer(basis.coefficients, basis.coefficients))
+    return PairDensityField(pb, DensityMatrix(dprim, n_electrons=n_electrons))
 
 
 def _ci_matrix(ints: IntegralSet):
@@ -181,13 +175,9 @@ def _ci_matrix(ints: IntegralSet):
 
 
 def hf_model(R: float, basis: ContractedS | None = None) -> H2Model:
-    """Restricted HF: both electrons in sigma_g."""
-    basis = basis or sto6g_hydrogen()
-    ints = integral_engine(basis, R)
-    S = ints.S
-    C = np.full((2, 2), 1.0 / (1.0 + S))
-    a, _, _ = _ci_matrix(ints)
-    return H2Model("hf", R, basis, S, (1.0, 0.0), C, a + 1.0 / R, ints)
+    """Restricted HF: both electrons in sigma_g, the CI vector (1, 0)."""
+    model = fci_model(R, basis, ci_override=(1.0, 0.0))
+    return dataclasses.replace(model, method="hf")
 
 
 def hl_model(R: float, basis: ContractedS | None = None) -> H2Model:
@@ -271,26 +261,14 @@ def build_model(method: str, R: float, basis: ContractedS | None = None) -> H2Mo
 def hydrogen_atom_energy(basis: ContractedS | None = None) -> float:
     """Energy of one electron in the contracted function on a unit charge."""
     basis = basis or sto6g_hydrogen()
-    exps = basis.exponents
-    ncf = basis.ncoef
-    E = 0.0
-    for i in range(len(exps)):
-        for j in range(len(exps)):
-            a, b = exps[i], exps[j]
-            p = a + b
-            T = ncf[i] * ncf[j] * a * b / p * 3.0 * (math.pi / p) ** 1.5
-            V = -ncf[i] * ncf[j] * 2.0 * math.pi / p  # F0(0) = 1
-            E += T + V
-    return E
+    e, c = basis.exponents, basis.ncoef
+    A = np.zeros(3)
+    aa = _gaussian_product(e, c, A, e, c, A)
+    _, T, (V,) = _one_electron(e, aa, 0.0, (A,))
+    return T + V
 
 
 def atom_field(basis: ContractedS | None = None) -> PairDensityField:
     """Isolated one-electron atom: N = 1, rho = phi^2."""
-    basis = basis or sto6g_hydrogen()
     mol = Molecule([("H", (0.0, 0.0, 0.0))])
-    nprim = len(basis.exponents)
-    pb = PrimitiveBasis(mol, center_index=np.zeros(nprim, dtype=int),
-                        type_codes=np.ones(nprim, dtype=int),
-                        exponents=basis.exponents)
-    dprim = np.outer(basis.coefficients, basis.coefficients)
-    return PairDensityField(pb, DensityMatrix(dprim, n_electrons=1.0))
+    return _expanded_field(basis or sto6g_hydrogen(), mol, np.ones((1, 1)), 1.0)

@@ -10,6 +10,10 @@ import numpy as np
 
 BOHR_PER_ANGSTROM = 1.0 / 0.52917721092
 
+# Largest |coordinate| of a nucleus in bohr. Grid points are absolute, and
+# an ulp of 1e6 (1.2e-10) stays far below the innermost radial node (1e-5).
+MAX_COORDINATE = 1e6
+
 # Bragg-Slater covalent radii in Angstrom, indexed by atomic number.
 # Hydrogen uses 0.35 A following Becke's integration paper rather than
 # Slater's 0.25 A.
@@ -59,6 +63,9 @@ class Atom:
                            np.asarray(self.position, dtype=float).reshape(3))
         if self.z < 1:
             raise ValueError("atomic number must be >= 1")
+        if not (np.abs(self.position) <= MAX_COORDINATE).all():  # NaN too
+            raise ValueError(f"nucleus {self.symbol} at {self.position.tolist()}: "
+                             f"|coordinates| must be at most {MAX_COORDINATE:g} bohr")
 
 
 class Molecule:

@@ -278,6 +278,113 @@ def test_grid_larger_than_memory_exits_2(argv, wfn_fixtures, monkeypatch,
     assert err.startswith("error:") and "physical memory" in err
 
 
+def _main(argv, capsys):
+    """Run the CLI in this process: (exit code, stdout, stderr)."""
+    import entropart.cli
+
+    code = entropart.cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--method", "hf", "--distances", "1.4,1e7"),
+    ("sweep", "--config", "{cfg}"),
+    ("grid-dump", "--distances", "2e6"),
+    ("grid-dump", "--config", "{cfg}"),
+], ids=["sweep", "sweep-config", "grid-dump", "grid-dump-config"])
+def test_distance_beyond_the_coordinate_bound_exits_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("method = hf\ndistances = 1e7\n")
+    code, out, err = _main([a.format(cfg=cfg) for a in argv] + QUICK, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: distances must be in (0, 1e+06] bohr\n"
+
+
+@pytest.mark.parametrize("coordinate", ["2000000.000000", "1D999"])
+def test_wfn_coordinate_beyond_the_bound_exits_1(coordinate, tmp_path,
+                                                  wfn_fixtures, capsys):
+    src = wfn_fixtures["paths"]["h2_hf"].read_text()
+    far = tmp_path / "far.wfn"
+    far.write_text(src.replace("1.400000000000  CHARGE",
+                               f"{coordinate}  CHARGE"))
+    assert far.read_text() != src
+    code, out, err = _main(["analyze", str(far), *QUICK], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: nucleus H at") and "at most 1e+06 bohr" in err
+
+
+def test_distance_at_the_coordinate_bound_is_accepted(capsys):
+    code, out, err = _main(["sweep", "--method", "hf", "--distances", "1e6",
+                            "--n-radial", "60", "--lebedev", "50"], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    limits = next(line for line in lines if line.startswith("# reference limits:"))
+    limit = float(limits.split("S_rho=")[1].split()[0])
+    header, row = [line.split(",") for line in lines[-2:]]
+    row = dict(zip(header, map(float, row)))
+    assert row["R"] == 1e6
+    assert row["N"] == pytest.approx(2.0, abs=1e-6)
+    assert row["S_total"] == pytest.approx(limit, abs=1e-6)
+
+
+@pytest.mark.parametrize("jobs, cpus, distances, workers", [
+    (5000, 4, "1.4,2", 2),
+    (3, 4, "1.4,2,3,4", 3),
+    (8, 2, "1.4,2,3", 2),
+    (8, None, "1.4,2", None),
+    (4, 1, "1.4,2", None),
+    (1, 4, "1.4,2", None),
+], ids=["distances", "asked", "cpus", "cpus-unknown", "one-cpu", "serial"])
+def test_jobs_pool_is_capped(jobs, cpus, distances, workers, monkeypatch,
+                             capsys):
+    import entropart.cli
+
+    started = []
+
+    class RecordingPool:
+        """Records the pool size and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(entropart.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(entropart.cli.os, "cpu_count", lambda: cpus)
+    code, _, _ = _main(["sweep", "--method", "hf", "--distances", distances,
+                        "--jobs", str(jobs), "--n-radial", "60",
+                        "--lebedev", "50"], capsys)
+    assert code == 0
+    assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("Unable to allocate 7.2 GiB"),
+     "error: Unable to allocate 7.2 GiB\n"),
+])
+def test_memory_error_exits_1(error, line, monkeypatch, capsys):
+    import entropart.cli
+
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(entropart.cli, "analyze_model", out_of_memory)
+    code, out, err = _main(["sweep", "--method", "hf", "--distances", "1.4",
+                            *QUICK], capsys)
+    assert code == 1 and out == ""
+    assert err == line
+
+
 def test_corrupt_wfn_exits_1_with_location(tmp_path, wfn_fixtures):
     src = wfn_fixtures["paths"]["h2_hf"].read_text()
     bad = tmp_path / "bad.wfn"

@@ -1,16 +1,113 @@
 """Minimal-basis H2 models: integrals, CI, energies, natural orbitals."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entropart.density import contracted_overlap
-from entropart.models import (boys_f0, build_model, fci_model, hf_model,
-                              hl_model, hydrogen_atom_energy, integral_engine,
-                              natural_orbitals, sto6g_hydrogen)
+from entropart import models
+from entropart.density import ContractedS, contracted_overlap
+from entropart.models import (IntegralSet, boys_f0, build_model, fci_model,
+                              hf_model, hl_model, hydrogen_atom_energy,
+                              integral_engine, natural_orbitals,
+                              sto6g_hydrogen)
 from entropart.quadrature import build_molecular_grid, integrate, radial_grid
 
 E_ATOM = -0.4710390541780927
+
+
+# The loop engine that models.py replaced with broadcasts, kept as the
+# reference: scalar F0 and one Python loop per primitive index.
+
+def _scalar_boys_f0(t):
+    if t < 0:
+        raise ValueError("Boys argument must be nonnegative")
+    if t < 1e-13:
+        return 1.0 - t / 3.0
+    return 0.5 * math.sqrt(math.pi / t) * math.erf(math.sqrt(t))
+
+
+def _loop_integral_engine(basis, R):
+    exps = basis.exponents
+    ncf = basis.ncoef
+    A = np.zeros(3)
+    B = np.array([0.0, 0.0, R])
+    L = len(exps)
+
+    def one_electron(Ri, Rj):
+        s = t = va = vb = 0.0
+        R2 = float(((Ri - Rj) ** 2).sum())
+        for i in range(L):
+            for j in range(L):
+                a, b = exps[i], exps[j]
+                p = a + b
+                K = math.exp(-a * b / p * R2)
+                base = ncf[i] * ncf[j] * (math.pi / p) ** 1.5 * K
+                s += base
+                t += base * a * b / p * (3.0 - 2.0 * a * b / p * R2)
+                P = (a * Ri + b * Rj) / p
+                pref = ncf[i] * ncf[j] * 2.0 * math.pi / p * K
+                va -= pref * _scalar_boys_f0(p * float(((P - A) ** 2).sum()))
+                vb -= pref * _scalar_boys_f0(p * float(((P - B) ** 2).sum()))
+        return s, t, va, vb
+
+    def eri(Ri, Rj, Rk, Rl):
+        out = 0.0
+        for i in range(L):
+            for j in range(L):
+                p = exps[i] + exps[j]
+                P = (exps[i] * Ri + exps[j] * Rj) / p
+                Kij = math.exp(-exps[i] * exps[j] / p
+                               * float(((Ri - Rj) ** 2).sum()))
+                cij = ncf[i] * ncf[j] * Kij
+                for k in range(L):
+                    for l in range(L):
+                        q = exps[k] + exps[l]
+                        Q = (exps[k] * Rk + exps[l] * Rl) / q
+                        Kkl = math.exp(-exps[k] * exps[l] / q
+                                       * float(((Rk - Rl) ** 2).sum()))
+                        pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
+                        out += (cij * ncf[k] * ncf[l] * Kkl * pref
+                                * _scalar_boys_f0(p * q / (p + q)
+                                                  * float(((P - Q) ** 2).sum())))
+        return out
+
+    _, T_AA, VA_AA, VB_AA = one_electron(A, A)
+    S_AB, T_AB, VA_AB, VB_AB = one_electron(A, B)
+    return IntegralSet(
+        R=R, S=S_AB, T_AA=T_AA, T_AB=T_AB,
+        VA_AA=VA_AA, VB_AA=VB_AA, VA_AB=VA_AB, VB_AB=VB_AB,
+        eri_aaaa=eri(A, A, A, A), eri_aabb=eri(A, A, B, B),
+        eri_abab=eri(A, B, A, B), eri_aaab=eri(A, A, A, B),
+    )
+
+
+def _loop_hydrogen_atom_energy(basis):
+    exps = basis.exponents
+    ncf = basis.ncoef
+    E = 0.0
+    for i in range(len(exps)):
+        for j in range(len(exps)):
+            a, b = exps[i], exps[j]
+            p = a + b
+            T = ncf[i] * ncf[j] * a * b / p * 3.0 * (math.pi / p) ** 1.5
+            V = -ncf[i] * ncf[j] * 2.0 * math.pi / p  # F0(0) = 1
+            E += T + V
+    return E
+
+
+def _assert_integrals_match(ints, ref, floor=0.0):
+    """Every field within 1e-13 relative of the reference, plus ``floor``.
+
+    T_AB sums terms of both signs, each no larger than the matching T_AA
+    term, so its rounding is bounded relative to T_AA instead.
+    """
+    for f in dataclasses.fields(IntegralSet):
+        got, want = getattr(ints, f.name), getattr(ref, f.name)
+        scale = max(abs(want), abs(ref.T_AA)) if f.name == "T_AB" else abs(want)
+        assert abs(got - want) <= 1e-13 * scale + floor, (f.name, got, want)
 
 
 def test_boys_f0_limits():
@@ -21,6 +118,66 @@ def test_boys_f0_limits():
     # large-t asymptote 0.5*sqrt(pi/t)
     assert boys_f0(400.0) == pytest.approx(0.5 * math.sqrt(math.pi / 400.0),
                                            rel=1e-12)
+    # an array straddling the switch gives the scalar values elementwise
+    t = np.array([[0.0, 5e-14, np.nextafter(1e-13, 0.0)],
+                  [1e-13, 2e-13, 1e-12], [0.3, 30.0, 400.0]])
+    f = boys_f0(t)
+    assert f.shape == t.shape
+    for x, y in zip(t.ravel(), f.ravel()):
+        assert y == boys_f0(x) == _scalar_boys_f0(x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        boys_f0(np.array([1.0, -1e-300]))
+
+
+@pytest.mark.parametrize("separation", [0.05, 0.5, 1.4, 10.0, 50.0, 1e3])
+def test_integral_engine_matches_loop_reference(separation):
+    phi = sto6g_hydrogen()
+    _assert_integrals_match(integral_engine(phi, separation),
+                            _loop_integral_engine(phi, separation))
+
+
+def test_models_match_loop_reference(monkeypatch):
+    # At R = 0.05 the fci vector is ill-conditioned: J_uu divides by
+    # (1 - S)^2 ~ 5e-7, so rounding noise of the integrals moves c2 by ~1e-9.
+    separations = (0.5, 1.4, 4.0, 10.0, 20.0, 50.0)
+    built = {(m, R): build_model(m, R) for m in models.METHODS
+             for R in separations}
+    e_atom = hydrogen_atom_energy()
+    monkeypatch.setattr(models, "integral_engine", _loop_integral_engine)
+    assert e_atom == pytest.approx(
+        _loop_hydrogen_atom_energy(sto6g_hydrogen()), rel=1e-13, abs=0)
+    for (method, R), model in built.items():
+        ref = build_model(method, R)
+        assert model.energy == pytest.approx(ref.energy, rel=1e-13, abs=0)
+        for c, c_ref in zip(model.ci, ref.ci):
+            assert c == pytest.approx(c_ref, rel=1e-13, abs=0), (method, R)
+
+
+_EXPONENT = st.floats(0.05, 50.0)
+_COEFFICIENT = st.floats(0.05, 1.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.lists(st.tuples(_EXPONENT, _COEFFICIENT), min_size=1, max_size=6),
+       st.floats(0.1, 100.0))
+def test_integral_engine_matches_loop_reference_for_any_contraction(prims,
+                                                                   separation):
+    """Random s contractions of one to six primitives.
+
+    Positive coefficients keep every term but T_AB's of one sign, so a
+    relative bound means something. Values that pass through the
+    subnormal range (exp(-mu R^2) < 2.2e-308) keep no relative precision,
+    hence the absolute floor.
+    """
+    exponents, coefficients = zip(*prims)
+    phi = ContractedS(exponents, coefficients)
+    ref = _loop_integral_engine(phi, separation)
+    _assert_integrals_match(integral_engine(phi, separation), ref, floor=1e-290)
+    assert abs(contracted_overlap(phi, phi, separation) - ref.S) \
+        <= 1e-13 * ref.S + 1e-290
+    # E = T + V can cancel to ~0, so its bound is relative to T and |V|
+    assert abs(hydrogen_atom_energy(phi) - _loop_hydrogen_atom_energy(phi)) \
+        <= 1e-13 * (ref.T_AA - ref.VA_AA)
 
 
 def test_integrals_at_reference_separation():

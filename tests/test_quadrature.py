@@ -175,6 +175,16 @@ def test_becke_coincident_centers_rejected():
         becke_weights(np.array([[1.0, 0.0, 0.0]]), centers)
 
 
+@pytest.mark.parametrize("position", [
+    (0.0, 0.0, 1.0000001e6), (-2e6, 0.0, 0.0), (0.0, math.nan, 0.0),
+    (0.0, 0.0, math.inf), (0.0, 0.0, -math.inf)])
+def test_nucleus_beyond_the_coordinate_bound_rejected(position):
+    with pytest.raises(ValueError, match="at most 1e\\+06"):
+        Molecule([("H", (0.0, 0.0, 0.0)), ("H", position)])
+    # the bound itself is allowed
+    assert Molecule.h2(1e6).positions[1, 2] == 1e6
+
+
 def test_molecular_grid_weights_positive_and_screened():
     grid = build_molecular_grid(Molecule.h2(1.4),
                                 AtomicGridSpec(n_radial=60, lebedev_order=50))
