@@ -1,4 +1,4 @@
-"""One-stop analysis: evaluate a field once, decompose everything.
+"""One-stop analysis: walk the grid once, decompose everything.
 
 Couples the pair partition to the Shannon and Renyi modules, and builds
 the isolated-atom reference data used by infinite-separation checks.
@@ -10,9 +10,10 @@ import math
 from .density import PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid, integrate
-from .renyi import asymptotic_renyi_reference, renyi_decompose
+from .reductions import GridSums
+from .renyi import _validate_alpha, asymptotic_renyi_reference, renyi_from_sums
 from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
-                      check_normalization, shannon_from_arrays)
+                      check_normalization, shannon_from_sums)
 
 # row-level identity tolerances used by reporting tools
 CLOSURE_TOLERANCE = 1e-8    # add - nadd = total, both entropy families
@@ -63,15 +64,38 @@ class FieldAnalysis:
 
 def analyze_field(field: PairDensityField, grid: MolecularGrid,
                   alphas=()) -> FieldAnalysis:
-    """Evaluate the field once and run every requested decomposition."""
+    """Walk the grid once and run every requested decomposition.
+
+    ``integrate`` takes int rho over the grid, evaluating one integration
+    chunk at a time; each chunk's density and pair terms are reduced at
+    once to the chunk partials of every other integral the decompositions
+    need (``GridSums``), so no full-length pair array is held. A non-finite
+    density is raised by ``integrate`` during the walk, as for any field it
+    integrates. The normalization check runs after the walk; the checks on
+    the other integrands, recorded during it, follow before any result is
+    built.
+    """
+    alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
+    sums = GridSums(field.pair_keys, alphas, shannon=True, gram=2.0 in alphas)
     before = dataclasses.replace(field.diagnostics)
-    rho, pairs = field.pair_fields(grid.points)
-    n_grid = integrate(rho, weights=grid.weights)
+    start = 0
+
+    def density(points):
+        # integrate walks grid.points in order, one _CHUNK at a time
+        nonlocal start
+        rho, terms = field.pair_block(points)
+        sums.add(grid.weights[start:start + len(rho)], rho, terms)
+        start += len(rho)
+        return rho
+
+    try:
+        n_grid = integrate(density, grid)
+    finally:
+        field.warn_negated(before)
     check_normalization(n_grid, field.n_electrons)
-    shannon = shannon_from_arrays(rho, pairs, grid.weights, n_grid,
-                                  field.diagnostics.since(before))
-    renyi = {float(a): renyi_decompose(rho, pairs, grid.weights, float(a), n_grid)
-             for a in alphas}
+    sums.check()
+    shannon = shannon_from_sums(sums, n_grid, field.diagnostics.since(before))
+    renyi = {a: renyi_from_sums(sums, a, n_grid) for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
 

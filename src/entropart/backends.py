@@ -95,10 +95,8 @@ def quad_form(D, G):
 
 def quad_form_block(D, G, rows, cols):
     """One-sided pair term: sum over i in rows, j in cols of D[i,j] G_i G_j."""
-    Gr = G[rows]
-    Gc = G[cols]
-    Drc = D[np.ix_(rows, cols)]
-    return ((Drc @ Gc) * Gr).sum(axis=0)
+    rows = np.asarray(rows)
+    return np.einsum("ip,ip->p", D[rows[:, None], cols] @ G[cols], G[rows])
 
 
 def get_backend():

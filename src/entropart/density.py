@@ -1,12 +1,25 @@
 """Gaussian primitives, molecular densities, and the atom-pair partition.
 
-The density is rho(r) = sum_ij c_ij phi_i(r) phi_j(r) over atom-centered
-primitives. Assigning every primitive to its nucleus partitions rho into
-pair contributions rho^AB(r) = sum_{i in A, j in B} c_ij phi_i phi_j; the
-coefficient matrix is kept symmetric and two-sided, so the pointwise
-closure sum_{A,B} rho^AB = rho holds by construction, and rho^AB for
-A != B is reported one-sided (totals count it twice). Primitive values and
-the quadratic forms come from the NumPy kernels in ``backends``.
+The density is rho(r) = sum_ij D_ij phi_i(r) phi_j(r) over atom-centered
+primitives, with D kept factored as D = sum_k n_k c_k c_k^T (occupations
+n_k, orbital coefficient vectors c_k). Assigning every primitive to its
+nucleus partitions rho into pair contributions
+rho^AB(r) = sum_{i in A, j in B} D_ij phi_i phi_j. In orbital form each
+atom carries the projected orbital values Y_A[k] = sum_{i in A} c_ki phi_i,
+so rho^AB = sum_k n_k Y_A[k] Y_B[k]: the quadratic form of the matrix
+D'[(A,k),(B,l)] = n_k delta_kl over the stacked Y, restricted to the
+(A, B) block. That costs K^2 per point and pair for K orbitals, against
+m_A m_B for the (A, B) block of D over the primitive values themselves, so
+a field takes its pair terms in whichever form needs fewer operations:
+the orbital form when K is below the primitives per atom (minimal-basis
+and Hartree-Fock densities), the primitive form otherwise (for example
+correlated natural orbitals in a larger basis). The sum over all blocks is
+the density, so the pointwise closure sum_{A,B} rho^AB = rho holds by
+construction; rho^AB for A != B is reported one-sided (totals count it
+twice). ``PairDensityField.pair_block`` evaluates one block of points, so
+an analysis that reduces each block at once needs no full-length pair
+array. Primitive values and the quadratic
+forms come from the NumPy kernels in ``backends``.
 """
 from __future__ import annotations
 
@@ -118,12 +131,23 @@ class PrimitiveBasis:
 
 
 class DensityMatrix:
-    """Symmetric coefficient matrix c_ij over a primitive list."""
+    """Symmetric coefficient matrix D over a primitive list, with its
+    orbital factor D = sum_k n_k c_k c_k^T.
 
-    def __init__(self, coefficients, n_electrons: float):
+    ``orbitals`` is the factor as (occupations (K,), coefficients
+    (nprim, K)) with column k holding c_k; it must reproduce the matrix to
+    1e-12 relative to its largest product term, or ValueError is raised.
+    Without it the matrix is factored by ``numpy.linalg.eigh``, with no
+    truncation threshold: negative eigenvalues stay. Only orbitals whose
+    occupation is exactly zero are dropped.
+    """
+
+    def __init__(self, coefficients, n_electrons: float, orbitals=None):
         c = np.asarray(coefficients, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient matrix must be square")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficient matrix must be finite")
         # relative to the largest entry, never tighter than 1e-12 absolute
         tol = 1e-12 * max(1.0, float(np.abs(c).max(initial=0.0)))
         if not np.allclose(c, c.T, atol=tol, rtol=0.0):
@@ -134,6 +158,34 @@ class DensityMatrix:
         self.n_electrons = float(n_electrons)
         if self.n_electrons <= 0:
             raise ValueError("electron count must be positive")
+        if orbitals is None:
+            occupations, vectors = np.linalg.eigh(self.coefficients)
+        else:
+            occupations, vectors = _checked_factor(self.coefficients, *orbitals)
+        # an orbital with occupation exactly 0 contributes nothing
+        occupied = occupations != 0
+        self.occupations = occupations[occupied]
+        self.orbitals = vectors[:, occupied]
+
+
+def _checked_factor(c, occupations, vectors):
+    """The factor (occupations (K,), vectors (nprim, K)) as float arrays,
+    after checking that sum_k n_k v_k v_k^T reproduces c to 1e-12 relative
+    to the largest product term."""
+    occupations = np.asarray(occupations, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    if occupations.ndim != 1 or vectors.shape != (len(c), len(occupations)):
+        raise ValueError(
+            f"orbital factor must be occupations (K,) and coefficients "
+            f"({len(c)}, K); got {occupations.shape} and {vectors.shape}")
+    if not (np.isfinite(occupations).all() and np.isfinite(vectors).all()):
+        raise ValueError("orbital factor must be finite")
+    scale = (np.abs(vectors) * np.abs(occupations)) @ np.abs(vectors).T
+    tol = 1e-12 * max(1.0, float(scale.max(initial=0.0)))
+    if np.abs((vectors * occupations) @ vectors.T - c).max(initial=0.0) > tol:
+        raise ValueError("orbital factor does not reproduce the coefficient "
+                         "matrix to 1e-12 relative")
+    return occupations, vectors
 
 
 @dataclasses.dataclass
@@ -157,36 +209,85 @@ class PairDensityField:
         self.dm = dm
         self.molecule = basis.molecule
         self.diagnostics = ClampDiagnostics()
-        self._rows = [basis.atom_rows(a) for a in range(len(basis.molecule))]
+        nat = len(basis.molecule)
+        self.pair_keys = [(a, b) for a in range(nat) for b in range(a, nat)]
+        self._rows = [basis.atom_rows(a) for a in range(nat)]
+        k = len(dm.occupations)
+        if _orbital_form_is_cheaper(k, [len(rows) for rows in self._rows]):
+            # C_A^T, the orbital coefficients on each atom's primitives, and
+            # D' over the stacked Y: D'[(A,k),(B,l)] = n_k delta_kl
+            self._projectors = [dm.orbitals[rows].T for rows in self._rows]
+            self._pair_matrix = np.kron(np.ones((nat, nat)),
+                                        np.diag(dm.occupations))
+            self._value_rows = [np.arange(a * k, (a + 1) * k)
+                                for a in range(nat)]
+        else:  # D itself over the primitive values
+            self._projectors = None
+            self._pair_matrix = dm.coefficients
+            self._value_rows = self._rows
 
     @property
     def n_electrons(self) -> float:
         return self.dm.n_electrons
 
-    def _clamp(self, rho: np.ndarray) -> np.ndarray:
+    def _values(self, points) -> np.ndarray:
+        """The values the pair matrix acts on: in orbital form Y,
+        (nat*K, npts), with row (A, k) holding Y_A[k] = C_A^T G_A; in
+        primitive form the primitive values G."""
+        G = self.basis.evaluate(points)
+        if self._projectors is None:
+            return G
+        return np.concatenate([c @ G[rows] for c, rows
+                               in zip(self._projectors, self._rows)])
+
+    def pair_block(self, points):
+        """The clamped density (see ClampDiagnostics) and the
+        (npairs, npts) stack of the pair terms, in the order of
+        ``pair_keys``, at one block of points. Negated points are counted
+        but not warned about; see ``warn_negated``."""
+        values = self._values(points)
+        terms = np.empty((len(self.pair_keys), values.shape[1]))
+        rho = np.zeros(values.shape[1])
+        for x, (a, b) in zip(terms, self.pair_keys):
+            x[:] = quad_form_block(self._pair_matrix, values,
+                                   self._value_rows[a], self._value_rows[b])
+            rho += x if a == b else 2.0 * x
+        self._clamp(rho)
+        return rho, terms
+
+    def _clamp(self, rho: np.ndarray) -> None:
+        """Clamp rho in place, counting into ``diagnostics``."""
         neg = rho < 0
-        if neg.any():
-            small = neg & (rho > NEGATIVE_CLAMP)
-            self.diagnostics.clamped += int(small.sum())
-            rho[small] = 0.0
-            bad = neg & ~small
-            nbad = int(bad.sum())
-            if nbad:
-                self.diagnostics.negated += nbad
-                warnings.warn(
-                    f"density below {NEGATIVE_CLAMP} at {nbad} points; "
-                    "using absolute values", RuntimeWarning)
-                rho[bad] = np.abs(rho[bad])
-        return rho
+        if not neg.any():
+            return
+        small = neg & (rho > NEGATIVE_CLAMP)
+        self.diagnostics.clamped += int(small.sum())
+        rho[small] = 0.0
+        bad = neg & ~small
+        self.diagnostics.negated += int(bad.sum())
+        rho[bad] = np.abs(rho[bad])
+
+    def warn_negated(self, before: ClampDiagnostics) -> None:
+        """One RuntimeWarning for the points negated since the snapshot
+        ``before``: one per evaluation, however many blocks it took."""
+        nbad = self.diagnostics.since(before).negated
+        if nbad:
+            warnings.warn(
+                f"density below {NEGATIVE_CLAMP} at {nbad} points; "
+                "using absolute values", RuntimeWarning)
 
     def density(self, points, block_size: int = 32768) -> np.ndarray:
-        """Total density, clamped to be nonnegative (see ClampDiagnostics)."""
+        """Total density, clamped to be nonnegative (see ClampDiagnostics):
+        the full quadratic form of the pair matrix, block by block."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
         for start in range(0, len(pts), block_size):
             sl = slice(start, min(start + block_size, len(pts)))
-            rho[sl] = quad_form(self.dm.coefficients, self.basis.evaluate(pts[sl]))
-        return self._clamp(rho)
+            rho[sl] = quad_form(self._pair_matrix, self._values(pts[sl]))
+        before = dataclasses.replace(self.diagnostics)
+        self._clamp(rho)
+        self.warn_negated(before)
+        return rho
 
     def pair_fields(self, points, block_size: int = 32768):
         """All unique pair terms and the clamped total.
@@ -194,23 +295,30 @@ class PairDensityField:
         Returns (rho, pairs) with pairs[(a, b)] for a <= b holding the
         one-sided values; the total density equals the diagonal terms plus
         twice the off-diagonal ones. Points are processed in fixed blocks
-        so the primitive-value matrix stays small for large bases.
+        (``pair_block``) so the primitive-value matrix stays small for large
+        bases.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        npts = len(pts)
-        nat = len(self.molecule)
-        pairs = {(a, b): np.empty(npts)
-                 for a in range(nat) for b in range(a, nat)}
-        for start in range(0, npts, block_size):
-            sl = slice(start, min(start + block_size, npts))
-            G = self.basis.evaluate(pts[sl])
-            for (a, b), out in pairs.items():
-                out[sl] = quad_form_block(
-                    self.dm.coefficients, G, self._rows[a], self._rows[b])
-        rho = np.zeros(npts)
-        for (a, b), v in pairs.items():
-            rho += v if a == b else 2.0 * v
-        return self._clamp(rho), pairs
+        rho = np.empty(len(pts))
+        terms = np.empty((len(self.pair_keys), len(pts)))
+        before = dataclasses.replace(self.diagnostics)
+        for start in range(0, len(pts), block_size):
+            sl = slice(start, min(start + block_size, len(pts)))
+            rho[sl], terms[:, sl] = self.pair_block(pts[sl])
+        self.warn_negated(before)
+        return rho, dict(zip(self.pair_keys, terms))
+
+
+def _orbital_form_is_cheaper(n_orbitals: int, atom_sizes) -> bool:
+    """Whether the pair terms take fewer multiply-adds per point from K
+    atom-projected orbital values (K m_A per atom to project, K^2 + K per
+    pair) than from the m_A primitive values of each atom (m_A m_B + m_A
+    per pair). Ties go to the primitive form."""
+    k, m = n_orbitals, list(atom_sizes)
+    pairs = [(a, b) for a in range(len(m)) for b in range(a, len(m))]
+    orbital = k * sum(m) + len(pairs) * (k * k + k)
+    primitive = sum(m[a] * m[b] + m[a] for a, b in pairs)
+    return orbital < primitive
 
 
 def _gaussian_product(ea, ca, A, eb, cb, B):

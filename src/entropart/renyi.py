@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .density import NEGATIVE_CLAMP
-from .quadrature import _CHUNK, integrate
+from .reductions import GridSums
 
 # orders this close to 1 are rejected; the Shannon module is the limit
 ALPHA_ONE_GUARD = 1e-9
@@ -26,23 +25,6 @@ def _validate_alpha(alpha: float) -> float:
         raise ValueError(
             "order alpha is numerically 1; use the Shannon entropy instead")
     return alpha
-
-
-def _alpha_power(x, alpha: float, name: str):
-    """x**alpha with the sign rules used throughout the decomposition.
-
-    Integer orders keep the sign of negative lobes. Fractional orders are
-    undefined for negative values, so anything below the clamp threshold
-    raises and tiny negatives are treated as zero.
-    """
-    x = np.asarray(x, dtype=float)
-    if float(alpha).is_integer():
-        return x ** int(round(alpha))
-    if (x < NEGATIVE_CLAMP).any():
-        raise ValueError(
-            f"{name} reaches values below {NEGATIVE_CLAMP}; a fractional "
-            f"order alpha={alpha} is undefined there")
-    return np.maximum(x, 0.0) ** alpha
 
 
 def _log0(v: float) -> float:
@@ -60,15 +42,8 @@ class RenyiTotals:
     shape: float
 
 
-def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
-    """Order-alpha Renyi entropy of a density sampled on a grid.
-
-    The shape value follows by exact scaling: the shape function, the
-    density divided by its grid integral n_grid, has the moment
-    int sigma**alpha = int rho**alpha / n_grid**alpha.
-    """
-    alpha = _validate_alpha(alpha)
-    moment = integrate(_alpha_power(rho, alpha, "the density"), weights=weights)
+def _totals(alpha: float, moment: float, n_grid: float) -> RenyiTotals:
+    """Density and shape entropies from the moment int rho**alpha."""
     if moment <= 0 or not math.isfinite(moment):
         raise ValueError(f"integral of rho**alpha is {moment!r}; "
                          "cannot take its logarithm")
@@ -77,6 +52,19 @@ def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
     return RenyiTotals(alpha=alpha, moment=moment,
                        density=pref * log_moment,
                        shape=pref * (log_moment - alpha * math.log(n_grid)))
+
+
+def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
+    """Order-alpha Renyi entropy of a density sampled on a grid.
+
+    The shape value follows by exact scaling: the shape function, the
+    density divided by its grid integral n_grid, has the moment
+    int sigma**alpha = int rho**alpha / n_grid**alpha.
+    """
+    alpha = _validate_alpha(alpha)
+    sums = GridSums(alphas=(alpha,)).walk(weights, rho=rho)
+    sums.check()
+    return _totals(alpha, sums.moment(alpha), n_grid)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,24 +92,12 @@ def _gram(pairs, keys, weights) -> np.ndarray:
     every entry's partial at once, and each entry is the exactly rounded
     sum of its partials, as ``integrate`` would give it.
     """
-    partials = []
-    for start in range(0, len(weights), _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        block = np.stack([pairs[k][sl] for k in keys])
-        partials.append((block * weights[sl]) @ block.T)
-    partials = np.array(partials)
-    gram = np.empty((len(keys), len(keys)))
-    for i in range(len(keys)):
-        for j in range(i, len(keys)):
-            gram[i, j] = gram[j, i] = math.fsum(partials[:, i, j])
-    return gram
+    return GridSums(keys, gram=True).walk(weights, pairs=pairs).gram_matrix()
 
 
-def renyi2_partition(pairs, weights) -> Renyi2Partition:
-    """Pair-pair partition of the order-2 entropy from pair-term arrays."""
-    keys = sorted(pairs.keys())
+def _partition(keys, gram) -> Renyi2Partition:
+    """The order-2 partition from the Gram matrix of the pair terms."""
     nat = max(b for _, b in keys) + 1
-    gram = _gram(pairs, keys, weights)
     # the Gram row of each ordered atom pair; (b, a) shares that of (a, b)
     row = {(a, b): keys.index((min(a, b), max(a, b)))
            for a, b in itertools.product(range(nat), repeat=2)}
@@ -136,6 +112,12 @@ def renyi2_partition(pairs, weights) -> Renyi2Partition:
     return Renyi2Partition(p4=p4, add=add, nadd=nadd, total=-math.log(norm))
 
 
+def renyi2_partition(pairs, weights) -> Renyi2Partition:
+    """Pair-pair partition of the order-2 entropy from pair-term arrays."""
+    keys = sorted(pairs.keys())
+    return _partition(keys, _gram(pairs, keys, weights))
+
+
 @dataclasses.dataclass(frozen=True)
 class RenyiNetTerms:
     """Atomic net and intra-atomic nonadditive terms at one order."""
@@ -144,6 +126,17 @@ class RenyiNetTerms:
     p_atom: dict
     net: float
     nadd_intra: float
+
+
+def _net_terms(alpha: float, atom_moments: dict,
+               moment: float) -> RenyiNetTerms:
+    """Net terms from the atomic moments and the total moment."""
+    pref = 1.0 / (1.0 - alpha)
+    p_atom = {a: m / moment for a, m in atom_moments.items()}
+    net = pref * math.fsum(p_atom[a] * _log0(atom_moments[a]) for a in p_atom)
+    nadd_intra = pref * math.fsum(p_atom[a] * _log0(p_atom[a]) for a in p_atom)
+    return RenyiNetTerms(alpha=alpha, p_atom=p_atom, net=net,
+                         nadd_intra=nadd_intra)
 
 
 def renyi_net_nadd_intra(pairs, weights, alpha: float,
@@ -155,16 +148,10 @@ def renyi_net_nadd_intra(pairs, weights, alpha: float,
     (rho^AA)**alpha.
     """
     alpha = _validate_alpha(alpha)
-    pref = 1.0 / (1.0 - alpha)
-    atom_moments = {
-        a: integrate(_alpha_power(x, alpha, f"the net density of atom {a}"),
-                     weights=weights)
-        for (a, b), x in sorted(pairs.items()) if a == b}
-    p_atom = {a: m / moment for a, m in atom_moments.items()}
-    net = pref * math.fsum(p_atom[a] * _log0(atom_moments[a]) for a in p_atom)
-    nadd_intra = pref * math.fsum(p_atom[a] * _log0(p_atom[a]) for a in p_atom)
-    return RenyiNetTerms(alpha=alpha, p_atom=p_atom, net=net,
-                         nadd_intra=nadd_intra)
+    net = {key: x for key, x in pairs.items() if key[0] == key[1]}
+    sums = GridSums(sorted(net), alphas=(alpha,)).walk(weights, pairs=net)
+    sums.check()
+    return _net_terms(alpha, sums.net_moments(alpha), moment)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,6 +164,19 @@ class RenyiDecomposition:
     pair_partition: Renyi2Partition | None
 
 
+def renyi_from_sums(sums: GridSums, alpha: float,
+                    n_grid: float) -> RenyiDecomposition:
+    """Order-alpha results from the partials of a finished, checked
+    ``GridSums`` that took the moments at alpha (and the Gram matrix at
+    alpha = 2)."""
+    totals = _totals(alpha, sums.moment(alpha), n_grid)
+    net_terms = _net_terms(alpha, sums.net_moments(alpha), totals.moment)
+    partition = (_partition(sums.pair_keys, sums.gram_matrix())
+                 if alpha == 2.0 else None)
+    return RenyiDecomposition(alpha=alpha, totals=totals,
+                              net_terms=net_terms, pair_partition=partition)
+
+
 def renyi_decompose(rho, pairs, weights, alpha: float,
                     n_grid: float) -> RenyiDecomposition:
     """Full order-alpha analysis from one field evaluation.
@@ -185,11 +185,9 @@ def renyi_decompose(rho, pairs, weights, alpha: float,
     orders pair_partition is None.
     """
     alpha = _validate_alpha(alpha)
-    totals = renyi_total(rho, weights, alpha, n_grid)
-    net_terms = renyi_net_nadd_intra(pairs, weights, alpha, totals.moment)
-    partition = renyi2_partition(pairs, weights) if alpha == 2.0 else None
-    return RenyiDecomposition(alpha=alpha, totals=totals,
-                              net_terms=net_terms, pair_partition=partition)
+    sums = GridSums(sorted(pairs), alphas=(alpha,), gram=alpha == 2.0)
+    sums.walk(weights, rho, pairs).check()
+    return renyi_from_sums(sums, alpha, n_grid)
 
 
 def asymptotic_renyi_reference(alpha, atom_entropies, atom_moments,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .density import ClampDiagnostics
-from .quadrature import integrate
+from .reductions import GridSums
 
 # the grid must reproduce the electron count this well before entropies
 # are trusted at all
@@ -75,14 +75,17 @@ def _integrals(rho, pairs, weights):
     """The grid integrals behind a decomposition: -int rho log rho, and for
     every unique pair term x = rho^AB the triple (-int x log x,
     -int x log(x / rho), int x)."""
-    total = -integrate(rho * safe_log(rho), weights=weights)
-    denom = np.where(rho > 0, rho, 1.0)
-    parts = {}
-    for key, x in sorted(pairs.items()):
-        q = np.where(rho > 0, x / denom, 0.0)
-        parts[key] = (-integrate(x * safe_log(x), weights=weights),
-                      -integrate(x * safe_log(q), weights=weights),
-                      integrate(x, weights=weights))
+    sums = GridSums(sorted(pairs), shannon=True).walk(weights, rho, pairs)
+    sums.check()
+    return _sums_integrals(sums)
+
+
+def _sums_integrals(sums: GridSums):
+    """``_integrals`` from the partials of a finished ``GridSums``."""
+    total = -float(sums.integral("rho_log_rho")[0])
+    one_sided, nadd, population = (sums.pair_integrals(k) for k in range(3))
+    parts = {key: (-float(one_sided[i]), -float(nadd[i]), float(population[i]))
+             for i, key in enumerate(sums.pair_keys)}
     return total, parts
 
 
@@ -135,17 +138,25 @@ def check_normalization(n_grid: float, n_declared: float) -> None:
             f"{n_declared!r}; the quadrature is inadequate for this system")
 
 
-def shannon_from_arrays(rho, pairs, weights, n_grid: float,
-                        diagnostics: ClampDiagnostics) -> ShannonDecomposition:
-    """Decomposition from an already evaluated (rho, pairs) field.
+def shannon_from_sums(sums: GridSums, n_grid: float,
+                      diagnostics: ClampDiagnostics) -> ShannonDecomposition:
+    """Decomposition from the partials of a finished, checked ``GridSums``.
 
     n_grid is the grid integral of rho. The shape-function terms follow
     from the same integrals as the density terms, by exact scaling.
     """
-    total, parts = _integrals(rho, pairs, weights)
+    total, parts = _sums_integrals(sums)
     return ShannonDecomposition(
         n_grid=n_grid, density=_terms(total, parts),
         shape=_terms(total, parts, n_grid), diagnostics=diagnostics)
+
+
+def shannon_from_arrays(rho, pairs, weights, n_grid: float,
+                        diagnostics: ClampDiagnostics) -> ShannonDecomposition:
+    """Decomposition from an already evaluated (rho, pairs) field."""
+    sums = GridSums(sorted(pairs), shannon=True).walk(weights, rho, pairs)
+    sums.check()
+    return shannon_from_sums(sums, n_grid, diagnostics)
 
 
 def asymptotic_shannon_reference(atom_entropies, electron_counts):

@@ -272,8 +272,9 @@ def density_matrix_from_mos(doc: WfnDocument,
                             normalized_primitives: bool = True) -> DensityMatrix:
     """Contract MO coefficients into the primitive-level matrix.
 
-    c_ij = sum_k occ_k C_ki C_kj. By default coefficients are taken to
-    multiply unit-normalized primitives; pass normalized_primitives=False
+    c_ij = sum_k occ_k C_ki C_kj, with the MOs kept as the matrix's
+    orbital factor. By default coefficients are taken
+    to multiply unit-normalized primitives; pass normalized_primitives=False
     for files whose coefficients multiply raw Gaussians.
     """
     C = np.array([mo.coefficients for mo in doc.mos], dtype=float)
@@ -284,7 +285,8 @@ def density_matrix_from_mos(doc: WfnDocument,
         C = C / norms[None, :]
     c = np.einsum("k,ki,kj->ij", occ, C, C)
     # the einsum rounds c_ij and c_ji differently; average them exactly
-    return DensityMatrix(0.5 * (c + c.T), float(occ.sum()))
+    return DensityMatrix(0.5 * (c + c.T), float(occ.sum()),
+                         orbitals=(occ, C.T))
 
 
 def field_from_document(doc: WfnDocument,
