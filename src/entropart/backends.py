@@ -93,10 +93,10 @@ def quad_form(D, G):
     return np.einsum("ip,ij,jp->p", G, D, G, optimize=True)
 
 
-def quad_form_block(D, G, rows, cols):
-    """One-sided pair term: sum over i in rows, j in cols of D[i,j] G_i G_j."""
-    rows = np.asarray(rows)
-    return np.einsum("ip,ip->p", D[rows[:, None], cols] @ G[cols], G[rows])
+def quad_form_block(M, U, V):
+    """One-sided pair term: x[p] = sum_ij M[i,j] U[i,p] V[j,p] for the value
+    rows U of one atom and V of another."""
+    return np.einsum("ip,ip->p", M @ V, U)
 
 
 def get_backend():

@@ -1,25 +1,25 @@
 """Gaussian primitives, molecular densities, and the atom-pair partition.
 
 The density is rho(r) = sum_ij D_ij phi_i(r) phi_j(r) over atom-centered
-primitives, with D kept factored as D = sum_k n_k c_k c_k^T (occupations
-n_k, orbital coefficient vectors c_k). Assigning every primitive to its
-nucleus partitions rho into pair contributions
-rho^AB(r) = sum_{i in A, j in B} D_ij phi_i phi_j. In orbital form each
-atom carries the projected orbital values Y_A[k] = sum_{i in A} c_ki phi_i,
-so rho^AB = sum_k n_k Y_A[k] Y_B[k]: the quadratic form of the matrix
-D'[(A,k),(B,l)] = n_k delta_kl over the stacked Y, restricted to the
-(A, B) block. That costs K^2 per point and pair for K orbitals, against
-m_A m_B for the (A, B) block of D over the primitive values themselves, so
-a field takes its pair terms in whichever form needs fewer operations:
-the orbital form when K is below the primitives per atom (minimal-basis
-and Hartree-Fock densities), the primitive form otherwise (for example
-correlated natural orbitals in a larger basis). The sum over all blocks is
-the density, so the pointwise closure sum_{A,B} rho^AB = rho holds by
+primitives, with D = sum_k n_k c_k c_k^T (occupations n_k, orbital
+coefficient vectors c_k); ``DensityMatrix`` holds one of the two forms.
+Assigning every primitive to its nucleus partitions rho into pair
+contributions rho^AB(r) = sum_{i in A, j in B} D_ij phi_i phi_j. At each
+block of points an atom A with m_A primitives carries one set of value
+rows V_A: its K projected orbital values Y_A[k] = sum_{i in A} c_ki phi_i
+when K < m_A, else its primitive values G_A. Each unique pair carries one
+coefficient block M_AB, built once per field, with rho^AB = V_A^T M_AB V_B:
+diag(n) between two projected atoms, C_A N or N C_B^T (C_A the orbital
+coefficients on A's primitives, N = diag(n)) between a primitive and a
+projected atom, and the (A, B) block of D between two primitive atoms. A
+pair term costs min(K, m_A) min(K, m_B) multiply-adds per point, and only
+the atoms whose rows shrink pay for the projection. The sum over all blocks
+is the density, so the pointwise closure sum_{A,B} rho^AB = rho holds by
 construction; rho^AB for A != B is reported one-sided (totals count it
 twice). ``PairDensityField.pair_block`` evaluates one block of points, so
 an analysis that reduces each block at once needs no full-length pair
-array. Primitive values and the quadratic
-forms come from the NumPy kernels in ``backends``.
+array. Primitive values and the quadratic forms come from the NumPy
+kernels in ``backends``.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from .backends import eval_primitives, quad_form, quad_form_block
 from .molecule import Molecule
+from .quadrature import _CHUNK
 
 # Cartesian monomial exponents for the standard type codes 1..20
 # (s; px py pz; dxx dyy dzz dxy dxz dyz; fxxx ... fxyz).
@@ -131,61 +132,73 @@ class PrimitiveBasis:
 
 
 class DensityMatrix:
-    """Symmetric coefficient matrix D over a primitive list, with its
-    orbital factor D = sum_k n_k c_k c_k^T.
+    """The one-particle density over a primitive list, held in one form:
+    the symmetric coefficient matrix D or its orbital factor
+    D = sum_k n_k c_k c_k^T.
 
-    ``orbitals`` is the factor as (occupations (K,), coefficients
-    (nprim, K)) with column k holding c_k; it must reproduce the matrix to
-    1e-12 relative to its largest product term, or ValueError is raised.
-    Without it the matrix is factored by ``numpy.linalg.eigh``, with no
-    truncation threshold: negative eigenvalues stay. Only orbitals whose
-    occupation is exactly zero are dropped.
+    A given ``coefficients`` matrix is kept, exactly symmetrized, and
+    factored by ``numpy.linalg.eigh`` with no truncation threshold:
+    negative eigenvalues stay. A given ``orbitals`` factor, as
+    (occupations (K,), coefficients (nprim, K)) with column k holding c_k,
+    is kept, and D is derived from it only when ``coefficients`` is read.
+    Pass one of the two. Orbitals whose occupation is exactly zero are
+    dropped from the factor.
     """
 
     def __init__(self, coefficients, n_electrons: float, orbitals=None):
-        c = np.asarray(coefficients, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if not np.isfinite(c).all():
-            raise ValueError("coefficient matrix must be finite")
-        # relative to the largest entry, never tighter than 1e-12 absolute
-        tol = 1e-12 * max(1.0, float(np.abs(c).max(initial=0.0)))
-        if not np.allclose(c, c.T, atol=tol, rtol=0.0):
-            raise ValueError("coefficient matrix must be symmetric to 1e-12 "
-                             "relative to its largest entry")
-        # store the exactly symmetrized form: quad_form assumes a symmetric D
-        self.coefficients = 0.5 * (c + c.T)
+        if (coefficients is None) == (orbitals is None):
+            raise ValueError("give either a coefficient matrix or its "
+                             "orbital factor, not both")
+        if orbitals is None:
+            c = np.asarray(coefficients, dtype=float)
+            if c.ndim != 2 or c.shape[0] != c.shape[1]:
+                raise ValueError("coefficient matrix must be square")
+            if not np.isfinite(c).all():
+                raise ValueError("coefficient matrix must be finite")
+            # relative to the largest entry, never tighter than 1e-12 absolute
+            tol = 1e-12 * max(1.0, float(np.abs(c).max(initial=0.0)))
+            if not np.allclose(c, c.T, atol=tol, rtol=0.0):
+                raise ValueError("coefficient matrix must be symmetric to "
+                                 "1e-12 relative to its largest entry")
+            # store the exactly symmetrized form: quad_form assumes a symmetric D
+            self._coefficients = _symmetrized(c)
+            occupations, vectors = np.linalg.eigh(self._coefficients)
+        else:
+            self._coefficients = None
+            occupations, vectors = (np.asarray(x, dtype=float) for x in orbitals)
+            if (occupations.ndim != 1 or vectors.ndim != 2
+                    or vectors.shape[1] != len(occupations)):
+                raise ValueError(
+                    f"orbital factor must be occupations (K,) and coefficients "
+                    f"(nprim, K); got {occupations.shape} and {vectors.shape}")
+            if not (np.isfinite(occupations).all() and np.isfinite(vectors).all()):
+                raise ValueError("orbital factor must be finite")
         self.n_electrons = float(n_electrons)
         if self.n_electrons <= 0:
             raise ValueError("electron count must be positive")
-        if orbitals is None:
-            occupations, vectors = np.linalg.eigh(self.coefficients)
-        else:
-            occupations, vectors = _checked_factor(self.coefficients, *orbitals)
         # an orbital with occupation exactly 0 contributes nothing
         occupied = occupations != 0
         self.occupations = occupations[occupied]
         self.orbitals = vectors[:, occupied]
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """D, derived from the factor on first use when none was given."""
+        if self._coefficients is None:
+            n, v = self.occupations, self.orbitals
+            self._coefficients = _symmetrized(np.einsum("k,ik,jk->ij", n, v, v))
+        return self._coefficients
 
-def _checked_factor(c, occupations, vectors):
-    """The factor (occupations (K,), vectors (nprim, K)) as float arrays,
-    after checking that sum_k n_k v_k v_k^T reproduces c to 1e-12 relative
-    to the largest product term."""
-    occupations = np.asarray(occupations, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    if occupations.ndim != 1 or vectors.shape != (len(c), len(occupations)):
-        raise ValueError(
-            f"orbital factor must be occupations (K,) and coefficients "
-            f"({len(c)}, K); got {occupations.shape} and {vectors.shape}")
-    if not (np.isfinite(occupations).all() and np.isfinite(vectors).all()):
-        raise ValueError("orbital factor must be finite")
-    scale = (np.abs(vectors) * np.abs(occupations)) @ np.abs(vectors).T
-    tol = 1e-12 * max(1.0, float(scale.max(initial=0.0)))
-    if np.abs((vectors * occupations) @ vectors.T - c).max(initial=0.0) > tol:
-        raise ValueError("orbital factor does not reproduce the coefficient "
-                         "matrix to 1e-12 relative")
-    return occupations, vectors
+
+def _symmetrized(c):
+    """(c + c^T) / 2 for finite c; the halves are added only where the sum
+    overflows, since elsewhere they would round subnormal entries apart."""
+    with np.errstate(over="ignore"):
+        total = c + c.T
+    out = 0.5 * total
+    over = ~np.isfinite(total)
+    out[over] = 0.5 * c[over] + 0.5 * c.T[over]
+    return out
 
 
 @dataclasses.dataclass
@@ -203,7 +216,7 @@ class PairDensityField:
     """Density plus its atom-pair partition, evaluated on point arrays."""
 
     def __init__(self, basis: PrimitiveBasis, dm: DensityMatrix):
-        if dm.coefficients.shape[0] != len(basis):
+        if len(dm.orbitals) != len(basis):
             raise ValueError("density matrix size does not match basis size")
         self.basis = basis
         self.dm = dm
@@ -212,45 +225,41 @@ class PairDensityField:
         nat = len(basis.molecule)
         self.pair_keys = [(a, b) for a in range(nat) for b in range(a, nat)]
         self._rows = [basis.atom_rows(a) for a in range(nat)]
+        # C_A^T, the orbital coefficients on atom A's primitives, for an
+        # atom whose value rows are its K projected orbital values
         k = len(dm.occupations)
-        if _orbital_form_is_cheaper(k, [len(rows) for rows in self._rows]):
-            # C_A^T, the orbital coefficients on each atom's primitives, and
-            # D' over the stacked Y: D'[(A,k),(B,l)] = n_k delta_kl
-            self._projectors = [dm.orbitals[rows].T for rows in self._rows]
-            self._pair_matrix = np.kron(np.ones((nat, nat)),
-                                        np.diag(dm.occupations))
-            self._value_rows = [np.arange(a * k, (a + 1) * k)
-                                for a in range(nat)]
-        else:  # D itself over the primitive values
-            self._projectors = None
-            self._pair_matrix = dm.coefficients
-            self._value_rows = self._rows
+        self._projectors = [dm.orbitals[rows].T if k < len(rows) else None
+                            for rows in self._rows]
+        self._blocks = [self._coupling(a, b) for a, b in self.pair_keys]
 
     @property
     def n_electrons(self) -> float:
         return self.dm.n_electrons
 
-    def _values(self, points) -> np.ndarray:
-        """The values the pair matrix acts on: in orbital form Y,
-        (nat*K, npts), with row (A, k) holding Y_A[k] = C_A^T G_A; in
-        primitive form the primitive values G."""
-        G = self.basis.evaluate(points)
-        if self._projectors is None:
-            return G
-        return np.concatenate([c @ G[rows] for c, rows
-                               in zip(self._projectors, self._rows)])
+    def _coupling(self, a: int, b: int) -> np.ndarray:
+        """M_AB, with rho^AB = V_A^T M_AB V_B over the value rows of atoms
+        A and B (see the module docstring)."""
+        ra, rb = self._rows[a], self._rows[b]
+        primitive_a, primitive_b = (self._projectors[x] is None for x in (a, b))
+        if primitive_a and primitive_b:
+            return self.dm.coefficients[np.ix_(ra, rb)]
+        n, c = self.dm.occupations, self.dm.orbitals
+        if primitive_b:  # N C_B^T
+            return n[:, None] * c[rb].T
+        return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
 
     def pair_block(self, points):
         """The clamped density (see ClampDiagnostics) and the
         (npairs, npts) stack of the pair terms, in the order of
         ``pair_keys``, at one block of points. Negated points are counted
         but not warned about; see ``warn_negated``."""
-        values = self._values(points)
-        terms = np.empty((len(self.pair_keys), values.shape[1]))
-        rho = np.zeros(values.shape[1])
-        for x, (a, b) in zip(terms, self.pair_keys):
-            x[:] = quad_form_block(self._pair_matrix, values,
-                                   self._value_rows[a], self._value_rows[b])
+        G = self.basis.evaluate(points)
+        values = [G[rows] if c is None else c @ G[rows]
+                  for c, rows in zip(self._projectors, self._rows)]
+        terms = np.empty((len(self.pair_keys), G.shape[1]))
+        rho = np.zeros(G.shape[1])
+        for x, (a, b), m in zip(terms, self.pair_keys, self._blocks):
+            x[:] = quad_form_block(m, values[a], values[b])
             rho += x if a == b else 2.0 * x
         self._clamp(rho)
         return rho, terms
@@ -276,49 +285,39 @@ class PairDensityField:
                 f"density below {NEGATIVE_CLAMP} at {nbad} points; "
                 "using absolute values", RuntimeWarning)
 
-    def density(self, points, block_size: int = 32768) -> np.ndarray:
+    def density(self, points) -> np.ndarray:
         """Total density, clamped to be nonnegative (see ClampDiagnostics):
-        the full quadratic form of the pair matrix, block by block."""
+        the quadratic form of D over the primitive values, one ``_CHUNK``
+        block at a time; the reference the pair terms sum to."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
-        for start in range(0, len(pts), block_size):
-            sl = slice(start, min(start + block_size, len(pts)))
-            rho[sl] = quad_form(self._pair_matrix, self._values(pts[sl]))
+        for start in range(0, len(pts), _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            rho[sl] = quad_form(self.dm.coefficients,
+                                self.basis.evaluate(pts[sl]))
         before = dataclasses.replace(self.diagnostics)
         self._clamp(rho)
         self.warn_negated(before)
         return rho
 
-    def pair_fields(self, points, block_size: int = 32768):
+    def pair_fields(self, points):
         """All unique pair terms and the clamped total.
 
         Returns (rho, pairs) with pairs[(a, b)] for a <= b holding the
         one-sided values; the total density equals the diagonal terms plus
-        twice the off-diagonal ones. Points are processed in fixed blocks
-        (``pair_block``) so the primitive-value matrix stays small for large
-        bases.
+        twice the off-diagonal ones. Points are processed in ``_CHUNK``
+        blocks (``pair_block``) so the primitive-value matrix stays small
+        for large bases.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
         terms = np.empty((len(self.pair_keys), len(pts)))
         before = dataclasses.replace(self.diagnostics)
-        for start in range(0, len(pts), block_size):
-            sl = slice(start, min(start + block_size, len(pts)))
+        for start in range(0, len(pts), _CHUNK):
+            sl = slice(start, start + _CHUNK)
             rho[sl], terms[:, sl] = self.pair_block(pts[sl])
         self.warn_negated(before)
         return rho, dict(zip(self.pair_keys, terms))
-
-
-def _orbital_form_is_cheaper(n_orbitals: int, atom_sizes) -> bool:
-    """Whether the pair terms take fewer multiply-adds per point from K
-    atom-projected orbital values (K m_A per atom to project, K^2 + K per
-    pair) than from the m_A primitive values of each atom (m_A m_B + m_A
-    per pair). Ties go to the primitive form."""
-    k, m = n_orbitals, list(atom_sizes)
-    pairs = [(a, b) for a in range(len(m)) for b in range(a, len(m))]
-    orbital = k * sum(m) + len(pairs) * (k * k + k)
-    primitive = sum(m[a] * m[b] + m[a] for a, b in pairs)
-    return orbital < primitive
 
 
 def _gaussian_product(ea, ca, A, eb, cb, B):

@@ -144,25 +144,22 @@ class H2Model:
         return Molecule.h2(self.R)
 
     def field(self) -> PairDensityField:
-        """Expand to the primitive-level density matrix, factored by the
+        """The density over the primitives of both centres, held as its
         natural orbitals."""
         occupations, _, orbitals = zip(*natural_orbitals(self))
-        return _expanded_field(self.basis, self.molecule(),
-                               self.pair_coefficients, 2.0,
+        return _expanded_field(self.basis, self.molecule(), 2.0,
                                (occupations, np.column_stack(orbitals)))
 
 
-def _expanded_field(basis, molecule, pair_coefficients, n_electrons, orbitals):
-    """The density sum_AB C_AB phi_A phi_B over the primitives of ``basis``
-    placed on every nucleus of ``molecule``; orbitals is its factor over
-    those primitives (see DensityMatrix)."""
+def _expanded_field(basis, molecule, n_electrons, orbitals):
+    """The density of the orbital factor ``orbitals`` (see DensityMatrix)
+    over the primitives of ``basis`` placed on every nucleus of
+    ``molecule``."""
     nat, nprim = len(molecule), len(basis.exponents)
     pb = PrimitiveBasis(molecule, center_index=np.repeat(np.arange(nat), nprim),
                         type_codes=np.ones(nat * nprim, dtype=int),
                         exponents=np.tile(basis.exponents, nat))
-    dprim = np.kron(pair_coefficients,
-                    np.outer(basis.coefficients, basis.coefficients))
-    return PairDensityField(pb, DensityMatrix(dprim, n_electrons=n_electrons,
+    return PairDensityField(pb, DensityMatrix(None, n_electrons=n_electrons,
                                               orbitals=orbitals))
 
 
@@ -277,5 +274,5 @@ def atom_field(basis: ContractedS | None = None) -> PairDensityField:
     """Isolated one-electron atom: N = 1, rho = phi^2."""
     basis = basis or sto6g_hydrogen()
     mol = Molecule([("H", (0.0, 0.0, 0.0))])
-    return _expanded_field(basis, mol, np.ones((1, 1)), 1.0,
+    return _expanded_field(basis, mol, 1.0,
                            ([1.0], basis.coefficients[:, None]))

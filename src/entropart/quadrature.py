@@ -55,11 +55,13 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     grid's arrays hold (three coordinates, a weight and an owner index per
     point). An analysis on the grid needs more, none of it counted here. It
     walks the grid in blocks of ``_CHUNK`` points and holds, for K orbitals
-    and P = nat(nat+1)/2 atom pairs, O(_CHUNK * (nprim + nat*K + P)) floats
-    of one block and a pair matrix of at most about 2 nprim**2 floats. At
-    order 2 it also keeps P(P+1)/2 Gram partials per chunk until the end,
-    and twice that while they are summed: these grow with the grid, to
-    about 67 MB (134 MB at the end) for H20 on the default 400x194 grid.
+    and P = nat(nat+1)/2 atom pairs, O(_CHUNK * (nprim + P)) floats of one
+    block and P pair blocks of at most min(K, m_A) min(K, m_B) floats for
+    atoms with m_A and m_B primitives, plus the nprim**2 coefficient matrix
+    only when it is asked for. At order 2 it also keeps P(P+1)/2 Gram
+    partials per chunk until the end, and twice that while they are summed:
+    these grow with the grid, to about 67 MB (134 MB at the end) for H20 on
+    the default 400x194 grid.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 5 * 8

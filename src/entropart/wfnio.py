@@ -270,12 +270,12 @@ def basis_from_document(doc: WfnDocument, molecule: Molecule = None) -> Primitiv
 
 def density_matrix_from_mos(doc: WfnDocument,
                             normalized_primitives: bool = True) -> DensityMatrix:
-    """Contract MO coefficients into the primitive-level matrix.
+    """The primitive-level density matrix c_ij = sum_k occ_k C_ki C_kj,
+    held as its orbital factor: the MOs and their occupations.
 
-    c_ij = sum_k occ_k C_ki C_kj, with the MOs kept as the matrix's
-    orbital factor. By default coefficients are taken
-    to multiply unit-normalized primitives; pass normalized_primitives=False
-    for files whose coefficients multiply raw Gaussians.
+    By default coefficients are taken to multiply unit-normalized
+    primitives; pass normalized_primitives=False for files whose
+    coefficients multiply raw Gaussians.
     """
     C = np.array([mo.coefficients for mo in doc.mos], dtype=float)
     occ = np.array([mo.occupation for mo in doc.mos], dtype=float)
@@ -283,10 +283,7 @@ def density_matrix_from_mos(doc: WfnDocument,
         norms = np.array([primitive_norm(a, TYPE_POWS[int(t)])
                           for a, t in zip(doc.prim_exponent, doc.prim_type)])
         C = C / norms[None, :]
-    c = np.einsum("k,ki,kj->ij", occ, C, C)
-    # the einsum rounds c_ij and c_ji differently; average them exactly
-    return DensityMatrix(0.5 * (c + c.T), float(occ.sum()),
-                         orbitals=(occ, C.T))
+    return DensityMatrix(None, float(occ.sum()), orbitals=(occ, C.T))
 
 
 def field_from_document(doc: WfnDocument,

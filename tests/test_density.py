@@ -13,7 +13,8 @@ from entropart.density import (TYPE_POWS, ContractedS, DensityMatrix,
                                primitive_norm)
 from entropart.models import sto6g_hydrogen
 from entropart.molecule import Atom, Molecule
-from entropart.quadrature import AtomicGridSpec, build_molecular_grid, integrate
+from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
+                                  integrate)
 
 
 def _one_center(type_code, exponent=0.9):
@@ -77,7 +78,8 @@ def test_quad_form_is_sum_of_pair_blocks(rng):
     total = np.zeros(npts)
     for a in range(3):
         for b in range(a, 3):
-            term = quad_form_block(c, g, rows[a], rows[b])
+            ra, rb = rows[a], rows[b]
+            term = quad_form_block(c[np.ix_(ra, rb)], g[ra], g[rb])
             total += term if a == b else 2.0 * term
     np.testing.assert_allclose(quad_form(c, g), total, rtol=1e-12, atol=1e-12)
 
@@ -100,6 +102,21 @@ def test_density_matrix_symmetry_enforced():
     dm = DensityMatrix(np.array([[1.0, 0.2 + 4e-13], [0.2, 1.0]]),
                        n_electrons=2.0)
     assert dm.coefficients[0, 1] == dm.coefficients[1, 0]
+
+
+@pytest.mark.parametrize("c", [
+    np.diag([1.0, 1e308]),
+    np.array([[1.0, 1e308], [1e308, 1.0]]),
+    np.array([[1.0, -1e308], [-1e308, 2.0]]),
+])
+def test_symmetrizing_huge_entries_does_not_overflow(c):
+    # c + c.T overflows although every entry, and the mean, is finite
+    np.testing.assert_array_equal(DensityMatrix(c, 1.0).coefficients, c)
+    # the same for the matrix derived from an orbital factor
+    n, v = np.linalg.eigh(c)
+    derived = DensityMatrix(None, 1.0, orbitals=(n, v)).coefficients
+    assert np.isfinite(derived).all()
+    np.testing.assert_allclose(derived, c, rtol=1e-15, atol=1e-15 * 1e308)
 
 
 def test_density_matrix_symmetry_tolerance_scales(rng):
@@ -142,21 +159,41 @@ def test_pair_fields_close_pointwise(rng):
     np.testing.assert_allclose(total, rho, rtol=1e-12, atol=1e-300)
 
 
+def _pieces(evaluate, pts, cuts):
+    """evaluate over each slice pts[cuts[i]:cuts[i + 1]]."""
+    cuts = [0, *cuts, len(pts)]
+    return [evaluate(pts[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+
+def _close(actual, desired):
+    # BLAS may round the last columns of a block differently
+    np.testing.assert_allclose(actual, desired, rtol=1e-14, atol=0)
+
+
+# slices on chunk boundaries must give the same bits; slices that cross
+# them at other offsets (a short one, one across the first boundary, one
+# longer than a chunk) the same values
+SLICINGS = [([_CHUNK], np.testing.assert_array_equal),
+            ([1000, _CHUNK + 7, 2 * _CHUNK + 500], _close)]
+
+
 def test_pair_fields_blocked_evaluation_matches(rng):
     field = _h2_field()
-    pts = rng.normal(scale=2.0, size=(1000, 3))
-    rho_a, pairs_a = field.pair_fields(pts, block_size=64)
-    rho_b, pairs_b = field.pair_fields(pts, block_size=10**6)
-    np.testing.assert_array_equal(rho_a, rho_b)
-    for key in pairs_a:
-        np.testing.assert_array_equal(pairs_a[key], pairs_b[key])
+    pts = rng.normal(scale=2.0, size=(2 * _CHUNK + 1000, 3))
+    rho, pairs = field.pair_fields(pts)
+    for cuts, check in SLICINGS:
+        parts = _pieces(field.pair_fields, pts, cuts)
+        check(np.concatenate([r for r, _ in parts]), rho)
+        for key, x in pairs.items():
+            check(np.concatenate([p[key] for _, p in parts]), x)
 
 
 def test_density_blocked_evaluation_matches(rng):
     field = _h2_field()
-    pts = rng.normal(scale=2.0, size=(1000, 3))
-    np.testing.assert_array_equal(field.density(pts, block_size=64),
-                                  field.density(pts, block_size=10**6))
+    pts = rng.normal(scale=2.0, size=(2 * _CHUNK + 1000, 3))
+    rho = field.density(pts)
+    for cuts, check in SLICINGS:
+        check(np.concatenate(_pieces(field.density, pts, cuts)), rho)
 
 
 def test_negative_density_clamp_and_warning():
