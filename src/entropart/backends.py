@@ -4,6 +4,9 @@ Becke fuzzy-cell weights (Becke, J. Chem. Phys. 88, 2547 (1988)),
 Cartesian Gaussian primitive values and the two quadratic forms that give
 the density and its atom-pair terms. ``quadrature`` and ``density`` import
 these functions by name and call them directly.
+
+The grid kernels do shared work once: the Becke cell function once per
+unordered atom pair, and the primitives' distances once per centre.
 """
 from __future__ import annotations
 
@@ -14,6 +17,13 @@ import numpy as np
 
 def becke_weights_kernel(points, centers, radii, stiffness, size_adjust):
     """Becke fuzzy-cell weights for every atom at every point.
+
+    The cell function is evaluated once per unordered pair a < b: with
+    mu_ba = -mu_ab and a_ba = -a_ab (Becke's appendix) the iterated
+    polynomial is odd, so s(nu_ba) = 1 - s(nu_ab) and both factors come
+    from one f. Each P[a] takes its factors in ascending order of the other
+    atom, so without a boundary shift the weights are those of a loop over
+    ordered pairs, bit for bit.
 
     Parameters
     ----------
@@ -33,14 +43,13 @@ def becke_weights_kernel(points, centers, radii, stiffness, size_adjust):
     npts = len(points)
     if nat == 1:
         return np.ones((1, npts))
+    x, y, z = points.T
     d = np.empty((nat, npts))
-    for a in range(nat):
-        d[a] = np.sqrt(((points - centers[a]) ** 2).sum(axis=1))
+    for a, (cx, cy, cz) in enumerate(centers):
+        d[a] = np.sqrt(((x - cx) ** 2 + (y - cy) ** 2) + (z - cz) ** 2)
     P = np.ones((nat, npts))
     for a in range(nat):
-        for b in range(nat):
-            if a == b:
-                continue
+        for b in range(a + 1, nat):
             Rab = np.linalg.norm(centers[a] - centers[b])
             mu = (d[a] - d[b]) / Rab
             if size_adjust and radii[a] != radii[b]:
@@ -54,17 +63,23 @@ def becke_weights_kernel(points, centers, radii, stiffness, size_adjust):
             for _ in range(stiffness):
                 f = 0.5 * f * (3.0 - f * f)
             P[a] *= 0.5 * (1.0 - f)
-    total = P.sum(axis=0)
-    return P / total
+            P[b] *= 0.5 * (1.0 + f)
+    P /= P.sum(axis=0)
+    return P
 
 
-def eval_primitives(points, prim_centers, prim_exps, prim_norms, ang_pows):
+def eval_primitives(points, centers, center_index, prim_exps, prim_norms,
+                    ang_pows):
     """Evaluate all normalized Cartesian Gaussian primitives at all points.
+
+    dx, dy, dz and r^2 are formed once per centre; each primitive gathers
+    its centre's rows.
 
     Parameters
     ----------
     points : (npts, 3)
-    prim_centers : (nprim, 3) expanded per-primitive center positions
+    centers : (nat, 3) nuclear positions
+    center_index : (nprim,) integer index of each primitive's centre
     prim_exps : (nprim,)
     prim_norms : (nprim,) normalization constants
     ang_pows : (nprim, 3) integer monomial exponents
@@ -74,17 +89,17 @@ def eval_primitives(points, prim_centers, prim_exps, prim_norms, ang_pows):
     (nprim, npts) array G with G[i, p] = N_i x^a y^b z^c exp(-alpha r^2).
     """
     points = np.asarray(points, dtype=float)
-    dx = points[None, :, 0] - prim_centers[:, 0, None]
-    dy = points[None, :, 1] - prim_centers[:, 1, None]
-    dz = points[None, :, 2] - prim_centers[:, 2, None]
+    centers = np.asarray(centers, dtype=float)
+    dx = points[None, :, 0] - centers[:, 0, None]
+    dy = points[None, :, 1] - centers[:, 1, None]
+    dz = points[None, :, 2] - centers[:, 2, None]
     r2 = dx * dx + dy * dy + dz * dz
-    G = np.exp(-prim_exps[:, None] * r2)
+    G = np.exp(-prim_exps[:, None] * r2[center_index])
     G *= prim_norms[:, None]
-    ax, ay, az = ang_pows[:, 0], ang_pows[:, 1], ang_pows[:, 2]
-    for comp, pw in ((dx, ax), (dy, ay), (dz, az)):
+    for comp, pw in zip((dx, dy, dz), ang_pows.T):
         m = pw > 0
         if m.any():
-            G[m] *= comp[m] ** pw[m, None]
+            G[m] *= comp[center_index[m]] ** pw[m, None]
     return G
 
 

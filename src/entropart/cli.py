@@ -24,6 +24,7 @@ from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
 from .models import METHODS
 from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import AtomicGridSpec, build_molecular_grid, grid_estimate
+from .reductions import gram_partials_bytes
 from .wfnio import WfnParseError, field_from_document, parse_wfn
 
 _DEFAULTS = {
@@ -173,17 +174,23 @@ class Settings:
     def grid_comment(self):
         return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
 
-    def require_grid_fits(self, n_atoms):
-        """Refuse, before anything is allocated, a grid larger than memory."""
+    def require_grid_fits(self, n_atoms, alphas=()):
+        """Refuse, before anything is allocated, a grid larger than memory:
+        its arrays and, when the analysis on it takes order 2 among alphas,
+        the Gram partials that grow with it."""
         points, nbytes = grid_estimate(n_atoms, self.grid_spec)
+        what = f"a grid of {points} points"
+        if 2.0 in alphas:
+            nbytes += gram_partials_bytes(n_atoms, points)
+            what += " with its order-2 Gram partials"
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, OSError, ValueError):
             return  # the platform does not say
         if nbytes > memory:
             raise UsageError(
-                f"a grid of {points} points needs at least {nbytes / 2**30:.1f} "
-                f"GiB, more than the {memory / 2**30:.1f} GiB of physical memory")
+                f"{what} needs at least {nbytes / 2**30:.1f} GiB, more than "
+                f"the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def _leaf(column, path, key, value):
@@ -382,7 +389,7 @@ def cmd_sweep(args):
     if settings.emit_plot_script and (settings.format != "csv"
                                       or settings.out == "-"):
         raise UsageError("--emit-plot-script requires --format csv and --out FILE")
-    settings.require_grid_fits(2)
+    settings.require_grid_fits(2, settings.alphas)
     tasks = [(settings.method, R, settings.grid_spec, settings.alphas)
              for R in settings.distances]
     # a fork pool starts all of its workers at the first submit
@@ -440,7 +447,7 @@ def _analyze_wfn(path, settings, single_center=False):
         raise UsageError(
             f"atom subcommand needs a single-center file; "
             f"{path} has {len(field.molecule)} nuclei")
-    settings.require_grid_fits(len(field.molecule))
+    settings.require_grid_fits(len(field.molecule), settings.alphas)
     grid = build_molecular_grid(field.molecule, settings.grid_spec)
     return doc, analyze_field(field, grid, alphas=settings.alphas)
 
@@ -464,7 +471,7 @@ def cmd_atom(args):
         one_electron = abs(fa.n_declared - 1.0) < 1e-12
         source = args.wfn
     else:
-        settings.require_grid_fits(1)
+        settings.require_grid_fits(1, settings.alphas)
         ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas)
         n_grid, energy, renyi = ref.n_grid, ref.energy, ref.renyi
         s_rho = s_sigma = ref.shannon

@@ -116,7 +116,6 @@ class PrimitiveBasis:
         self.ang_pows = np.array(pows, dtype=np.int64)
         self.norms = np.array([primitive_norm(a, p)
                                for a, p in zip(self.exponents, pows)])
-        self.prim_centers = molecule.positions[self.center_index]
 
     def __len__(self):
         return len(self.exponents)
@@ -124,8 +123,8 @@ class PrimitiveBasis:
     def evaluate(self, points) -> np.ndarray:
         """(nprim, npts) matrix of primitive values."""
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return eval_primitives(
-            pts, self.prim_centers, self.exponents, self.norms, self.ang_pows)
+        return eval_primitives(pts, self.molecule.positions, self.center_index,
+                               self.exponents, self.norms, self.ang_pows)
 
     def atom_rows(self, a: int) -> np.ndarray:
         return np.nonzero(self.center_index == a)[0]

@@ -5,7 +5,9 @@ A molecular grid is the union of per-atom product grids (radial x angular),
 each point carrying weight 4*pi * w_rad * w_ang * omega_Becke. Points whose
 combined weight falls below 1e-16 are dropped; they contribute nothing at
 the tolerances this package states. The cell weights come from the NumPy
-kernel ``backends.becke_weights_kernel``.
+kernel ``backends.becke_weights_kernel``. Each atom's kept points, weights
+and owners are written straight into the grid's arrays, allocated once at
+the size ``grid_estimate`` gives.
 """
 from __future__ import annotations
 
@@ -51,17 +53,19 @@ class AtomicGridSpec:
 def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     """(points, bytes) of a molecular grid before it is built.
 
-    Points are counted before weight screening; bytes are what the finished
-    grid's arrays hold (three coordinates, a weight and an owner index per
-    point). An analysis on the grid needs more, none of it counted here. It
-    walks the grid in blocks of ``_CHUNK`` points and holds, for K orbitals
-    and P = nat(nat+1)/2 atom pairs, O(_CHUNK * (nprim + P)) floats of one
-    block and P pair blocks of at most min(K, m_A) min(K, m_B) floats for
-    atoms with m_A and m_B primitives, plus the nprim**2 coefficient matrix
-    only when it is asked for. At order 2 it also keeps P(P+1)/2 Gram
-    partials per chunk until the end, and twice that while they are summed:
-    these grow with the grid, to about 67 MB (134 MB at the end) for H20 on
-    the default 400x194 grid.
+    Points are counted before weight screening; bytes are what
+    ``build_molecular_grid`` allocates for the grid's arrays (three
+    coordinates, a weight and an owner index per point), for any molecule.
+    Not counted: the working set while one atom's grid is weighted, about
+    2 nat + 9 floats per point of that atom grid (the Becke distances and
+    cell products, the points and a few temporaries), and what an analysis
+    on the grid needs. The analysis walks the grid in blocks of ``_CHUNK``
+    points and holds, for K orbitals and P = nat(nat+1)/2 atom pairs,
+    O(_CHUNK * (nprim + P)) floats of one block and P pair blocks of at most
+    min(K, m_A) min(K, m_B) floats for atoms with m_A and m_B primitives,
+    plus the nprim**2 coefficient matrix only when it is asked for. At
+    order 2 it also keeps Gram partials that grow with the grid;
+    ``reductions.gram_partials_bytes`` counts them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 5 * 8
@@ -151,25 +155,28 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     radii = (np.full(len(molecule), spec.bragg_radius)
              if spec.bragg_radius is not None else molecule.bragg_radii())
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
-    all_pts, all_wts, owners = [], [], []
+    size, _ = grid_estimate(len(molecule), spec)
+    points = np.empty((size, 3))
+    weights = np.empty(size)
+    owners = np.empty(size, dtype=np.int64)
+    n = 0
     for a in range(len(molecule)):
         r, wr = radial_grid(spec.n_radial, radii[a])
         pts = centers[a][None, None, :] + r[:, None, None] * ang_pts[None, :, :]
         pts = pts.reshape(-1, 3)
         w = (4.0 * math.pi) * (wr[:, None] * ang_wts[None, :]).reshape(-1)
         if len(molecule) > 1:
-            cell = becke_weights(pts, centers, radii,
-                                 stiffness=spec.stiffness,
-                                 size_adjust=spec.size_adjust)[a]
-            w = w * cell
+            w = w * becke_weights(pts, centers, radii,
+                                  stiffness=spec.stiffness,
+                                  size_adjust=spec.size_adjust)[a]
         keep = w >= WEIGHT_SCREEN
-        all_pts.append(pts[keep])
-        all_wts.append(w[keep])
-        owners.append(np.full(int(keep.sum()), a, dtype=np.int64))
-    return MolecularGrid(points=np.vstack(all_pts),
-                         weights=np.concatenate(all_wts),
-                         owner_atom=np.concatenate(owners),
-                         molecule=molecule, spec=spec)
+        kept = np.count_nonzero(keep)
+        np.compress(keep, pts, axis=0, out=points[n:n + kept])
+        np.compress(keep, w, out=weights[n:n + kept])
+        owners[n:n + kept] = a
+        n += kept
+    return MolecularGrid(points=points[:n], weights=weights[:n],
+                         owner_atom=owners[:n], molecule=molecule, spec=spec)
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:

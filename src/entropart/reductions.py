@@ -42,6 +42,16 @@ def _power(x, alpha: float):
     return np.maximum(x, 0.0) ** alpha
 
 
+def gram_partials_bytes(n_atoms: int, points: int) -> int:
+    """Bytes the order-2 Gram partials of an analysis hold at most, for
+    nat atoms on a grid of at most ``points`` points: P(P+1)/2 floats per
+    chunk for P = nat(nat+1)/2 pair terms, kept until the end, and twice
+    that while ``GridSums.integral`` stacks them to sum."""
+    n_pairs = n_atoms * (n_atoms + 1) // 2
+    chunks = -(-points // _CHUNK)
+    return 2 * chunks * (n_pairs * (n_pairs + 1) // 2) * 8
+
+
 class GridSums:
     """Chunk partials of the grid integrals of one field on one grid.
 

@@ -278,6 +278,58 @@ def test_grid_larger_than_memory_exits_2(argv, wfn_fixtures, monkeypatch,
     assert err.startswith("error:") and "physical memory" in err
 
 
+def test_gram_partials_bytes_of_h20():
+    from entropart.quadrature import AtomicGridSpec, grid_estimate
+    from entropart.reductions import gram_partials_bytes
+
+    # 210 pair terms, 22,155 Gram entries per chunk, 379 chunks, twice
+    points, _ = grid_estimate(20, AtomicGridSpec())
+    assert points == 1_552_000
+    assert gram_partials_bytes(20, points) == 2 * 379 * 22_155 * 8
+    assert gram_partials_bytes(1, 1) == 16
+
+
+@pytest.mark.parametrize("alphas, refused", [("2", True), ("0.5,2,3", True),
+                                             ("0.5,3", False)])
+def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
+                                                 monkeypatch, capsys):
+    # H20 on the default grid: 62 MB of grid arrays fit in 100 MB of
+    # physical memory, the 134 MB of order-2 Gram partials do not
+    import numpy as np
+
+    import entropart.cli
+    import entropart.quadrature
+    from entropart import PrimitiveBasis, build_document, write_wfn
+    from entropart.molecule import Molecule
+
+    mol = Molecule([("H", (0.0, 0.0, 2.0 * i)) for i in range(20)])
+    basis = PrimitiveBasis(mol, range(20), [1] * 20, [0.8] * 20)
+    mos = [(2.0, -0.5, np.eye(20)[k]) for k in range(10)]
+    path = tmp_path / "h20.wfn"
+    path.write_text(write_wfn(build_document(mol, basis, mos, title="H20")))
+
+    class Allocated(Exception):
+        pass
+
+    def no_allocation(*args, **kwargs):
+        raise Allocated
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100_000_000 // 4096}
+    monkeypatch.setattr(entropart.cli.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
+    argv = ["analyze", str(path), "--alphas", alphas]
+    if refused:
+        assert entropart.cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: a grid of 1552000 points with its "
+                              "order-2 Gram partials needs at least 0.2 GiB")
+        assert "physical memory" in err
+    else:  # passes the check and goes on to build the grid
+        with pytest.raises(Allocated):
+            entropart.cli.main(argv)
+
+
 def _main(argv, capsys):
     """Run the CLI in this process: (exit code, stdout, stderr)."""
     import entropart.cli

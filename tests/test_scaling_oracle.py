@@ -110,11 +110,12 @@ def _overlap_1d(la, lb, pa, pb, p):
 def overlap_matrix(basis):
     """Analytic overlaps of the basis's normalized Cartesian primitives."""
     n = len(basis)
+    centers = basis.molecule.positions[basis.center_index]
     S = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             a, b = basis.exponents[i], basis.exponents[j]
-            A, B = basis.prim_centers[i], basis.prim_centers[j]
+            A, B = centers[i], centers[j]
             p = a + b
             P = (a * A + b * B) / p
             s = math.exp(-a * b / p * float((A - B) @ (A - B)))
