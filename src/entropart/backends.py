@@ -23,7 +23,9 @@ def becke_weights_kernel(points, centers, radii, stiffness, size_adjust):
     polynomial is odd, so s(nu_ba) = 1 - s(nu_ab) and both factors come
     from one f. Each P[a] takes its factors in ascending order of the other
     atom, so without a boundary shift the weights are those of a loop over
-    ordered pairs, bit for bit.
+    ordered pairs, bit for bit. The shift and the polynomial run in place
+    in two buffers of npts floats, with the same operations in the same
+    order as their plain expressions.
 
     Parameters
     ----------
@@ -48,22 +50,35 @@ def becke_weights_kernel(points, centers, radii, stiffness, size_adjust):
     for a, (cx, cy, cz) in enumerate(centers):
         d[a] = np.sqrt(((x - cx) ** 2 + (y - cy) ** 2) + (z - cz) ** 2)
     P = np.ones((nat, npts))
+    f = np.empty(npts)  # mu, then the iterated cell function
+    t = np.empty(npts)
     for a in range(nat):
         for b in range(a + 1, nat):
             Rab = np.linalg.norm(centers[a] - centers[b])
-            mu = (d[a] - d[b]) / Rab
+            np.subtract(d[a], d[b], out=f)
+            f /= Rab
             if size_adjust and radii[a] != radii[b]:
                 chi = radii[a] / radii[b]
                 u = (chi - 1.0) / (chi + 1.0)
                 shift = u / (u * u - 1.0)
                 # Becke's bound keeps the shifted boundary inside the cell
                 shift = min(0.5, max(-0.5, shift))
-                mu = mu + shift * (1.0 - mu * mu)
-            f = mu
-            for _ in range(stiffness):
-                f = 0.5 * f * (3.0 - f * f)
-            P[a] *= 0.5 * (1.0 - f)
-            P[b] *= 0.5 * (1.0 + f)
+                # mu + shift * (1 - mu^2)
+                np.multiply(f, f, out=t)
+                np.subtract(1.0, t, out=t)
+                t *= shift
+                f += t
+            for _ in range(stiffness):  # f = 0.5 * f * (3 - f^2)
+                np.multiply(f, f, out=t)
+                np.subtract(3.0, t, out=t)
+                f *= 0.5
+                f *= t
+            np.subtract(1.0, f, out=t)
+            t *= 0.5
+            P[a] *= t
+            np.add(1.0, f, out=t)
+            t *= 0.5
+            P[b] *= t
     P /= P.sum(axis=0)
     return P
 

@@ -5,9 +5,15 @@ A molecular grid is the union of per-atom product grids (radial x angular),
 each point carrying weight 4*pi * w_rad * w_ang * omega_Becke. Points whose
 combined weight falls below 1e-16 are dropped; they contribute nothing at
 the tolerances this package states. The cell weights come from the NumPy
-kernel ``backends.becke_weights_kernel``. Each atom's kept points, weights
-and owners are written straight into the grid's arrays, allocated once at
-the size ``grid_estimate`` gives.
+kernel ``backends.becke_weights_kernel``. Each atom grid is built and
+weighed in blocks of whole radial shells, at most ``_BLOCK`` points each
+(one shell of every supported Lebedev order fits), and each block's kept
+points, weights and owners are written straight into the grid's arrays,
+allocated once at the size ``grid_estimate`` gives. Beyond those arrays the
+build holds about 2 nat + 9 floats per point of one block, a bound that
+does not grow with the grid. Every step is elementwise per point, apart
+from the sum of the cell weights over atoms, so the grid does not depend on
+the block size.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from .molecule import Molecule
 
 WEIGHT_SCREEN = 1e-16
 _CHUNK = 4096  # fixed chunk size: the deterministic reduction contract
+_BLOCK = 4 * _CHUNK  # points per block of radial shells while a grid is built
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,11 +63,13 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     Points are counted before weight screening; bytes are what
     ``build_molecular_grid`` allocates for the grid's arrays (three
     coordinates, a weight and an owner index per point), for any molecule.
-    Not counted: the working set while one atom's grid is weighted, about
-    2 nat + 9 floats per point of that atom grid (the Becke distances and
-    cell products, the points and a few temporaries), and what an analysis
-    on the grid needs. The analysis walks the grid in blocks of ``_CHUNK``
-    points and holds, for K orbitals and P = nat(nat+1)/2 atom pairs,
+    Not counted, because it does not grow with the grid: the working set
+    while one block of radial shells is weighted, about 2 nat + 9 floats per
+    point of at most ``_BLOCK`` points (the Becke distances and cell
+    products, the block's points and a few temporaries), about 1.6 MiB for
+    two atoms and 3.1 MiB for eight. Nor what an analysis on the grid
+    needs. The analysis walks the grid in blocks of ``_CHUNK`` points and
+    holds, for K orbitals and P = nat(nat+1)/2 atom pairs,
     O(_CHUNK * (nprim + P)) floats of one block and P pair blocks of at most
     min(K, m_A) min(K, m_B) floats for atoms with m_A and m_B primitives,
     plus the nprim**2 coefficient matrix only when it is asked for. At
@@ -148,33 +157,41 @@ class MolecularGrid:
 
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
-    """Union of Becke-weighted atomic product grids."""
+    """Union of Becke-weighted atomic product grids, built and weighed in
+    blocks of whole radial shells."""
     if spec is None:
         spec = AtomicGridSpec()
     centers = molecule.positions
     radii = (np.full(len(molecule), spec.bragg_radius)
              if spec.bragg_radius is not None else molecule.bragg_radii())
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
+    shells = max(1, _BLOCK // len(ang_wts))
     size, _ = grid_estimate(len(molecule), spec)
     points = np.empty((size, 3))
     weights = np.empty(size)
     owners = np.empty(size, dtype=np.int64)
+    block = np.empty((min(shells, spec.n_radial), len(ang_wts), 3))
     n = 0
     for a in range(len(molecule)):
         r, wr = radial_grid(spec.n_radial, radii[a])
-        pts = centers[a][None, None, :] + r[:, None, None] * ang_pts[None, :, :]
-        pts = pts.reshape(-1, 3)
-        w = (4.0 * math.pi) * (wr[:, None] * ang_wts[None, :]).reshape(-1)
-        if len(molecule) > 1:
-            w = w * becke_weights(pts, centers, radii,
-                                  stiffness=spec.stiffness,
-                                  size_adjust=spec.size_adjust)[a]
-        keep = w >= WEIGHT_SCREEN
-        kept = np.count_nonzero(keep)
-        np.compress(keep, pts, axis=0, out=points[n:n + kept])
-        np.compress(keep, w, out=weights[n:n + kept])
-        owners[n:n + kept] = a
-        n += kept
+        for i in range(0, spec.n_radial, shells):
+            rb, wb = r[i:i + shells], wr[i:i + shells]
+            pts = block[:len(rb)]
+            for k in range(3):
+                np.multiply(rb[:, None], ang_pts[None, :, k], out=pts[:, :, k])
+                pts[:, :, k] += centers[a][k]
+            pts = pts.reshape(-1, 3)
+            w = (4.0 * math.pi) * (wb[:, None] * ang_wts[None, :]).reshape(-1)
+            if len(molecule) > 1:
+                w *= becke_weights(pts, centers, radii,
+                                   stiffness=spec.stiffness,
+                                   size_adjust=spec.size_adjust)[a]
+            keep = w >= WEIGHT_SCREEN
+            kept = np.count_nonzero(keep)
+            np.compress(keep, pts, axis=0, out=points[n:n + kept])
+            np.compress(keep, w, out=weights[n:n + kept])
+            owners[n:n + kept] = a
+            n += kept
     return MolecularGrid(points=points[:n], weights=weights[:n],
                          owner_atom=owners[:n], molecule=molecule, spec=spec)
 
@@ -194,6 +211,8 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
             raise ValueError("need a grid or explicit weights")
         weights = grid.weights
     if callable(field):
+        if grid is None:
+            raise ValueError("a callable field needs a grid to evaluate at")
         chunks = (field(grid.points[i:i + _CHUNK])
                   for i in range(0, len(weights), _CHUNK))
     else:

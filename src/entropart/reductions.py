@@ -67,6 +67,7 @@ class GridSums:
         self.alphas = list(alphas)
         self.shannon = shannon
         self.gram = gram
+        self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
         self._failures = {}  # sort key (the order of the checks) -> message
         self._start = 0
@@ -119,8 +120,8 @@ class GridSums:
                 self._take(("net_pow", alpha), _power(net, alpha), weights,
                            [(3, j, t, 1) for t in range(len(self._diag))])
         if self.gram:  # the upper triangle, row by row
-            upper = np.triu_indices(n_pairs)
-            self._partials["gram"].append(((terms * weights) @ terms.T)[upper])
+            self._partials["gram"].append(
+                ((terms * weights) @ terms.T)[self._upper])
         self._start += len(weights)
 
     def walk(self, weights, rho=None, pairs=None):
@@ -173,7 +174,7 @@ class GridSums:
     def gram_matrix(self) -> np.ndarray:
         """int x_i x_j over the pair terms, exactly symmetric."""
         n = len(self.pair_keys)
-        upper = np.triu_indices(n)
+        upper = self._upper
         gram = np.empty((n, n))
         gram[upper] = self.integral("gram", len(upper[0]))
         gram.T[upper] = gram[upper]

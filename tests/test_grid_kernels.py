@@ -1,13 +1,15 @@
 """The grid kernels against the bodies they replaced.
 
 ``becke_weights_kernel`` takes the cell function once per unordered atom
-pair, ``eval_primitives`` forms distances once per centre, and
-``build_molecular_grid`` writes each atom's kept points straight into the
-grid's arrays. The references below are the ordered-pair kernel, the
-per-primitive kernel and the list-and-``vstack`` build: the new code must
-give the same bits wherever its arithmetic is unchanged.
+pair, in place, ``eval_primitives`` forms distances once per centre, and
+``build_molecular_grid`` weighs each atom grid in blocks of whole radial
+shells and writes the kept points straight into the grid's arrays. The
+references below are the ordered-pair kernel, the per-primitive kernel and
+the whole-atom list-and-``vstack`` build: the new code must give the same
+bits wherever its arithmetic is unchanged.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from entropart import lebedev
 from entropart.backends import becke_weights_kernel, eval_primitives
 from entropart.density import TYPE_POWS, PrimitiveBasis
 from entropart.molecule import Molecule
-from entropart.quadrature import (WEIGHT_SCREEN, AtomicGridSpec,
-                                  build_molecular_grid, radial_grid)
+from entropart.quadrature import (_BLOCK, WEIGHT_SCREEN, AtomicGridSpec,
+                                  build_molecular_grid, grid_estimate,
+                                  radial_grid)
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=60)
+OHLI = Molecule([("O", (0.0, 0.0, 0.0)), ("H", (0.0, 1.4, 1.1)),
+                 ("Li", (0.3, -1.9, 0.8))])
 
 
 def ordered_pair_becke(points, centers, radii, stiffness, size_adjust):
@@ -176,11 +181,57 @@ def test_grid_is_the_listed_build(h3_wfn_field):
 
 def test_mixed_radii_grid_is_the_listed_build():
     # the write-once assembly against the lists, both on the new kernel
-    mol = Molecule([("O", (0.0, 0.0, 0.0)), ("H", (0.0, 1.4, 1.1)),
-                    ("Li", (0.3, -1.9, 0.8))])
+    mol = OHLI
     spec = AtomicGridSpec(n_radial=150, lebedev_order=110)
     grid = build_molecular_grid(mol, spec)
     for got, want in zip((grid.points, grid.weights, grid.owner_atom),
                          listed_grid(mol, spec, becke_weights_kernel)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(grid) < 3 * 150 * 110  # some points were screened
+
+
+def _h_chain(nat, spacing):
+    return Molecule([("H", (0.0, 0.0, spacing * i)) for i in range(nat)])
+
+
+@pytest.mark.parametrize("mol, spec, kernel, blocks", [
+    # (whole blocks, shells in the last partial one) at _BLOCK // n_ang
+    # shells per block
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=200), ordered_pair_becke,
+     (2, 32)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=50), ordered_pair_becke,
+     (0, 50)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=120, lebedev_order=434),
+     ordered_pair_becke, (3, 9)),
+    (_h_chain(1, 0.0), AtomicGridSpec(n_radial=300), ordered_pair_becke,
+     (3, 48)),
+    (OHLI, AtomicGridSpec(n_radial=100, lebedev_order=434),
+     becke_weights_kernel, (2, 26)),
+], ids=["partial-last-block", "under-one-block", "lebedev-434",
+        "single-atom", "mixed-radii"])
+def test_blocked_grid_is_the_listed_build(mol, spec, kernel, blocks):
+    assert divmod(spec.n_radial, _BLOCK // spec.lebedev_order) == blocks
+    grid = build_molecular_grid(mol, spec)
+    for got, want in zip((grid.points, grid.weights, grid.owner_atom),
+                         listed_grid(mol, spec, kernel)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mol, spec", [
+    (_h_chain(1, 0.0), AtomicGridSpec(n_radial=1000, lebedev_order=434)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=400, lebedev_order=194)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=1000, lebedev_order=434)),
+    (_h_chain(8, 1.8), AtomicGridSpec(n_radial=400, lebedev_order=194)),
+], ids=["h-1000x434", "h2-400x194", "h2-1000x434", "h8-400x194"])
+def test_grid_build_working_set_does_not_grow_with_the_grid(mol, spec):
+    # beyond the grid's own arrays the build holds one block of shells,
+    # about 2 nat + 9 floats per point of at most _BLOCK points (3.1 MiB
+    # at nat = 8), whatever the size of the grid
+    tracemalloc.start()
+    try:
+        build_molecular_grid(mol, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    excess = peak - grid_estimate(len(mol), spec)[1]
+    assert excess < 4 * 2 ** 20, excess / 2 ** 20

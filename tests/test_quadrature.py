@@ -96,6 +96,8 @@ def test_integrate_callable_and_checks():
         integrate(np.ones(7), grid)
     with pytest.raises(ValueError, match="grid or explicit weights"):
         integrate(np.ones(7))
+    with pytest.raises(ValueError, match="callable field needs a grid"):
+        integrate(lambda p: np.ones(len(p)), weights=grid.weights)
 
 
 def test_integrate_rejects_nonfinite_with_location():
