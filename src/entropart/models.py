@@ -1,12 +1,15 @@
-"""Minimal-basis two-electron models of H2: restricted HF, Heitler-London,
-and the 2x2 full CI, all over one contracted s function per center.
+"""Minimal-basis two-electron models of H2: restricted HF, Heitler-London
+and the 2x2 full CI, all over one contracted s function per centre.
 
-Every model reduces to a symmetric pair-coefficient matrix C over the two
-atomic functions, so the density is
-    rho(r) = C_AA phi_A^2 + 2 C_AB phi_A phi_B + C_BB phi_B^2 ,
-normalized to 2 electrons at every distance. The CI matrix elements are
-assembled with Slater-Condon rules for the two closed-shell determinants
-sigma_g^2 and sigma_u^2.
+``integral_engine`` gives the overlap S, the core Hamiltonian h and the
+two-electron tensor (ij|kl) as arrays over one copy of the contraction on
+each centre. ``build_model`` forms the symmetry orbitals sigma_g and
+sigma_u as the columns of X, transforms h and (ij|kl) into them, and builds
+the CI matrix H over the closed-shell determinants sigma_g^2 and sigma_u^2
+(Slater-Condon: H_ii = 2 h_ii + (ii|ii), H_gu = (gu|gu)). Each method is
+one CI vector c over those two determinants. The energy is c^T H c + 1/R,
+and the natural orbitals are the columns of X with occupations 2 c^2, so
+the density is normalized to 2 electrons at every distance.
 """
 from __future__ import annotations
 
@@ -39,44 +42,20 @@ _erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def boys_f0(t):
-    """Zeroth Boys function F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), elementwise."""
+    """Zeroth Boys function F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), elementwise.
+
+    Below t = 1e-13 the series 1 - t/3 is exact to rounding, and erf is
+    called only at the other elements.
+    """
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
         raise ValueError("Boys argument must be nonnegative")
-    small = t < 1e-13
-    u = np.where(small, 1.0, t)  # keeps the erf form away from t = 0
-    erf = np.asarray(_erf(np.sqrt(u)), dtype=float)
-    return np.where(small, 1.0 - t / 3.0, 0.5 * np.sqrt(math.pi / u) * erf)[()]
-
-
-@dataclasses.dataclass(frozen=True)
-class IntegralSet:
-    """One- and two-electron integrals over {phi_A, phi_B} at distance R.
-
-    Two-electron values use chemists' notation (ij|kl); only the four
-    classes that survive permutational symmetry for two s functions are
-    stored.
-    """
-    R: float
-    S: float
-    T_AA: float
-    T_AB: float
-    VA_AA: float
-    VB_AA: float
-    VA_AB: float
-    VB_AB: float
-    eri_aaaa: float  # (AA|AA)
-    eri_aabb: float  # (AA|BB)
-    eri_abab: float  # (AB|AB)
-    eri_aaab: float  # (AA|AB)
-
-    @property
-    def h_AA(self) -> float:
-        return self.T_AA + self.VA_AA + self.VB_AA
-
-    @property
-    def h_AB(self) -> float:
-        return self.T_AB + self.VA_AB + self.VB_AB
+    flat = t.reshape(-1)
+    f = 1.0 - flat / 3.0
+    big = flat >= 1e-13
+    u = flat[big]
+    f[big] = 0.5 * np.sqrt(math.pi / u) * _erf(np.sqrt(u)).astype(float)
+    return f.reshape(t.shape)[()]
 
 
 def _one_electron(exponents, product, R2, nuclei):
@@ -102,28 +81,38 @@ def _eri(bra, ket):
     return float((cp * cq * pref * boys_f0(t)).sum())
 
 
-def integral_engine(basis: ContractedS, R: float) -> IntegralSet:
-    """All integrals needed by the models, for two copies of ``basis``
-    placed R bohr apart. Closed forms for s Gaussians via F0."""
+def integral_engine(basis: ContractedS, centers):
+    """S, h and (ij|kl) over one copy of ``basis`` on each of ``centers``
+    ((n, 3), bohr), each centre a unit nuclear charge.
+
+    Closed forms for s Gaussians via F0: one Gaussian product per unique
+    centre pair feeds S and h, and each two-electron class is taken once
+    per unique pair of products and mirrored into the (n, n, n, n) tensor
+    by its 8-fold permutational symmetry, so S, h and (ij|kl) are exactly
+    symmetric.
+    """
     if not isinstance(basis, ContractedS):
         raise TypeError("integral engine supports s-type contractions only")
-    if R <= 0:
-        raise ValueError("internuclear distance must be positive")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    n = len(centers)
     e, c = basis.exponents, basis.ncoef
-    A = np.zeros(3)
-    B = np.array([0.0, 0.0, R])
-    aa = _gaussian_product(e, c, A, e, c, A)
-    ab = _gaussian_product(e, c, A, e, c, B)
-    bb = _gaussian_product(e, c, B, e, c, B)
-    # the AA overlap is 1 by normalization
-    _, T_AA, (VA_AA, VB_AA) = _one_electron(e, aa, 0.0, (A, B))
-    S_AB, T_AB, (VA_AB, VB_AB) = _one_electron(e, ab, R * R, (A, B))
-    return IntegralSet(
-        R=R, S=S_AB, T_AA=T_AA, T_AB=T_AB,
-        VA_AA=VA_AA, VB_AA=VB_AA, VA_AB=VA_AB, VB_AB=VB_AB,
-        eri_aaaa=_eri(aa, aa), eri_aabb=_eri(aa, bb),
-        eri_abab=_eri(ab, ab), eri_aaab=_eri(aa, ab),
-    )
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    products = [_gaussian_product(e, c, centers[a], e, c, centers[b])
+                for a, b in pairs]
+    S, h = np.empty((n, n)), np.empty((n, n))
+    for (a, b), product in zip(pairs, products):
+        d = centers[a] - centers[b]
+        s, t, v = _one_electron(e, product, float(d @ d), centers)
+        S[a, b] = S[b, a] = s
+        h[a, b] = h[b, a] = sum(v, t)
+    eri = np.empty((n,) * 4)
+    for i, bra in enumerate(products):
+        for j in range(i, len(pairs)):
+            value = _eri(bra, products[j])
+            for a, b in (pairs[i], pairs[i][::-1]):
+                for k, l in (pairs[j], pairs[j][::-1]):
+                    eri[a, b, k, l] = eri[k, l, a, b] = value
+    return S, h, eri
 
 
 METHODS = ("hf", "hl", "fci")
@@ -134,11 +123,17 @@ class H2Model:
     method: str
     R: float
     basis: ContractedS
-    S: float                      # overlap <phi_A|phi_B>
-    ci: tuple                     # (c1, c2); (1, 0) for HF, None-like (1, 0) for HL
-    pair_coefficients: np.ndarray  # 2x2 symmetric C over {phi_A, phi_B}
-    energy: float                 # total electronic + nuclear repulsion, hartree
-    integrals: IntegralSet
+    S: float                        # overlap <phi_A|phi_B>
+    ci: tuple                       # (c1, c2) over {sigma_g^2, sigma_u^2}
+    energy: float                   # total electronic + nuclear repulsion, hartree
+    orbitals: np.ndarray            # X: sigma_g, sigma_u columns over {phi_A, phi_B}
+    orbital_energies: np.ndarray    # diagonal of X^T h X
+
+    @property
+    def pair_coefficients(self) -> np.ndarray:
+        """X diag(2 c^2) X^T, the 2x2 density matrix over {phi_A, phi_B}."""
+        X = self.orbitals
+        return (X * (2.0 * np.square(self.ci))) @ X.T
 
     def molecule(self) -> Molecule:
         return Molecule.h2(self.R)
@@ -163,71 +158,47 @@ def _expanded_field(basis, molecule, n_electrons, orbitals):
                                               orbitals=orbitals))
 
 
-def _ci_matrix(ints: IntegralSet):
-    """2x2 CI matrix in the {sigma_g^2, sigma_u^2} basis (Slater-Condon)."""
-    S = ints.S
-    h_gg = (ints.h_AA + ints.h_AB) / (1.0 + S)
-    h_uu = (ints.h_AA - ints.h_AB) / (1.0 - S)
-    J_gg = (ints.eri_aaaa + ints.eri_aabb + 4.0 * ints.eri_aaab
-            + 2.0 * ints.eri_abab) / (2.0 * (1.0 + S) ** 2)
-    J_uu = (ints.eri_aaaa + ints.eri_aabb - 4.0 * ints.eri_aaab
-            + 2.0 * ints.eri_abab) / (2.0 * (1.0 - S) ** 2)
-    K_gu = (ints.eri_aaaa - ints.eri_aabb) / (2.0 * (1.0 - S * S))
-    return 2.0 * h_gg + J_gg, 2.0 * h_uu + J_uu, K_gu
+def build_model(method: str, R: float, basis: ContractedS | None = None) -> H2Model:
+    """The model ``method`` of H2 at R bohr: its CI vector c over
+    {sigma_g^2, sigma_u^2} is (1, 0) for hf, the Heitler-London function
+    (phi_A phi_B + phi_B phi_A) / sqrt(2 (1 + S^2)) for hl, and the lowest
+    eigenvector of H, with c1 > 0, for fci."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    basis = basis or sto6g_hydrogen()
+    S, h, eri = integral_engine(basis, Molecule.h2(R).positions)
+    s = float(S[0, 1])
+    X = (np.array([[1.0, 1.0], [1.0, -1.0]])
+         / np.sqrt([2.0 * (1.0 + s), 2.0 * (1.0 - s)]))
+    e = np.diag(X.T @ h @ X)
+    mo_eri = np.einsum("pi,qj,rk,sl,pqrs->ijkl", X, X, X, X, eri)
+    H = 2.0 * np.diag(e) + np.einsum("ijij->ij", mo_eri)
+    if not np.isfinite(H).all():
+        raise ValueError(f"CI matrix non-finite at R={R}")
+    if method == "hf":
+        c = np.array([1.0, 0.0])
+    elif method == "hl":
+        c = np.array([1.0 + s, s - 1.0]) / math.sqrt(2.0 * (1.0 + s * s))
+    else:
+        c = np.linalg.eigh(H)[1][:, 0]
+        c = -c if c[0] < 0 else c
+    return H2Model(method, R, basis, s, tuple(c.tolist()),
+                   float(c @ H @ c) + 1.0 / R, X, e)
 
 
 def hf_model(R: float, basis: ContractedS | None = None) -> H2Model:
-    """Restricted HF: both electrons in sigma_g, the CI vector (1, 0)."""
-    model = fci_model(R, basis, ci_override=(1.0, 0.0))
-    return dataclasses.replace(model, method="hf")
+    """Restricted HF: both electrons in sigma_g."""
+    return build_model("hf", R, basis)
 
 
 def hl_model(R: float, basis: ContractedS | None = None) -> H2Model:
     """Heitler-London covalent wavefunction."""
-    basis = basis or sto6g_hydrogen()
-    ints = integral_engine(basis, R)
-    S = ints.S
-    C = np.array([[1.0, S], [S, 1.0]]) / (1.0 + S * S)
-    E = (2.0 * ints.h_AA + ints.eri_aabb + 2.0 * S * ints.h_AB
-         + ints.eri_abab) / (1.0 + S * S) + 1.0 / R
-    return H2Model("hl", R, basis, S, (1.0, 0.0), C, E, ints)
+    return build_model("hl", R, basis)
 
 
-def fci_model(R: float, basis: ContractedS | None = None,
-              ci_override: tuple | None = None) -> H2Model:
-    """Full CI in the minimal basis: c1 sigma_g^2 + c2 sigma_u^2.
-
-    ``ci_override`` forces the CI vector; (1, 0) reproduces the HF density.
-    """
-    basis = basis or sto6g_hydrogen()
-    ints = integral_engine(basis, R)
-    S = ints.S
-    a, b, c = _ci_matrix(ints)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValueError(f"CI matrix non-finite at R={R}")
-    if ci_override is not None:
-        c1, c2 = ci_override
-        lam = (a * c1 * c1 + b * c2 * c2 + 2.0 * c * c1 * c2)
-    else:
-        disc = math.sqrt(0.25 * (a - b) ** 2 + c * c)
-        lam = 0.5 * (a + b) - disc
-        if disc == 0.0:
-            # exact degeneracy: equal-weight mixture
-            c1, c2 = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
-        else:
-            v = np.array([c, lam - a])
-            n = np.linalg.norm(v)
-            if n == 0.0:  # c == 0 and lam == a: ground state is pure sigma_g^2
-                v = np.array([1.0, 0.0])
-                n = 1.0
-            v /= n
-            if v[0] < 0:
-                v = -v
-            c1, c2 = float(v[0]), float(v[1])
-    C_AA = c1 * c1 / (1.0 + S) + c2 * c2 / (1.0 - S)
-    C_AB = c1 * c1 / (1.0 + S) - c2 * c2 / (1.0 - S)
-    C = np.array([[C_AA, C_AB], [C_AB, C_AA]])
-    return H2Model("fci", R, basis, S, (c1, c2), C, lam + 1.0 / R, ints)
+def fci_model(R: float, basis: ContractedS | None = None) -> H2Model:
+    """Full CI in the minimal basis: c1 sigma_g^2 + c2 sigma_u^2."""
+    return build_model("fci", R, basis)
 
 
 def natural_orbitals(model: H2Model):
@@ -239,25 +210,10 @@ def natural_orbitals(model: H2Model):
     zero occupation. The energy entries are the one-electron expectation
     values; no density quantity depends on them.
     """
-    S = model.S
-    C = model.pair_coefficients
-    occ_g = (C[0, 0] + C[0, 1]) * (1.0 + S)
-    occ_u = (C[0, 0] - C[0, 1]) * (1.0 - S)
     c = model.basis.coefficients
-    g = np.concatenate([c, c]) / math.sqrt(2.0 * (1.0 + S))
-    u = np.concatenate([c, -c]) / math.sqrt(2.0 * (1.0 - S))
-    ints = model.integrals
-    e_g = (ints.h_AA + ints.h_AB) / (1.0 + S)
-    e_u = (ints.h_AA - ints.h_AB) / (1.0 - S)
-    return ((occ_g, e_g, g), (occ_u, e_u, u))
-
-
-def build_model(method: str, R: float, basis: ContractedS | None = None) -> H2Model:
-    try:
-        builder = {"hf": hf_model, "hl": hl_model, "fci": fci_model}[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return builder(R, basis)
+    return tuple((2.0 * ck * ck, float(e), np.kron(x, c))
+                 for ck, e, x in zip(model.ci, model.orbital_energies,
+                                     model.orbitals.T))
 
 
 def hydrogen_atom_energy(basis: ContractedS | None = None) -> float:

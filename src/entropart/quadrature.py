@@ -133,11 +133,12 @@ def becke_weights(points, centers, radii=None, stiffness: int = 3,
     if radii is None:
         radii = np.ones(nat)
     radii = np.asarray(radii, dtype=float)
-    for a in range(nat):
-        for b in range(a + 1, nat):
-            if np.linalg.norm(centers[a] - centers[b]) < 1e-10:
-                raise ValueError(
-                    f"coincident centers {a} and {b}: confocal coordinate degenerate")
+    close = np.triu(np.linalg.norm(centers[:, None] - centers, axis=-1)
+                    < 1e-10, 1)
+    if close.any():
+        a, b = divmod(int(np.argmax(close)), nat)  # first pair, row-major
+        raise ValueError(
+            f"coincident centers {a} and {b}: confocal coordinate degenerate")
     w = becke_weights_kernel(pts, centers, radii, int(stiffness),
                              bool(size_adjust))
     return w[:, 0] if single else w

@@ -1,5 +1,5 @@
 """Minimal-basis H2 models: integrals, CI, energies, natural orbitals."""
-import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from entropart import models
 from entropart.density import ContractedS, contracted_overlap
-from entropart.models import (IntegralSet, boys_f0, build_model, fci_model,
-                              hf_model, hl_model, hydrogen_atom_energy,
-                              integral_engine, natural_orbitals,
-                              sto6g_hydrogen)
+from entropart.models import (boys_f0, build_model, fci_model, hf_model,
+                              hl_model, hydrogen_atom_energy, integral_engine,
+                              natural_orbitals, sto6g_hydrogen)
+from entropart.molecule import Molecule
 from entropart.quadrature import build_molecular_grid, integrate, radial_grid
 
 E_ATOM = -0.4710390541780927
 
 
 # The loop engine that models.py replaced with broadcasts, kept as the
-# reference: scalar F0 and one Python loop per primitive index.
+# reference: scalar F0, one Python loop per primitive index, and the
+# (ij|kl) terms summed exactly rounded.
 
 def _scalar_boys_f0(t):
     if t < 0:
@@ -29,15 +30,16 @@ def _scalar_boys_f0(t):
     return 0.5 * math.sqrt(math.pi / t) * math.erf(math.sqrt(t))
 
 
-def _loop_integral_engine(basis, R):
+def _loop_integral_terms(basis, centers):
+    """S, T, the attraction V[C] of each nucleus C, and (ij|kl)."""
     exps = basis.exponents
     ncf = basis.ncoef
-    A = np.zeros(3)
-    B = np.array([0.0, 0.0, R])
-    L = len(exps)
+    centers = np.asarray(centers, dtype=float)
+    n, L = len(centers), len(exps)
 
     def one_electron(Ri, Rj):
-        s = t = va = vb = 0.0
+        s = t = 0.0
+        v = [0.0] * n
         R2 = float(((Ri - Rj) ** 2).sum())
         for i in range(L):
             for j in range(L):
@@ -49,12 +51,12 @@ def _loop_integral_engine(basis, R):
                 t += base * a * b / p * (3.0 - 2.0 * a * b / p * R2)
                 P = (a * Ri + b * Rj) / p
                 pref = ncf[i] * ncf[j] * 2.0 * math.pi / p * K
-                va -= pref * _scalar_boys_f0(p * float(((P - A) ** 2).sum()))
-                vb -= pref * _scalar_boys_f0(p * float(((P - B) ** 2).sum()))
-        return s, t, va, vb
+                for c, C in enumerate(centers):
+                    v[c] -= pref * _scalar_boys_f0(p * float(((P - C) ** 2).sum()))
+        return s, t, v
 
     def eri(Ri, Rj, Rk, Rl):
-        out = 0.0
+        terms = []
         for i in range(L):
             for j in range(L):
                 p = exps[i] + exps[j]
@@ -69,19 +71,29 @@ def _loop_integral_engine(basis, R):
                         Kkl = math.exp(-exps[k] * exps[l] / q
                                        * float(((Rk - Rl) ** 2).sum()))
                         pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-                        out += (cij * ncf[k] * ncf[l] * Kkl * pref
-                                * _scalar_boys_f0(p * q / (p + q)
-                                                  * float(((P - Q) ** 2).sum())))
-        return out
+                        terms.append(cij * ncf[k] * ncf[l] * Kkl * pref
+                                     * _scalar_boys_f0(p * q / (p + q)
+                                                       * float(((P - Q) ** 2).sum())))
+        return math.fsum(terms)
 
-    _, T_AA, VA_AA, VB_AA = one_electron(A, A)
-    S_AB, T_AB, VA_AB, VB_AB = one_electron(A, B)
-    return IntegralSet(
-        R=R, S=S_AB, T_AA=T_AA, T_AB=T_AB,
-        VA_AA=VA_AA, VB_AA=VB_AA, VA_AB=VA_AB, VB_AB=VB_AB,
-        eri_aaaa=eri(A, A, A, A), eri_aabb=eri(A, A, B, B),
-        eri_abab=eri(A, B, A, B), eri_aaab=eri(A, A, A, B),
-    )
+    S, T, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n, n))
+    for a, b in itertools.product(range(n), repeat=2):
+        S[a, b], T[a, b], V[:, a, b] = one_electron(centers[a], centers[b])
+    # one loop per class (ab|cd), a <= b, c <= d, (a, b) <= (c, d); the
+    # engine's own tensor is checked for exact symmetry separately
+    G = np.zeros((n,) * 4)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    for (a, b), (c, d) in itertools.combinations_with_replacement(pairs, 2):
+        value = eri(*centers[[a, b, c, d]])
+        for i, j, k, l in ((a, b, c, d), (b, a, c, d), (a, b, d, c),
+                           (b, a, d, c)):
+            G[i, j, k, l] = G[k, l, i, j] = value
+    return S, T, V, G
+
+
+def _loop_integral_engine(basis, centers):
+    S, T, V, G = _loop_integral_terms(basis, centers)
+    return S, T + V.sum(0), G
 
 
 def _loop_hydrogen_atom_energy(basis):
@@ -98,16 +110,74 @@ def _loop_hydrogen_atom_energy(basis):
     return E
 
 
-def _assert_integrals_match(ints, ref, floor=0.0):
-    """Every field within 1e-13 relative of the reference, plus ``floor``.
+def _assert_integrals_match(ints, terms, floor=0.0):
+    """S, h and (ij|kl) within 1e-13 relative of the loop terms, plus
+    ``floor``.
 
-    T_AB sums terms of both signs, each no larger than the matching T_AA
-    term, so its rounding is bounded relative to T_AA instead.
+    h = T + sum_C V_C is held to 1e-13 of the sum of its terms' scales,
+    the bound the terms' own bounds give. An off-diagonal T sums terms of
+    both signs, each no larger than the matching diagonal term, so its
+    rounding is bounded relative to the diagonal instead.
     """
-    for f in dataclasses.fields(IntegralSet):
-        got, want = getattr(ints, f.name), getattr(ref, f.name)
-        scale = max(abs(want), abs(ref.T_AA)) if f.name == "T_AB" else abs(want)
-        assert abs(got - want) <= 1e-13 * scale + floor, (f.name, got, want)
+    S, h, G = ints
+    S_ref, T, V, G_ref = terms
+    T_scale = np.maximum(abs(T), T.diagonal().max())
+    for name, got, want, scale in (
+            ("S", S, S_ref, abs(S_ref)),
+            ("h", h, T + V.sum(0), T_scale + abs(V).sum(0)),
+            ("(ij|kl)", G, G_ref, abs(G_ref))):
+        bad = abs(got - want) > 1e-13 * scale + floor
+        assert not bad.any(), (name, got[bad], want[bad])
+
+
+def _assert_exactly_symmetric(ints):
+    S, h, G = ints
+    assert (S == S.T).all() and (h == h.T).all()
+    # (ij|kl) = (ji|kl) = (ij|lk) = (kl|ij) generate all eight permutations
+    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert (G == G.transpose(axes)).all(), axes
+
+
+# The closed forms that the matrix path replaced, kept as its reference:
+# Slater-Condon elements over {sigma_g^2, sigma_u^2}, the Heitler-London
+# energy and pair coefficients, and the lowest eigenvector of the 2x2 CI.
+
+def _ci_matrix(S, h, G):
+    """(H_gg, H_uu, H_gu) from the integrals over {phi_A, phi_B}."""
+    S = S[0, 1]
+    aaaa, aabb, abab, aaab = G[0, 0, 0, 0], G[0, 0, 1, 1], G[0, 1, 0, 1], G[0, 0, 0, 1]
+    h_gg = (h[0, 0] + h[0, 1]) / (1.0 + S)
+    h_uu = (h[0, 0] - h[0, 1]) / (1.0 - S)
+    J_gg = (aaaa + aabb + 4.0 * aaab + 2.0 * abab) / (2.0 * (1.0 + S) ** 2)
+    J_uu = (aaaa + aabb - 4.0 * aaab + 2.0 * abab) / (2.0 * (1.0 - S) ** 2)
+    K_gu = (aaaa - aabb) / (2.0 * (1.0 - S * S))
+    return 2.0 * h_gg + J_gg, 2.0 * h_uu + J_uu, K_gu
+
+
+def _closed_form_model(method, R):
+    """(energy, (c1, c2), (occ_g, occ_u)) of ``method`` at R."""
+    S, h, G = integral_engine(sto6g_hydrogen(), Molecule.h2(R).positions)
+    s = S[0, 1]
+    a, b, k = _ci_matrix(S, h, G)
+    if method == "hl":
+        C = np.array([[1.0, s], [s, 1.0]]) / (1.0 + s * s)
+        E = (2.0 * h[0, 0] + G[0, 0, 1, 1] + 2.0 * s * h[0, 1]
+             + G[0, 1, 0, 1]) / (1.0 + s * s)
+    else:
+        if method == "hf":
+            c1, c2 = 1.0, 0.0
+            E = a
+        else:
+            E = 0.5 * (a + b) - math.sqrt(0.25 * (a - b) ** 2 + k * k)
+            c1, c2 = np.array([k, E - a]) / math.hypot(k, E - a)
+            c1, c2 = (c1, c2) if c1 > 0 else (-c1, -c2)
+        C_AA = c1 * c1 / (1.0 + s) + c2 * c2 / (1.0 - s)
+        C_AB = c1 * c1 / (1.0 + s) - c2 * c2 / (1.0 - s)
+        C = np.array([[C_AA, C_AB], [C_AB, C_AA]])
+    occ = ((C[0, 0] + C[0, 1]) * (1.0 + s), (C[0, 0] - C[0, 1]) * (1.0 - s))
+    ci = (c1, c2) if method != "hl" else (math.sqrt(occ[0] / 2.0),
+                                          -math.sqrt(occ[1] / 2.0))
+    return E + 1.0 / R, ci, occ
 
 
 def test_boys_f0_limits():
@@ -132,8 +202,19 @@ def test_boys_f0_limits():
 @pytest.mark.parametrize("separation", [0.05, 0.5, 1.4, 10.0, 50.0, 1e3])
 def test_integral_engine_matches_loop_reference(separation):
     phi = sto6g_hydrogen()
-    _assert_integrals_match(integral_engine(phi, separation),
-                            _loop_integral_engine(phi, separation))
+    centers = Molecule.h2(separation).positions
+    ints = integral_engine(phi, centers)
+    _assert_exactly_symmetric(ints)
+    _assert_integrals_match(ints, _loop_integral_terms(phi, centers))
+
+
+def test_integral_engine_over_three_centres():
+    phi = ContractedS([3.0, 0.4], [0.3, 0.8])
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.3, 1.4], [1.1, -0.5, 2.0]])
+    ints = integral_engine(phi, centers)
+    assert ints[2].shape == (3, 3, 3, 3)
+    _assert_exactly_symmetric(ints)
+    _assert_integrals_match(ints, _loop_integral_terms(phi, centers))
 
 
 def test_models_match_loop_reference(monkeypatch):
@@ -151,6 +232,17 @@ def test_models_match_loop_reference(monkeypatch):
         assert model.energy == pytest.approx(ref.energy, rel=1e-13, abs=0)
         for c, c_ref in zip(model.ci, ref.ci):
             assert c == pytest.approx(c_ref, rel=1e-13, abs=0), (method, R)
+
+
+@pytest.mark.parametrize("method", models.METHODS)
+def test_matrix_path_matches_closed_forms(method):
+    for R in (0.5, 1.4, 4.0, 10.0, 20.0, 50.0):
+        model = build_model(method, R)
+        energy, ci, occupations = _closed_form_model(method, R)
+        assert model.energy == pytest.approx(energy, rel=1e-13, abs=0), R
+        assert model.ci == pytest.approx(ci, rel=1e-13, abs=0), R
+        occ = [n for n, _, _ in natural_orbitals(model)]
+        assert occ == pytest.approx(occupations, rel=1e-13, abs=0), R
 
 
 _EXPONENT = st.floats(0.05, 50.0)
@@ -171,24 +263,32 @@ def test_integral_engine_matches_loop_reference_for_any_contraction(prims,
     """
     exponents, coefficients = zip(*prims)
     phi = ContractedS(exponents, coefficients)
-    ref = _loop_integral_engine(phi, separation)
-    _assert_integrals_match(integral_engine(phi, separation), ref, floor=1e-290)
-    assert abs(contracted_overlap(phi, phi, separation) - ref.S) \
-        <= 1e-13 * ref.S + 1e-290
+    centers = Molecule.h2(separation).positions
+    S, T, V, G = ref = _loop_integral_terms(phi, centers)
+    ints = integral_engine(phi, centers)
+    _assert_exactly_symmetric(ints)
+    _assert_integrals_match(ints, ref, floor=1e-290)
+    assert abs(contracted_overlap(phi, phi, separation) - S[0, 1]) \
+        <= 1e-13 * S[0, 1] + 1e-290
     # E = T + V can cancel to ~0, so its bound is relative to T and |V|
     assert abs(hydrogen_atom_energy(phi) - _loop_hydrogen_atom_energy(phi)) \
-        <= 1e-13 * (ref.T_AA - ref.VA_AA)
+        <= 1e-13 * (T[0, 0] - V[0, 0, 0])
 
 
 def test_integrals_at_reference_separation():
-    ints = integral_engine(sto6g_hydrogen(), 1.4)
-    assert ints.S == pytest.approx(0.65917616847521, abs=1e-11)
-    assert ints.h_AA == pytest.approx(-1.12462776332783, abs=1e-10)
-    assert ints.h_AB == pytest.approx(-0.96107864286746, abs=1e-10)
-    assert ints.eri_aaaa == pytest.approx(0.77499852133346, abs=1e-10)
-    assert ints.eri_aabb == pytest.approx(0.56967545598241, abs=1e-10)
-    assert ints.eri_abab == pytest.approx(0.29672024037779, abs=1e-10)
-    assert ints.eri_aaab == pytest.approx(0.44392613234157, abs=1e-10)
+    S, h, G = integral_engine(sto6g_hydrogen(), Molecule.h2(1.4).positions)
+    assert S[0, 1] == pytest.approx(0.65917616847521, abs=1e-11)
+    assert h[0, 0] == pytest.approx(-1.12462776332783, abs=1e-10)
+    assert h[0, 1] == pytest.approx(-0.96107864286746, abs=1e-10)
+    assert G[0, 0, 0, 0] == pytest.approx(0.77499852133346, abs=1e-10)
+    assert G[0, 0, 1, 1] == pytest.approx(0.56967545598241, abs=1e-10)
+    assert G[0, 1, 0, 1] == pytest.approx(0.29672024037779, abs=1e-10)
+    assert G[0, 0, 0, 1] == pytest.approx(0.44392613234157, abs=1e-10)
+    # the entries on B mirror those on A
+    assert np.diag(S) == pytest.approx([1.0, 1.0], rel=1e-14)
+    assert h[1, 1] == pytest.approx(h[0, 0], rel=1e-14)
+    assert G[1, 1, 1, 1] == pytest.approx(G[0, 0, 0, 0], rel=1e-14)
+    assert G[1, 1, 1, 0] == pytest.approx(G[0, 0, 0, 1], rel=1e-14)
 
 
 def test_one_center_repulsion_against_radial_quadrature():
@@ -202,8 +302,8 @@ def test_one_center_repulsion_against_radial_quadrature():
     p = phi.value(r) ** 2 * (4.0 * math.pi)   # radial shell density
     inv = 1.0 / np.maximum.outer(r, r)
     oracle = float(w @ (inv * p[None, :] * p[:, None]) @ w)
-    ints = integral_engine(phi, 1.4)
-    assert ints.eri_aaaa == pytest.approx(oracle, abs=1e-4)
+    _, _, G = integral_engine(phi, Molecule.h2(1.4).positions)
+    assert G[0, 0, 0, 0] == pytest.approx(oracle, abs=1e-4)
 
 
 def test_hydrogen_atom_energy():
@@ -242,6 +342,13 @@ def test_ci_coefficients():
     c1, c2 = fci_model(50.0).ci
     assert abs(c1) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     assert abs(c2) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+    # Heitler-London: phi_A phi_B + phi_B phi_A = (1 + S) g^2 - (1 - S) u^2
+    for separation in (0.5, 1.4, 4.0, 50.0):
+        model = hl_model(separation)
+        S = model.S
+        assert model.ci == pytest.approx(
+            np.array([1.0 + S, S - 1.0]) / math.sqrt(2.0 * (1.0 + S * S)),
+            rel=1e-15, abs=0)
 
 
 def test_pair_coefficient_forms():
@@ -259,12 +366,6 @@ def test_pair_coefficient_forms():
     cab = c1 * c1 / (1.0 + S) - c2 * c2 / (1.0 - S)
     np.testing.assert_allclose(
         fci, np.array([[caa, cab], [cab, caa]]), rtol=1e-12)
-
-
-def test_ci_override_reproduces_mean_field_density():
-    forced = fci_model(1.4, ci_override=(1.0, 0.0))
-    np.testing.assert_allclose(forced.pair_coefficients,
-                               hf_model(1.4).pair_coefficients, rtol=1e-14)
 
 
 def test_degenerate_ci_solution():

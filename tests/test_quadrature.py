@@ -175,6 +175,14 @@ def test_becke_coincident_centers_rejected():
     centers = np.zeros((2, 3))
     with pytest.raises(ValueError, match="coincident"):
         becke_weights(np.array([[1.0, 0.0, 0.0]]), centers)
+    # the first coincident pair in (a, b) order is named
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [0.0, 0.0, 1.4]])
+    with pytest.raises(ValueError, match="coincident centers 1 and 2: "):
+        becke_weights(np.array([[1.0, 0.0, 0.0]]), centers)
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4], [0.0, 0.0, 1.4],
+                        [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="coincident centers 0 and 3: "):
+        becke_weights(np.array([[1.0, 0.0, 0.0]]), centers)
 
 
 @pytest.mark.parametrize("position", [
