@@ -7,6 +7,7 @@ the isolated-atom reference data used by infinite-separation checks.
 import dataclasses
 import math
 
+from .backends import Workspace
 from .density import PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid, integrate
@@ -78,13 +79,14 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas, shannon=True, gram=2.0 in alphas)
     before = dataclasses.replace(field.diagnostics)
+    work = Workspace()  # this call's chunk arrays, freed when it returns
     start = 0
 
     def density(points):
         # integrate walks grid.points in order, one _CHUNK at a time
         nonlocal start
-        rho, terms = field.pair_block(points)
-        sums.add(grid.weights[start:start + len(rho)], rho, terms)
+        rho, terms = field.pair_block(points, work)
+        sums.add(grid.weights[start:start + len(rho)], rho, terms, work)
         start += len(rho)
         return rho
 

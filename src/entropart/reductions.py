@@ -16,30 +16,60 @@ Two checks run on every chunk but are raised only by ``check``, after the
 walk, so that the caller can first check normalization: a non-finite
 integrand (reported with its global point index) and, at fractional
 orders, a density or atomic net density below the clamp threshold.
+
+``analysis.analyze_field`` gives the walk one ``backends.Workspace``,
+made for the call and dropped when it returns. Every array of a chunk is
+taken from it: the arrays are allocated at the first chunk and reused,
+so a chunk's values hold only until the next chunk. For nat atoms, nprim
+primitives, K orbitals, m_A primitives on atom A and P = nat(nat+1)/2
+pair terms it holds, in rows of ``_CHUNK`` = 4096 floats:
+
+- ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
+  dz for each axis on which a primitive has a power, (2 + axes) nat rows;
+  the primitive values G, nprim rows; and, for primitives with powers,
+  two arrays as tall as the most primitives with a power on one axis;
+- ``PairDensityField.pair_block``: each atom's value rows,
+  sum_A min(K, m_A); one projected atom's primitive rows, max_A m_A; the
+  product M_AB V_B of ``quad_form_block``, max_A min(K, m_A); the pair
+  terms, P; rho and 2x, 2;
+- ``GridSums.add``: one stack of P rows that holds each pair integrand in
+  turn, in the buffer of G, which grows to max(nprim, P) rows; one row for
+  the integrands of rho; and bool masks of P + 1 rows.
+
+With a bool row counted as 1/8 of a float row, that is 149.6 rows
+(4.7 MiB) for an H8 chain of STO-6G atoms with 4 doubly occupied orbitals
+(nprim 48, P 36), and 34.5 rows (1.1 MiB) for the H2 fci model.
 """
 import collections
 import math
 
 import numpy as np
 
+from .backends import Workspace
 from .density import NEGATIVE_CLAMP
 from .quadrature import _CHUNK
 
 
-def _log_abs(x):
-    """log|x|, with the value 0 assigned at x = 0."""
-    out = np.abs(x)
-    return np.log(out, out=out, where=out > 0)
+def _log_abs(x, out, mask):
+    """log|x| into out, with the value 0 assigned at x = 0; mask is a bool
+    array of the same shape to hold |x| > 0."""
+    np.abs(x, out=out)
+    return np.log(out, out=out, where=np.greater(out, 0, out=mask))
 
 
-def _power(x, alpha: float):
-    """x**alpha with the sign rules of the decomposition: integer orders
-    keep the sign of negative lobes; fractional orders, undefined for
-    negative values, take tiny negatives as zero (anything below the clamp
-    threshold is reported by ``GridSums.check``)."""
+def _power(x, alpha: float, out):
+    """x**alpha into out, with the sign rules of the decomposition: integer
+    orders keep the sign of negative lobes; fractional orders, undefined
+    for negative values, take tiny negatives as zero (anything below the
+    clamp threshold is reported by ``GridSums.check``). In-place ``**=``
+    takes the same shortcuts as ``**`` (a square, a square root)."""
     if float(alpha).is_integer():
-        return x ** int(round(alpha))
-    return np.maximum(x, 0.0) ** alpha
+        np.copyto(out, x)
+        out **= int(round(alpha))
+    else:
+        np.maximum(x, 0.0, out=out)
+        out **= alpha
+    return out
 
 
 def gram_partials_bytes(n_atoms: int, points: int) -> int:
@@ -63,7 +93,8 @@ class GridSums:
 
     def __init__(self, pair_keys=(), alphas=(), shannon=False, gram=False):
         self.pair_keys = list(pair_keys)
-        self._diag = [i for i, (a, b) in enumerate(self.pair_keys) if a == b]
+        self._diag = np.array([i for i, (a, b) in enumerate(self.pair_keys)
+                               if a == b], dtype=np.intp)
         self.alphas = list(alphas)
         self.shannon = shannon
         self.gram = gram
@@ -87,41 +118,56 @@ class GridSums:
                                f"{self._start + int(np.argmax(bad))}")
         self._partials[family].append(partial)
 
-    def add(self, weights, rho=None, terms=None):
+    def add(self, weights, rho=None, terms=None, work=None):
         """Take the partials of one chunk: weights (n,), the density
         rho (n,) and the pair terms (len(pair_keys), n), either of them
-        None when the requested integrals do not need it."""
+        None when the requested integrals do not need it. Each integrand
+        is formed in ``work`` (a ``backends.Workspace``, a fresh one by
+        default) and reduced before the next: a stack shaped like the
+        pair terms, its bool mask, and one row and its mask for rho."""
+        work = Workspace() if work is None else work
         n_pairs = len(self.pair_keys)
+        n = len(weights)
+        row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
+        if terms is not None:
+            # a chunk's primitive values G are spent once its pair terms are
+            # formed, so their buffer holds each pair integrand in turn
+            stack = work.take("G", terms.shape)
+            mask = work.take("stack_mask", terms.shape, bool)
         if self.shannon:
-            self._take("rho_log_rho", (rho * _log_abs(rho))[None],
+            log_rho = _log_abs(rho, row, row_mask)
+            self._take("rho_log_rho", np.multiply(rho, log_rho, out=row),
                        weights, [(1,)])
-            positive = rho > 0
-            q = terms / np.where(positive, rho, 1.0)
-            q[:, ~positive] = 0.0
-            for k, values in enumerate((terms * _log_abs(terms),
-                                        terms * _log_abs(q), terms)):
-                self._take(("pair", k), values, weights,
-                           [(2, i, k) for i in range(n_pairs)])
-        net = terms[self._diag] if terms is not None else None
+            keys = [[(2, i, k) for i in range(n_pairs)] for k in range(3)]
+            np.multiply(terms, _log_abs(terms, stack, mask), out=stack)
+            self._take(("pair", 0), stack, weights, keys[0])
+            positive = rho > 0  # x ln|x / rho|, the quotient 0 where rho = 0
+            np.divide(terms, np.where(positive, rho, 1.0), out=stack)
+            stack[:, ~positive] = 0.0
+            np.multiply(terms, _log_abs(stack, stack, mask), out=stack)
+            self._take(("pair", 1), stack, weights, keys[1])
+            self._take(("pair", 2), terms, weights, keys[2])
         for j, alpha in enumerate(self.alphas):
             fractional = not float(alpha).is_integer()
             if rho is not None:
                 if fractional and (rho < NEGATIVE_CLAMP).any():
                     self._fail((3, j, -1, 0), _sign_message("the density", alpha))
-                self._take(("rho_pow", alpha), _power(rho, alpha)[None],
+                self._take(("rho_pow", alpha), _power(rho, alpha, row),
                            weights, [(3, j, -1, 1)])
-            if net is not None:
+            if terms is not None:
+                net = np.take(terms, self._diag, axis=0, mode="clip",
+                              out=stack[:len(self._diag)])
                 if fractional:
                     for t, low in enumerate((net < NEGATIVE_CLAMP).any(axis=1)):
                         if low:
                             atom = self.pair_keys[self._diag[t]][0]
                             self._fail((3, j, t, 0), _sign_message(
                                 f"the net density of atom {atom}", alpha))
-                self._take(("net_pow", alpha), _power(net, alpha), weights,
+                self._take(("net_pow", alpha), _power(net, alpha, net), weights,
                            [(3, j, t, 1) for t in range(len(self._diag))])
         if self.gram:  # the upper triangle, row by row
             self._partials["gram"].append(
-                ((terms * weights) @ terms.T)[self._upper])
+                (np.multiply(terms, weights, out=stack) @ terms.T)[self._upper])
         self._start += len(weights)
 
     def walk(self, weights, rho=None, pairs=None):
@@ -134,12 +180,13 @@ class GridSums:
             if values is not None and np.shape(values) != weights.shape:
                 raise ValueError(f"field has shape {np.shape(values)}, "
                                  f"expected {weights.shape}")
+        work = Workspace()
         for start in range(0, len(weights), _CHUNK):
             sl = slice(start, start + _CHUNK)
             terms = (None if pairs is None else
                      np.array([pairs[k][sl] for k in self.pair_keys], dtype=float)
                      .reshape(len(self.pair_keys), -1))
-            self.add(weights[sl], None if rho is None else rho[sl], terms)
+            self.add(weights[sl], None if rho is None else rho[sl], terms, work)
         return self
 
     def check(self):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropart import lebedev
-from entropart.backends import becke_weights_kernel, eval_primitives
+from entropart.backends import (EXP_UNDERFLOW, becke_weights_kernel,
+                                eval_primitives)
 from entropart.density import TYPE_POWS, PrimitiveBasis
 from entropart.molecule import Molecule
 from entropart.quadrature import (_BLOCK, WEIGHT_SCREEN, AtomicGridSpec,
@@ -155,6 +156,57 @@ def test_eval_primitives_equals_per_primitive_values(data):
     got = eval_primitives(points, centers, index, exps, norms, pows)
     want = per_primitive_values(points, centers[index], exps, norms, pows)
     assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _underflow_case(points, centers, index, exps, codes, rng):
+    """eval_primitives against the per-primitive values, bit for bit and
+    sign for sign; returns each primitive's alpha * min and max r^2."""
+    pows = np.array([TYPE_POWS[c] for c in codes], dtype=np.int64)
+    norms = rng.uniform(0.5, 2.0, size=len(exps))
+    got = eval_primitives(points, centers, index, exps, norms, pows)
+    want = per_primitive_values(points, centers[index], exps, norms, pows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    r2 = ((points[None] - centers[index][:, None]) ** 2).sum(axis=2)
+    ar2 = exps[:, None] * r2
+    skipped = ar2.min(axis=1) > EXP_UNDERFLOW
+    # the skipped rows are zeros, some of them negative, as exp would give
+    assert (want[skipped] == 0.0).all() and np.signbit(want[skipped]).any()
+    return ar2.min(axis=1), ar2.max(axis=1)
+
+
+def test_underflow_skip_of_every_primitive_on_a_centre(rng):
+    # centre 1 is 60 bohr from every point, so each of its primitives,
+    # s to f with negative dz, underflows at every point of the chunk
+    centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 60.0]])
+    codes = [1, 4, 7, 13, 16, 19, 20, 1, 2, 11]
+    index = np.array([1] * 7 + [0] * 3)
+    exps = rng.uniform(0.3, 4.0, size=len(codes))
+    points = rng.normal(scale=1.0, size=(700, 3))
+    low, _ = _underflow_case(points, centers, index, exps, codes, rng)
+    assert (low[index == 1] > EXP_UNDERFLOW).all()
+    assert (low[index == 0] <= EXP_UNDERFLOW).all()
+
+
+def test_underflow_skip_at_the_threshold(rng):
+    # alpha r^2 between 740 and 750 at every point: primitives whose
+    # minimum lies just above the threshold are skipped, and those whose
+    # range straddles it are exponentiated and underflow at some points;
+    # at 745.1 exp(-alpha r^2) is still the least subnormal
+    centers = np.zeros((1, 3))
+    direction = rng.normal(size=(4096, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    points = direction * np.sqrt(rng.uniform(740.0, 750.0, size=4096))[:, None]
+    points[0] = (math.sqrt(740.0), 0.0, 0.0)
+    codes = [1, 2, 3, 4, 5, 8, 10, 11, 17, 20] * 3
+    # min alpha r^2 about 740, 745.1 and 746.7
+    exps = np.repeat([1.0, 745.1 / 740.0, 1.009], 10)
+    index = np.zeros(len(codes), dtype=np.int64)
+    low, high = _underflow_case(points, centers, index, exps, codes, rng)
+    assert (low[20:] > EXP_UNDERFLOW).all()
+    assert ((low[:20] <= EXP_UNDERFLOW) & (high[:20] > EXP_UNDERFLOW)).all()
+    assert np.exp(-low[10]) > 0.0
 
 
 def test_basis_evaluate_gathers_its_centres(rng):
