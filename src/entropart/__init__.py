@@ -22,10 +22,9 @@ from .quadrature import (AtomicGridSpec, MolecularGrid, becke_weights,
 from .lebedev import SUPPORTED_NODE_COUNTS, lebedev_grid
 from .renyi import (Renyi2Partition, RenyiDecomposition, RenyiNetTerms,
                     RenyiTotals, asymptotic_renyi_reference, renyi2_partition,
-                    renyi_decompose, renyi_net_nadd_intra, renyi_total)
+                    renyi_net_nadd_intra, renyi_total)
 from .shannon import (ShannonDecomposition, ShannonTerms,
-                      asymptotic_shannon_reference, safe_log,
-                      shannon_point_terms)
+                      asymptotic_shannon_reference, safe_log)
 from .wfnio import (WfnDocument, WfnParseError, build_document,
                     density_matrix_from_mos, field_from_document, parse_wfn,
                     write_wfn)
@@ -44,10 +43,10 @@ __all__ = [
     "build_molecular_grid", "integrate", "radial_grid",
     "SUPPORTED_NODE_COUNTS", "lebedev_grid",
     "Renyi2Partition", "RenyiDecomposition", "RenyiNetTerms", "RenyiTotals",
-    "asymptotic_renyi_reference", "renyi2_partition", "renyi_decompose",
-    "renyi_net_nadd_intra", "renyi_total",
+    "asymptotic_renyi_reference", "renyi2_partition", "renyi_net_nadd_intra",
+    "renyi_total",
     "ShannonDecomposition", "ShannonTerms", "asymptotic_shannon_reference",
-    "safe_log", "shannon_point_terms",
+    "safe_log",
     "WfnDocument", "WfnParseError", "build_document",
     "density_matrix_from_mos", "field_from_document", "parse_wfn",
     "write_wfn", "__version__",

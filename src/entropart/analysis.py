@@ -77,7 +77,7 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
-    sums = GridSums(field.pair_keys, alphas, shannon=True, gram=2.0 in alphas)
+    sums = GridSums(field.pair_keys, alphas)
     before = dataclasses.replace(field.diagnostics)
     work = Workspace()  # this call's chunk arrays, freed when it returns
     start = 0

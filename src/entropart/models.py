@@ -217,13 +217,10 @@ def natural_orbitals(model: H2Model):
 
 
 def hydrogen_atom_energy(basis: ContractedS | None = None) -> float:
-    """Energy of one electron in the contracted function on a unit charge."""
+    """Energy of one electron in the contracted function on a unit charge:
+    the core Hamiltonian of ``integral_engine`` on one centre."""
     basis = basis or sto6g_hydrogen()
-    e, c = basis.exponents, basis.ncoef
-    A = np.zeros(3)
-    aa = _gaussian_product(e, c, A, e, c, A)
-    _, T, (V,) = _one_electron(e, aa, 0.0, (A,))
-    return T + V
+    return float(integral_engine(basis, np.zeros(3))[1][0, 0])
 
 
 def atom_field(basis: ContractedS | None = None) -> PairDensityField:

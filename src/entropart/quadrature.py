@@ -33,14 +33,12 @@ _BLOCK = 4 * _CHUNK  # points per block of radial shells while a grid is built
 
 @dataclasses.dataclass(frozen=True)
 class AtomicGridSpec:
-    """Per-atom quadrature specification.
-
-    bragg_radius None means "look up from the element table". The same spec
-    may be shared across atoms of different elements.
+    """Per-atom quadrature specification. Each atom's radial scale is its
+    Bragg radius from the element table, so the same spec may be shared
+    across atoms of different elements.
     """
     n_radial: int = 400
     lebedev_order: int = 194
-    bragg_radius: float | None = None
     stiffness: int = 3
     size_adjust: bool = True
 
@@ -51,8 +49,6 @@ class AtomicGridSpec:
             raise ValueError(
                 f"lebedev_order {self.lebedev_order} not in supported set "
                 f"{list(lebedev.SUPPORTED_NODE_COUNTS)}")
-        if self.bragg_radius is not None and self.bragg_radius <= 0:
-            raise ValueError("bragg_radius must be positive")
         if self.stiffness < 1:
             raise ValueError("stiffness must be >= 1")
 
@@ -166,8 +162,7 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     if spec is None:
         spec = AtomicGridSpec()
     centers = molecule.positions
-    radii = (np.full(len(molecule), spec.bragg_radius)
-             if spec.bragg_radius is not None else molecule.bragg_radii())
+    radii = molecule.bragg_radii()
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     shells = max(1, _BLOCK // len(ang_wts))
     size, _ = grid_estimate(len(molecule), spec)

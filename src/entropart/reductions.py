@@ -5,12 +5,18 @@ needs over the quadrature grid: int rho ln rho; for every unique pair
 term x = rho^AB the triple int x ln|x|, int x ln|x / rho| and int x; for
 every order alpha int rho**alpha and, per atom, int (rho^AA)**alpha; and
 at alpha = 2 the Gram matrix int x_i x_j of the pair terms (kept as its
-upper triangle). ``GridSums.add`` takes the
+upper triangle). ``GridSums`` serves ``analysis.analyze_field`` alone and
+takes all of them, with no flags: the orders it is given fix the moments,
+and order 2 among them the Gram matrix. ``GridSums.add`` takes the
 values at one chunk of the grid and keeps each integrand's chunk partial,
 its dot product with the weights; each integral is the exactly rounded sum
 (``math.fsum``) of its partials. The chunks are the fixed integration
 chunks of ``quadrature.integrate``, so results do not depend on how the
-values were evaluated, and repeated runs agree bit for bit.
+values were evaluated, and repeated runs agree bit for bit. The array
+functions of ``shannon`` and ``renyi`` are the direct reference: they take
+each integral with ``integrate`` over whole arrays and share only the sign
+rules of ``_power`` and their refusal message, and the tests hold the
+walk to them.
 
 Two checks run on every chunk but are raised only by ``check``, after the
 walk, so that the caller can first check normalization: a non-finite
@@ -45,7 +51,6 @@ import math
 
 import numpy as np
 
-from .backends import Workspace
 from .density import NEGATIVE_CLAMP
 from .quadrature import _CHUNK
 
@@ -85,19 +90,18 @@ def gram_partials_bytes(n_atoms: int, points: int) -> int:
 class GridSums:
     """Chunk partials of the grid integrals of one field on one grid.
 
-    pair_keys orders the rows of the pair-term stacks given to ``add``;
-    ``shannon`` asks for int rho ln rho and the pair triples,
-    ``alphas`` for the moments of rho and of the atomic net densities, and
-    ``gram`` for the Gram matrix of the pair terms.
+    pair_keys orders the rows of the pair-term stacks given to ``add``, and
+    alphas are the orders whose moments of rho and of the atomic net
+    densities are taken. The Shannon integrals are always taken, and the
+    Gram matrix of the pair terms when 2.0 is among the orders.
     """
 
-    def __init__(self, pair_keys=(), alphas=(), shannon=False, gram=False):
+    def __init__(self, pair_keys, alphas):
         self.pair_keys = list(pair_keys)
         self._diag = np.array([i for i, (a, b) in enumerate(self.pair_keys)
                                if a == b], dtype=np.intp)
         self.alphas = list(alphas)
-        self.shannon = shannon
-        self.gram = gram
+        self.gram = 2.0 in self.alphas
         self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
         self._failures = {}  # sort key (the order of the checks) -> message
@@ -118,76 +122,51 @@ class GridSums:
                                f"{self._start + int(np.argmax(bad))}")
         self._partials[family].append(partial)
 
-    def add(self, weights, rho=None, terms=None, work=None):
+    def add(self, weights, rho, terms, work):
         """Take the partials of one chunk: weights (n,), the density
-        rho (n,) and the pair terms (len(pair_keys), n), either of them
-        None when the requested integrals do not need it. Each integrand
-        is formed in ``work`` (a ``backends.Workspace``, a fresh one by
-        default) and reduced before the next: a stack shaped like the
-        pair terms, its bool mask, and one row and its mask for rho."""
-        work = Workspace() if work is None else work
+        rho (n,) and the pair terms (len(pair_keys), n). Each integrand
+        is formed in ``work`` (a ``backends.Workspace``) and reduced before
+        the next: a stack shaped like the pair terms, its bool mask, and
+        one row and its mask for rho."""
         n_pairs = len(self.pair_keys)
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
-        if terms is not None:
-            # a chunk's primitive values G are spent once its pair terms are
-            # formed, so their buffer holds each pair integrand in turn
-            stack = work.take("G", terms.shape)
-            mask = work.take("stack_mask", terms.shape, bool)
-        if self.shannon:
-            log_rho = _log_abs(rho, row, row_mask)
-            self._take("rho_log_rho", np.multiply(rho, log_rho, out=row),
-                       weights, [(1,)])
-            keys = [[(2, i, k) for i in range(n_pairs)] for k in range(3)]
-            np.multiply(terms, _log_abs(terms, stack, mask), out=stack)
-            self._take(("pair", 0), stack, weights, keys[0])
-            positive = rho > 0  # x ln|x / rho|, the quotient 0 where rho = 0
-            np.divide(terms, np.where(positive, rho, 1.0), out=stack)
-            stack[:, ~positive] = 0.0
-            np.multiply(terms, _log_abs(stack, stack, mask), out=stack)
-            self._take(("pair", 1), stack, weights, keys[1])
-            self._take(("pair", 2), terms, weights, keys[2])
+        # a chunk's primitive values G are spent once its pair terms are
+        # formed, so their buffer holds each pair integrand in turn
+        stack = work.take("G", terms.shape)
+        mask = work.take("stack_mask", terms.shape, bool)
+        log_rho = _log_abs(rho, row, row_mask)
+        self._take("rho_log_rho", np.multiply(rho, log_rho, out=row),
+                   weights, [(1,)])
+        keys = [[(2, i, k) for i in range(n_pairs)] for k in range(3)]
+        np.multiply(terms, _log_abs(terms, stack, mask), out=stack)
+        self._take(("pair", 0), stack, weights, keys[0])
+        positive = rho > 0  # x ln|x / rho|, the quotient 0 where rho = 0
+        np.divide(terms, np.where(positive, rho, 1.0), out=stack)
+        stack[:, ~positive] = 0.0
+        np.multiply(terms, _log_abs(stack, stack, mask), out=stack)
+        self._take(("pair", 1), stack, weights, keys[1])
+        self._take(("pair", 2), terms, weights, keys[2])
         for j, alpha in enumerate(self.alphas):
             fractional = not float(alpha).is_integer()
-            if rho is not None:
-                if fractional and (rho < NEGATIVE_CLAMP).any():
-                    self._fail((3, j, -1, 0), _sign_message("the density", alpha))
-                self._take(("rho_pow", alpha), _power(rho, alpha, row),
-                           weights, [(3, j, -1, 1)])
-            if terms is not None:
-                net = np.take(terms, self._diag, axis=0, mode="clip",
-                              out=stack[:len(self._diag)])
-                if fractional:
-                    for t, low in enumerate((net < NEGATIVE_CLAMP).any(axis=1)):
-                        if low:
-                            atom = self.pair_keys[self._diag[t]][0]
-                            self._fail((3, j, t, 0), _sign_message(
-                                f"the net density of atom {atom}", alpha))
-                self._take(("net_pow", alpha), _power(net, alpha, net), weights,
-                           [(3, j, t, 1) for t in range(len(self._diag))])
+            if fractional and (rho < NEGATIVE_CLAMP).any():
+                self._fail((3, j, -1, 0), _sign_message("the density", alpha))
+            self._take(("rho_pow", alpha), _power(rho, alpha, row),
+                       weights, [(3, j, -1, 1)])
+            net = np.take(terms, self._diag, axis=0, mode="clip",
+                          out=stack[:len(self._diag)])
+            if fractional:
+                for t, low in enumerate((net < NEGATIVE_CLAMP).any(axis=1)):
+                    if low:
+                        atom = self.pair_keys[self._diag[t]][0]
+                        self._fail((3, j, t, 0), _sign_message(
+                            f"the net density of atom {atom}", alpha))
+            self._take(("net_pow", alpha), _power(net, alpha, net), weights,
+                       [(3, j, t, 1) for t in range(len(self._diag))])
         if self.gram:  # the upper triangle, row by row
             self._partials["gram"].append(
                 (np.multiply(terms, weights, out=stack) @ terms.T)[self._upper])
         self._start += len(weights)
-
-    def walk(self, weights, rho=None, pairs=None):
-        """``add`` over whole arrays, one integration chunk at a time;
-        pairs maps each of pair_keys to its array."""
-        weights = np.asarray(weights, dtype=float)
-        if rho is not None:
-            rho = np.asarray(rho, dtype=float)
-        for values in [rho] + list((pairs or {}).values()):
-            if values is not None and np.shape(values) != weights.shape:
-                raise ValueError(f"field has shape {np.shape(values)}, "
-                                 f"expected {weights.shape}")
-        work = Workspace()
-        for start in range(0, len(weights), _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            terms = (None if pairs is None else
-                     np.array([pairs[k][sl] for k in self.pair_keys], dtype=float)
-                     .reshape(len(self.pair_keys), -1))
-            self.add(weights[sl], None if rho is None else rho[sl], terms, work)
-        return self
 
     def check(self):
         """Raise the first failure recorded during the walk, in the order
@@ -195,18 +174,12 @@ class GridSums:
         if self._failures:
             raise ValueError(self._failures[min(self._failures)])
 
-    def integral(self, family, size: int = 1) -> np.ndarray:
-        """Integrals of one family: the fsum of its chunk partials, per row
-        (zeros of length ``size`` before any chunk)."""
-        parts = self._partials[family]
-        if not parts:
-            return np.zeros(size)
-        return np.array([math.fsum(col) for col in np.array(parts).T])
-
-    def pair_integrals(self, k: int) -> np.ndarray:
-        """Per pair term, int x ln|x| (k = 0), int x ln|x / rho| (k = 1) or
-        int x (k = 2)."""
-        return self.integral(("pair", k), len(self.pair_keys))
+    def integral(self, family) -> np.ndarray:
+        """Integrals of one family: the fsum of its chunk partials, per row.
+        ("pair", k) holds, per pair term, int x ln|x| (k = 0),
+        int x ln|x / rho| (k = 1) or int x (k = 2)."""
+        return np.array([math.fsum(col)
+                         for col in np.array(self._partials[family]).T])
 
     def moment(self, alpha: float) -> float:
         """int rho**alpha."""
@@ -214,7 +187,7 @@ class GridSums:
 
     def net_moments(self, alpha: float) -> dict:
         """int (rho^AA)**alpha per atom A."""
-        values = self.integral(("net_pow", alpha), len(self._diag))
+        values = self.integral(("net_pow", alpha))
         return {self.pair_keys[i][0]: float(v)
                 for i, v in zip(self._diag, values)}
 
@@ -223,7 +196,7 @@ class GridSums:
         n = len(self.pair_keys)
         upper = self._upper
         gram = np.empty((n, n))
-        gram[upper] = self.integral("gram", len(upper[0]))
+        gram[upper] = self.integral("gram")
         gram.T[upper] = gram[upper]
         return gram
 

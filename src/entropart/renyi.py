@@ -3,6 +3,13 @@
 All entropies are in nats. The order-2 entropy admits a full pair-pair
 partition with weights over ordered atom 4-tuples; every order admits
 atomic net and intra-atomic nonadditive terms.
+
+``renyi_from_sums`` builds every result from the chunk partials of the
+streamed walk (``reductions.GridSums``). ``renyi_total``,
+``renyi_net_nadd_intra`` and ``renyi2_partition`` are the direct
+reference: each takes its integrals with ``quadrature.integrate`` over
+whole arrays; of the walk's code they share only the sign rules of
+``reductions._power`` and their refusal message.
 """
 
 import dataclasses
@@ -11,7 +18,9 @@ import math
 
 import numpy as np
 
-from .reductions import GridSums
+from .density import NEGATIVE_CLAMP
+from .quadrature import integrate
+from .reductions import GridSums, _power, _sign_message
 
 # orders this close to 1 are rejected; the Shannon module is the limit
 ALPHA_ONE_GUARD = 1e-9
@@ -54,6 +63,17 @@ def _totals(alpha: float, moment: float, n_grid: float) -> RenyiTotals:
                        shape=pref * (log_moment - alpha * math.log(n_grid)))
 
 
+def _moment(values, weights, alpha: float, name: str) -> float:
+    """int values**alpha by ``integrate``, with the sign rules of
+    ``reductions._power``; a fractional order refuses values below the
+    clamp threshold, as the walk does."""
+    values = np.asarray(values, dtype=float)
+    if not alpha.is_integer() and (values < NEGATIVE_CLAMP).any():
+        raise ValueError(_sign_message(name, alpha))
+    return integrate(_power(values, alpha, np.empty_like(values)),
+                     weights=np.asarray(weights, dtype=float))
+
+
 def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
     """Order-alpha Renyi entropy of a density sampled on a grid.
 
@@ -62,9 +82,7 @@ def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
     int sigma**alpha = int rho**alpha / n_grid**alpha.
     """
     alpha = _validate_alpha(alpha)
-    sums = GridSums(alphas=(alpha,)).walk(weights, rho=rho)
-    sums.check()
-    return _totals(alpha, sums.moment(alpha), n_grid)
+    return _totals(alpha, _moment(rho, weights, alpha, "the density"), n_grid)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,16 +103,6 @@ class Renyi2Partition:
         return self.add - self.nadd - self.total
 
 
-def _gram(pairs, keys, weights) -> np.ndarray:
-    """Matrix of int x_i x_j over the pair terms in the order of keys.
-
-    The grid is walked in the fixed integration chunks; each chunk gives
-    every entry's partial at once, and each entry is the exactly rounded
-    sum of its partials, as ``integrate`` would give it.
-    """
-    return GridSums(keys, gram=True).walk(weights, pairs=pairs).gram_matrix()
-
-
 def _partition(keys, gram) -> Renyi2Partition:
     """The order-2 partition from the Gram matrix of the pair terms."""
     nat = max(b for _, b in keys) + 1
@@ -113,9 +121,15 @@ def _partition(keys, gram) -> Renyi2Partition:
 
 
 def renyi2_partition(pairs, weights) -> Renyi2Partition:
-    """Pair-pair partition of the order-2 entropy from pair-term arrays."""
-    keys = sorted(pairs.keys())
-    return _partition(keys, _gram(pairs, keys, weights))
+    """Pair-pair partition of the order-2 entropy from pair-term arrays,
+    each Gram entry int x_i x_j one ``integrate``."""
+    keys = sorted(pairs)
+    weights = np.asarray(weights, dtype=float)
+    x = [np.asarray(pairs[k], dtype=float) for k in keys]
+    gram = np.empty((len(keys), len(keys)))
+    for i, j in itertools.combinations_with_replacement(range(len(keys)), 2):
+        gram[i, j] = gram[j, i] = integrate(x[i] * x[j], weights=weights)
+    return _partition(keys, gram)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,10 +162,10 @@ def renyi_net_nadd_intra(pairs, weights, alpha: float,
     (rho^AA)**alpha.
     """
     alpha = _validate_alpha(alpha)
-    net = {key: x for key, x in pairs.items() if key[0] == key[1]}
-    sums = GridSums(sorted(net), alphas=(alpha,)).walk(weights, pairs=net)
-    sums.check()
-    return _net_terms(alpha, sums.net_moments(alpha), moment)
+    atom_moments = {a: _moment(pairs[(a, b)], weights, alpha,
+                               f"the net density of atom {a}")
+                    for a, b in sorted(pairs) if a == b}
+    return _net_terms(alpha, atom_moments, moment)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,27 +181,14 @@ class RenyiDecomposition:
 def renyi_from_sums(sums: GridSums, alpha: float,
                     n_grid: float) -> RenyiDecomposition:
     """Order-alpha results from the partials of a finished, checked
-    ``GridSums`` that took the moments at alpha (and the Gram matrix at
-    alpha = 2)."""
+    ``GridSums`` that took the moments at alpha; the pair partition, at
+    alpha = 2 only, comes from its Gram matrix."""
     totals = _totals(alpha, sums.moment(alpha), n_grid)
     net_terms = _net_terms(alpha, sums.net_moments(alpha), totals.moment)
     partition = (_partition(sums.pair_keys, sums.gram_matrix())
                  if alpha == 2.0 else None)
     return RenyiDecomposition(alpha=alpha, totals=totals,
                               net_terms=net_terms, pair_partition=partition)
-
-
-def renyi_decompose(rho, pairs, weights, alpha: float,
-                    n_grid: float) -> RenyiDecomposition:
-    """Full order-alpha analysis from one field evaluation.
-
-    The ordered pair-pair partition exists only at alpha = 2; for other
-    orders pair_partition is None.
-    """
-    alpha = _validate_alpha(alpha)
-    sums = GridSums(sorted(pairs), alphas=(alpha,), gram=alpha == 2.0)
-    sums.walk(weights, rho, pairs).check()
-    return renyi_from_sums(sums, alpha, n_grid)
 
 
 def asymptotic_renyi_reference(alpha, atom_entropies, atom_moments,

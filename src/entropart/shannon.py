@@ -3,6 +3,11 @@
 All entropies are in nats. The decomposition splits the total into
 atomic net terms, interatomic overlap terms, and a nonadditive part,
 with the additive part equal to net + overlap by construction.
+
+``shannon_from_sums`` builds it from the chunk partials of the streamed
+walk (``reductions.GridSums``). ``shannon_from_arrays`` is the direct
+reference: it takes each integral with ``quadrature.integrate`` over
+whole arrays and shares no reduction code with the walk.
 """
 
 import dataclasses
@@ -11,6 +16,7 @@ import math
 import numpy as np
 
 from .density import ClampDiagnostics
+from .quadrature import integrate
 from .reductions import GridSums
 
 # the grid must reproduce the electron count this well before entropies
@@ -25,34 +31,6 @@ def safe_log(x):
     nz = x != 0
     out[nz] = np.log(np.abs(x[nz]))
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class ShannonPointTerms:
-    """Integrands of the decomposition, evaluated per point."""
-
-    total: np.ndarray   # -rho log rho
-    add: np.ndarray     # additive integrand, summed over ordered pairs
-    nadd: np.ndarray    # nonadditive integrand, summed over ordered pairs
-
-
-def shannon_point_terms(rho, pairs) -> ShannonPointTerms:
-    """Pointwise integrands from a (rho, pairs) field evaluation.
-
-    The additive and nonadditive integrands close pointwise:
-    add - nadd = total wherever rho > 0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    total = -rho * safe_log(rho)
-    add = np.zeros(rho.shape)
-    nadd = np.zeros(rho.shape)
-    denom = np.where(rho > 0, rho, 1.0)
-    for (a, b), x in pairs.items():
-        mult = 1.0 if a == b else 2.0
-        q = np.where(rho > 0, x / denom, 0.0)
-        add += mult * (-x * safe_log(x))
-        nadd += mult * (-x * safe_log(q))
-    return ShannonPointTerms(total=total, add=add, nadd=nadd)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,26 +49,10 @@ class ShannonTerms:
         return self.add - self.nadd - self.total
 
 
-def _integrals(rho, pairs, weights):
-    """The grid integrals behind a decomposition: -int rho log rho, and for
-    every unique pair term x = rho^AB the triple (-int x log x,
-    -int x log(x / rho), int x)."""
-    sums = GridSums(sorted(pairs), shannon=True).walk(weights, rho, pairs)
-    sums.check()
-    return _sums_integrals(sums)
-
-
-def _sums_integrals(sums: GridSums):
-    """``_integrals`` from the partials of a finished ``GridSums``."""
-    total = -float(sums.integral("rho_log_rho")[0])
-    one_sided, nadd, population = (sums.pair_integrals(k) for k in range(3))
-    parts = {key: (-float(one_sided[i]), -float(nadd[i]), float(population[i]))
-             for i, key in enumerate(sums.pair_keys)}
-    return total, parts
-
-
 def _terms(total, parts, n: float = 1.0) -> ShannonTerms:
-    """Decomposition of rho / n from the integrals of rho (``_integrals``).
+    """Decomposition of rho / n from the integrals of rho: total is
+    -int rho log rho, and parts maps every unique pair term x = rho^AB to
+    the triple (-int x log|x|, -int x log|x / rho|, int x).
 
     Exact scaling: -(x/n) log(x/n) = (-x log x + x ln n) / n for every pair
     term x, and x / rho does not change, so nadd scales as 1/n; with n the
@@ -145,7 +107,10 @@ def shannon_from_sums(sums: GridSums, n_grid: float,
     n_grid is the grid integral of rho. The shape-function terms follow
     from the same integrals as the density terms, by exact scaling.
     """
-    total, parts = _sums_integrals(sums)
+    total = -float(sums.integral("rho_log_rho")[0])
+    one_sided, nadd, population = (sums.integral(("pair", k)) for k in range(3))
+    parts = {key: (-float(one_sided[i]), -float(nadd[i]), float(population[i]))
+             for i, key in enumerate(sums.pair_keys)}
     return ShannonDecomposition(
         n_grid=n_grid, density=_terms(total, parts),
         shape=_terms(total, parts, n_grid), diagnostics=diagnostics)
@@ -153,10 +118,24 @@ def shannon_from_sums(sums: GridSums, n_grid: float,
 
 def shannon_from_arrays(rho, pairs, weights, n_grid: float,
                         diagnostics: ClampDiagnostics) -> ShannonDecomposition:
-    """Decomposition from an already evaluated (rho, pairs) field."""
-    sums = GridSums(sorted(pairs), shannon=True).walk(weights, rho, pairs)
-    sums.check()
-    return shannon_from_sums(sums, n_grid, diagnostics)
+    """Decomposition from an already evaluated (rho, pairs) field, each
+    integral one ``integrate`` over the whole arrays; the quotient x / rho
+    is taken as 0 where rho = 0."""
+    weights = np.asarray(weights, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    positive = rho > 0
+    denom = np.where(positive, rho, 1.0)
+    total = -integrate(rho * safe_log(rho), weights=weights)
+    parts = {}
+    for key in sorted(pairs):
+        x = np.asarray(pairs[key], dtype=float)
+        quotient = np.where(positive, x / denom, 0.0)
+        parts[key] = (-integrate(x * safe_log(x), weights=weights),
+                      -integrate(x * safe_log(quotient), weights=weights),
+                      integrate(x, weights=weights))
+    return ShannonDecomposition(
+        n_grid=n_grid, density=_terms(total, parts),
+        shape=_terms(total, parts, n_grid), diagnostics=diagnostics)
 
 
 def asymptotic_shannon_reference(atom_entropies, electron_counts):

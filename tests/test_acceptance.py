@@ -16,8 +16,9 @@ from entropart import (AtomicGridSpec, analyze_field, build_molecular_grid,
                        integrate)
 from entropart.models import build_model, hydrogen_atom_energy
 from entropart.molecule import Molecule
-from entropart.shannon import shannon_point_terms
 from entropart.wfnio import field_from_document, parse_wfn, write_wfn
+
+from references import shannon_point_terms
 
 LN2 = math.log(2.0)
 LADDER = (1.4, 2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0)

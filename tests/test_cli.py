@@ -1,18 +1,27 @@
 """Command-line interface: subcommands, formats, config, exit codes."""
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import entropart
+
 QUICK = ["--n-radial", "150", "--lebedev", "110"]
+
+
+# the subprocess imports the package the tests import, installed or not
+SRC = os.path.dirname(os.path.dirname(entropart.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run_cli(*argv, check=None):
     proc = subprocess.run([sys.executable, "-m", "entropart.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     if check is not None:
         assert proc.returncode == check, proc.stderr
     return proc

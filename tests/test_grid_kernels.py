@@ -78,8 +78,7 @@ def per_primitive_values(points, prim_centers, prim_exps, prim_norms,
 def listed_grid(molecule, spec, kernel):
     """The grid built atom by atom into lists, then stacked."""
     centers = molecule.positions
-    radii = (np.full(len(molecule), spec.bragg_radius)
-             if spec.bragg_radius is not None else molecule.bragg_radii())
+    radii = molecule.bragg_radii()
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     all_pts, all_wts, owners = [], [], []
     for a in range(len(molecule)):

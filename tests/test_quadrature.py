@@ -54,8 +54,9 @@ def test_grid_spec_validation():
         AtomicGridSpec(n_radial=0)
     with pytest.raises(ValueError, match="stiffness"):
         AtomicGridSpec(stiffness=0)
-    with pytest.raises(ValueError, match="bragg"):
-        AtomicGridSpec(bragg_radius=-0.2)
+    # every atom's radial scale comes from the element table
+    with pytest.raises(TypeError, match="bragg_radius"):
+        AtomicGridSpec(bragg_radius=0.7)
 
 
 def test_single_atom_grid_point_count():

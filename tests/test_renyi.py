@@ -9,8 +9,7 @@ from entropart.models import atom_field
 from entropart.molecule import Atom, Molecule
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid
 from entropart.renyi import (asymptotic_renyi_reference, renyi2_partition,
-                             renyi_decompose, renyi_net_nadd_intra,
-                             renyi_total)
+                             renyi_net_nadd_intra, renyi_total)
 
 LN2 = math.log(2.0)
 

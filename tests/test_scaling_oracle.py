@@ -3,8 +3,9 @@
 ``analyze_field`` derives every shape-function number from the density
 terms and the grid electron count N by exact scaling, and the order-2 Gram
 matrix from one blocked pass. The references here take the long way: the
-density reduction run again on rho / N and every pair term / N, the
-integral of (rho / N)**alpha, and one ``integrate`` per pair of pair terms.
+direct array reduction run on rho / N and every pair term / N, the
+integral of (rho / N)**alpha, and one ``integrate`` per pair of pair terms
+against the Gram matrix of ``GridSums.add`` fed chunk by chunk.
 """
 import math
 
@@ -14,14 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entropart.analysis import analyze_field
-from entropart.density import (TYPE_POWS, DensityMatrix, PairDensityField,
-                               PrimitiveBasis)
+from entropart.density import (TYPE_POWS, ClampDiagnostics, DensityMatrix,
+                               PairDensityField, PrimitiveBasis)
 from entropart.models import build_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
                                   integrate)
-from entropart.renyi import _gram, renyi_total
-from entropart.shannon import NORMALIZATION_TOLERANCE, _integrals, _terms
+from entropart.renyi import renyi_total
+from entropart.shannon import NORMALIZATION_TOLERANCE, shannon_from_arrays
+
+from references import walk
 
 ALPHAS = (0.5, 2.0, 3.0)
 SPEC = AtomicGridSpec(n_radial=150, lebedev_order=110)
@@ -35,8 +38,8 @@ def check_against_sigma_pass(field, grid, fa, floor=0.0):
 
     rho, pairs = field.pair_fields(grid.points)
     n = fa.n_grid
-    sigma = _terms(*_integrals(rho / n, {k: v / n for k, v in pairs.items()},
-                               grid.weights))
+    sigma = shannon_from_arrays(rho / n, {k: v / n for k, v in pairs.items()},
+                                grid.weights, 1.0, ClampDiagnostics()).density
     shape = fa.shannon.shape
     for name in ("total", "add", "nadd"):
         _close(getattr(shape, name), getattr(sigma, name))
@@ -52,10 +55,14 @@ def check_against_sigma_pass(field, grid, fa, floor=0.0):
 
 
 def check_gram(pairs, weights):
+    # the streamed Gram matrix, with rho the sum of the pair terms
     keys = sorted(pairs)
     direct = np.array([[integrate(pairs[i] * pairs[j], weights=weights)
                         for j in keys] for i in keys])
-    blocked = _gram(pairs, keys, weights)
+    rho = sum((1.0 if a == b else 2.0) * pairs[a, b] for a, b in keys)
+    sums = walk(weights, rho, pairs, (2.0,))
+    sums.check()
+    blocked = sums.gram_matrix()
     assert np.array_equal(blocked, blocked.T)
     assert np.max(np.abs(blocked - direct)) <= 1e-13 * np.max(np.abs(direct))
 

@@ -8,8 +8,9 @@ from entropart.analysis import analyze_field
 from entropart.models import atom_field
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid
 from entropart.shannon import (asymptotic_shannon_reference,
-                               check_normalization, safe_log,
-                               shannon_point_terms)
+                               check_normalization, safe_log)
+
+from references import shannon_point_terms
 
 LN2 = math.log(2.0)
 
