@@ -83,7 +83,7 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     start = 0
 
     def density(points):
-        # integrate walks grid.points in order, one _CHUNK at a time
+        # integrate walks grid.chunks() in order, one _CHUNK at a time
         nonlocal start
         rho, terms = field.pair_block(points, work)
         sums.add(grid.weights[start:start + len(rho)], rho, terms, work)

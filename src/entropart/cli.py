@@ -23,7 +23,8 @@ from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
                        hydrogen_reference)
 from .models import METHODS
 from .molecule import MAX_COORDINATE, Molecule
-from .quadrature import AtomicGridSpec, build_molecular_grid, grid_estimate
+from .quadrature import (MAX_GRID_POINTS, AtomicGridSpec, build_molecular_grid,
+                         grid_estimate)
 from .reductions import gram_partials_bytes
 from .wfnio import WfnParseError, field_from_document, parse_wfn
 
@@ -175,9 +176,10 @@ class Settings:
         return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
 
     def require_grid_fits(self, n_atoms, alphas=()):
-        """Refuse, before anything is allocated, a grid larger than memory:
-        its arrays and, when the analysis on it takes order 2 among alphas,
-        the Gram partials that grow with it."""
+        """Refuse, before anything is allocated, a grid larger than memory
+        (its arrays and, when the analysis on it takes order 2 among
+        alphas, the Gram partials that grow with it) or than its 32-bit
+        point indices address."""
         points, nbytes = grid_estimate(n_atoms, self.grid_spec)
         what = f"a grid of {points} points"
         if 2.0 in alphas:
@@ -186,11 +188,15 @@ class Settings:
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, OSError, ValueError):
-            return  # the platform does not say
-        if nbytes > memory:
+            memory = None  # the platform does not say
+        if memory is not None and nbytes > memory:
             raise UsageError(
                 f"{what} needs at least {nbytes / 2**30:.1f} GiB, more than "
                 f"the {memory / 2**30:.1f} GiB of physical memory")
+        if points > MAX_GRID_POINTS:
+            raise UsageError(f"a grid of {points} points exceeds the "
+                             f"{MAX_GRID_POINTS} that 32-bit point indices "
+                             "address")
 
 
 def _leaf(column, path, key, value):
@@ -511,9 +517,13 @@ def cmd_grid_dump(args):
         stream.write(f"# entropart {__version__} grid-dump: {what}\n")
         stream.write(f"# {settings.grid_comment()}\n")
         stream.write("x,y,z,weight,owner_atom\n")
-        for p, w, o in zip(grid.points, grid.weights, grid.owner_atom):
-            stream.write(f"{_fnum(p[0])},{_fnum(p[1])},{_fnum(p[2])},"
-                         f"{_fnum(w)},{int(o)}\n")
+        owners = grid.owner_atom
+        for start, pts in grid.chunks():
+            stop = start + len(pts)
+            for p, w, o in zip(pts, grid.weights[start:stop],
+                               owners[start:stop]):
+                stream.write(f"{_fnum(p[0])},{_fnum(p[1])},{_fnum(p[2])},"
+                             f"{_fnum(w)},{int(o)}\n")
     return 0
 
 

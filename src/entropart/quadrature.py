@@ -5,15 +5,20 @@ A molecular grid is the union of per-atom product grids (radial x angular),
 each point carrying weight 4*pi * w_rad * w_ang * omega_Becke. Points whose
 combined weight falls below 1e-16 are dropped; they contribute nothing at
 the tolerances this package states. The cell weights come from the NumPy
-kernel ``backends.becke_weights_kernel``. Each atom grid is built and
-weighed in blocks of whole radial shells, at most ``_BLOCK`` points each
-(one shell of every supported Lebedev order fits), and each block's kept
-points, weights and owners are written straight into the grid's arrays,
-allocated once at the size ``grid_estimate`` gives. Beyond those arrays the
-build holds about 2 nat + 9 floats per point of one block, a bound that
-does not grow with the grid. Every step is elementwise per point, apart
-from the sum of the cell weights over atoms, so the grid does not depend on
-the block size.
+kernel ``backends.becke_weights_kernel``. A point is fixed by its atom,
+radial shell and Lebedev direction, so the grid keeps for each kept point
+only its weight and a 32-bit flat index into the unscreened product grid,
+12 bytes, plus each atom's radial nodes and the directions. Coordinates
+are formed as they are needed, one integration chunk at a time, the way
+the build forms them (r * u, then plus the centre, per axis), so they are
+the same bits each time. Each atom grid is built and weighed in blocks of
+whole radial shells, at most ``_BLOCK`` points each (one shell of every
+supported Lebedev order fits), and each block's kept weights and indices
+are written straight into the grid's arrays, allocated once at the size
+``grid_estimate`` gives. Beyond those arrays the build holds about
+2 nat + 9 floats per point of one block, a bound that does not grow with
+the grid. Every step is elementwise per point, apart from the sum of the
+cell weights over atoms, so the grid does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from .molecule import Molecule
 WEIGHT_SCREEN = 1e-16
 _CHUNK = 4096  # fixed chunk size: the deterministic reduction contract
 _BLOCK = 4 * _CHUNK  # points per block of radial shells while a grid is built
+MAX_GRID_POINTS = 2**31 - 1  # the most that int32 point indices address
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,14 +63,17 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     """(points, bytes) of a molecular grid before it is built.
 
     Points are counted before weight screening; bytes are what
-    ``build_molecular_grid`` allocates for the grid's arrays (three
-    coordinates, a weight and an owner index per point), for any molecule.
-    Not counted, because it does not grow with the grid: the working set
+    ``build_molecular_grid`` allocates for the grid's arrays (a float64
+    weight and an int32 point index per point, 12 bytes), for any molecule.
+    Not counted, because they do not grow with the points: the radial nodes
+    (nat * n_radial floats) and the Lebedev directions, and the working set
     while one block of radial shells is weighted, about 2 nat + 9 floats per
     point of at most ``_BLOCK`` points (the Becke distances and cell
     products, the block's points and a few temporaries), about 1.6 MiB for
     two atoms and 3.1 MiB for eight. Nor what an analysis on the grid
-    needs. The analysis walks the grid in blocks of ``_CHUNK`` points. For
+    needs. The analysis walks the grid in blocks of ``_CHUNK`` points and
+    forms each block's coordinates from the whole shells it spans, about
+    3 floats per point of those shells in one buffer. For
     K orbitals and P = nat(nat+1)/2 atom pairs it holds one workspace of
     about 2 nat + max(nprim, P) + sum_A min(K, m_A) + P rows of ``_CHUNK``
     floats, allocated at the first block and reused by every other
@@ -76,7 +85,7 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     ``reductions.gram_partials_bytes`` counts them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
-    return points, points * 5 * 8
+    return points, points * 12
 
 
 def radial_grid(n: int, bragg_radius: float):
@@ -143,77 +152,167 @@ def becke_weights(points, centers, radii=None, stiffness: int = 3,
     return w[:, 0] if single else w
 
 
+def _shell_points(radial, centers, directions, first, stop, out):
+    """Coordinates of the radial shells first..stop-1, counted over the
+    atoms in order (shell i of atom a is a * n_radial + i), as a (3, m)
+    view of the flat buffer ``out``, m = (stop - first) * n_ang, the
+    directions of each shell in order. Each axis is r * u, then plus the
+    atom's centre: the build and every later walk form a point with the
+    same two roundings, so it has the same coordinates each time."""
+    n_radial = radial.shape[1]
+    n_ang = directions.shape[1]
+    pts = out[:3 * (stop - first) * n_ang].reshape(3, stop - first, n_ang)
+    r = radial.reshape(-1)
+    s = first
+    while s < stop:
+        a = s // n_radial
+        end = min(stop, (a + 1) * n_radial)
+        for k in range(3):
+            shells = pts[k, s - first:end - first]
+            np.multiply(r[s:end, None], directions[k], out=shells)
+            shells += centers[a, k]
+        s = end
+    return pts.reshape(3, -1)
+
+
 @dataclasses.dataclass(frozen=True)
 class MolecularGrid:
-    points: np.ndarray       # (npts, 3) bohr
+    """The kept points of every atom's product grid, held as weights and
+    flat indices; coordinates are formed as they are needed.
+
+    Kept point k of atom a, radial shell i and Lebedev direction j has
+    ``index[k] = a * n_radial * n_ang + i * n_ang + j``, so the indices
+    increase along the grid, and sits at ``radial[a, i] * directions[:, j]``
+    plus the atom's centre. ``chunks`` forms the coordinates of one
+    integration chunk at a time; ``points`` and ``owner_atom`` build the
+    whole arrays on each access and keep nothing.
+    """
     weights: np.ndarray      # (npts,) bohr^3, all factors folded in
-    owner_atom: np.ndarray   # (npts,) int, atom whose shell produced the point
+    index: np.ndarray        # (npts,) int32 flat index into the product grid
+    radial: np.ndarray       # (nat, n_radial) radial nodes, bohr
+    directions: np.ndarray   # (3, n_ang) Lebedev unit vectors
     molecule: Molecule
     spec: AtomicGridSpec
 
     def __len__(self):
         return len(self.weights)
 
+    def chunks(self):
+        """(start, points) for each ``_CHUNK`` of kept points in order.
+
+        The whole shells a chunk spans are formed into one buffer, reused
+        by the next chunk, and its kept columns taken (a slice when none
+        between them was screened); points is their (n, 3) transposed
+        view, valid until the next chunk is formed.
+        """
+        n_ang = self.directions.shape[1]
+        centers = self.molecule.positions
+        buf = np.empty(0)
+        for start in range(0, len(self), _CHUNK):
+            idx = self.index[start:start + _CHUNK]
+            first = int(idx[0]) // n_ang
+            stop = int(idx[-1]) // n_ang + 1
+            if len(buf) < 3 * (stop - first) * n_ang:
+                buf = np.empty(3 * (stop - first) * n_ang)
+            pts = _shell_points(self.radial, centers, self.directions,
+                                first, stop, buf)
+            local = idx - first * n_ang
+            if local[-1] - local[0] + 1 == len(local):
+                pts = pts[:, local[0]:local[-1] + 1]
+            else:
+                pts = np.take(pts, local, axis=1)
+            yield start, pts.T
+
+    def position(self, k):
+        """The coordinates of kept point k, formed as ``chunks`` forms them."""
+        n_ang = self.directions.shape[1]
+        shell, j = divmod(int(self.index[k]), n_ang)
+        return _shell_points(self.radial, self.molecule.positions,
+                             self.directions, shell, shell + 1,
+                             np.empty(3 * n_ang))[:, j]
+
+    @property
+    def points(self):
+        """(npts, 3) coordinates in bohr, built on each access."""
+        out = np.empty((len(self), 3))
+        for start, pts in self.chunks():
+            out[start:start + len(pts)] = pts
+        return out
+
+    @property
+    def owner_atom(self):
+        """(npts,) int64 atom whose shell produced each point, built on each
+        access."""
+        per_atom = self.spec.n_radial * self.directions.shape[1]
+        return (self.index // per_atom).astype(np.int64)
+
 
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
     """Union of Becke-weighted atomic product grids, built and weighed in
-    blocks of whole radial shells."""
+    blocks of whole radial shells.
+
+    Refuses, before it allocates anything, a grid whose unscreened point
+    count exceeds ``MAX_GRID_POINTS``, the most that its 32-bit point
+    indices address."""
     if spec is None:
         spec = AtomicGridSpec()
+    size, _ = grid_estimate(len(molecule), spec)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {size} points exceeds the "
+                         f"{MAX_GRID_POINTS} that 32-bit point indices address")
+    nat, n_radial = len(molecule), spec.n_radial
     centers = molecule.positions
     radii = molecule.bragg_radii()
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
-    shells = max(1, _BLOCK // len(ang_wts))
-    size, _ = grid_estimate(len(molecule), spec)
-    points = np.empty((size, 3))
+    directions = ang_pts.T.copy()
+    n_ang = len(ang_wts)
+    shells = max(1, _BLOCK // n_ang)
+    radial = np.empty((nat, n_radial))
     weights = np.empty(size)
-    owners = np.empty(size, dtype=np.int64)
-    block = np.empty((min(shells, spec.n_radial), len(ang_wts), 3))
+    index = np.empty(size, dtype=np.int32)
+    block = np.empty(3 * min(shells, n_radial) * n_ang) if nat > 1 else None
     n = 0
-    for a in range(len(molecule)):
-        r, wr = radial_grid(spec.n_radial, radii[a])
-        for i in range(0, spec.n_radial, shells):
-            rb, wb = r[i:i + shells], wr[i:i + shells]
-            pts = block[:len(rb)]
-            for k in range(3):
-                np.multiply(rb[:, None], ang_pts[None, :, k], out=pts[:, :, k])
-                pts[:, :, k] += centers[a][k]
-            pts = pts.reshape(-1, 3)
+    for a in range(nat):
+        r, wr = radial_grid(n_radial, radii[a])
+        radial[a] = r
+        for i in range(0, n_radial, shells):
+            wb = wr[i:i + shells]
             w = (4.0 * math.pi) * (wb[:, None] * ang_wts[None, :]).reshape(-1)
-            if len(molecule) > 1:
-                w *= becke_weights(pts, centers, radii,
+            if nat > 1:
+                first = a * n_radial + i
+                pts = _shell_points(radial, centers, directions, first,
+                                    first + len(wb), block)
+                w *= becke_weights(pts.T, centers, radii,
                                    stiffness=spec.stiffness,
                                    size_adjust=spec.size_adjust)[a]
-            keep = w >= WEIGHT_SCREEN
-            kept = np.count_nonzero(keep)
-            np.compress(keep, pts, axis=0, out=points[n:n + kept])
-            np.compress(keep, w, out=weights[n:n + kept])
-            owners[n:n + kept] = a
-            n += kept
-    return MolecularGrid(points=points[:n], weights=weights[:n],
-                         owner_atom=owners[:n], molecule=molecule, spec=spec)
+            kept = np.flatnonzero(w >= WEIGHT_SCREEN)
+            weights[n:n + len(kept)] = w[kept]
+            index[n:n + len(kept)] = kept + (a * n_radial + i) * n_ang
+            n += len(kept)
+    return MolecularGrid(weights=weights[:n], index=index[:n], radial=radial,
+                         directions=directions, molecule=molecule, spec=spec)
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
     """Deterministic quadrature sum.
 
     ``field`` is either an array of point values or a callable evaluated at
-    grid.points, one chunk at a time and in order, so a callable can reduce
-    other integrands of the same chunk as it goes. The reduction uses
-    fixed-size chunks with an exactly rounded sum of the chunk partials, so
-    repeated runs over the same grid agree bit for bit regardless of
-    threading in the caller.
+    the grid's points, one chunk at a time and in order (``grid.chunks``),
+    so a callable can reduce other integrands of the same chunk as it goes.
+    The reduction uses fixed-size chunks with an exactly rounded sum of the
+    chunk partials, so repeated runs over the same grid agree bit for bit
+    regardless of threading in the caller.
     """
     if weights is None:
         if grid is None:
             raise ValueError("need a grid or explicit weights")
         weights = grid.weights
+    weights = np.asarray(weights, dtype=float)
     if callable(field):
         if grid is None:
             raise ValueError("a callable field needs a grid to evaluate at")
-        chunks = (field(grid.points[i:i + _CHUNK])
-                  for i in range(0, len(weights), _CHUNK))
+        chunks = (field(pts) for _, pts in grid.chunks())
     else:
         values = np.asarray(field, dtype=float)
         if values.shape != weights.shape:
@@ -230,7 +329,7 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
         if bad.any():
             idx = start + int(np.argmax(bad))
             where = (f" at point index {idx}"
-                     + (f", position {grid.points[idx]}" if grid is not None else ""))
+                     + (f", position {grid.position(idx)}" if grid is not None else ""))
             raise ValueError(f"non-finite field value{where}")
         parts.append(float(np.dot(chunk, w)))
     return math.fsum(parts)

@@ -71,7 +71,7 @@ def _moment(values, weights, alpha: float, name: str) -> float:
     if not alpha.is_integer() and (values < NEGATIVE_CLAMP).any():
         raise ValueError(_sign_message(name, alpha))
     return integrate(_power(values, alpha, np.empty_like(values)),
-                     weights=np.asarray(weights, dtype=float))
+                     weights=weights)
 
 
 def renyi_total(rho, weights, alpha: float, n_grid: float) -> RenyiTotals:
@@ -124,7 +124,6 @@ def renyi2_partition(pairs, weights) -> Renyi2Partition:
     """Pair-pair partition of the order-2 entropy from pair-term arrays,
     each Gram entry int x_i x_j one ``integrate``."""
     keys = sorted(pairs)
-    weights = np.asarray(weights, dtype=float)
     x = [np.asarray(pairs[k], dtype=float) for k in keys]
     gram = np.empty((len(keys), len(keys)))
     for i, j in itertools.combinations_with_replacement(range(len(keys)), 2):

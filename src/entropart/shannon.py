@@ -121,7 +121,6 @@ def shannon_from_arrays(rho, pairs, weights, n_grid: float,
     """Decomposition from an already evaluated (rho, pairs) field, each
     integral one ``integrate`` over the whole arrays; the quotient x / rho
     is taken as 0 where rho = 0."""
-    weights = np.asarray(weights, dtype=float)
     rho = np.asarray(rho, dtype=float)
     positive = rho > 0
     denom = np.where(positive, rho, 1.0)

@@ -287,6 +287,34 @@ def test_grid_larger_than_memory_exits_2(argv, wfn_fixtures, monkeypatch,
     assert err.startswith("error:") and "physical memory" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--method", "hf", "--distances", "1.4"),
+    ("analyze", "{h2_hf}"),
+    ("atom",),
+    ("grid-dump", "--distances", "1.4"),
+], ids=["sweep", "analyze", "atom", "grid-dump"])
+def test_grid_beyond_32_bit_indices_exits_2(argv, wfn_fixtures, monkeypatch,
+                                            capsys):
+    # memory enough for any grid: only the index bound refuses it
+    import entropart.cli
+    import entropart.quadrature
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**40}
+    monkeypatch.setattr(entropart.cli.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
+    paths = {k: str(v) for k, v in wfn_fixtures["paths"].items()}
+    code = entropart.cli.main([a.format(**paths) for a in argv]
+                              + ["--n-radial", "20000000"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: a grid of ") and err.endswith(
+        " points exceeds the 2147483647 that 32-bit point indices address\n")
+
+
 def test_gram_partials_bytes_of_h20():
     from entropart.quadrature import AtomicGridSpec, grid_estimate
     from entropart.reductions import gram_partials_bytes
@@ -302,8 +330,8 @@ def test_gram_partials_bytes_of_h20():
                                              ("0.5,3", False)])
 def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
                                                  monkeypatch, capsys):
-    # H20 on the default grid: 62 MB of grid arrays fit in 100 MB of
-    # physical memory, the 134 MB of order-2 Gram partials do not
+    # H20 on the default grid: 19 MB of grid arrays (12 bytes a point) fit
+    # in 100 MB of physical memory, the 134 MB of order-2 Gram partials do not
     import numpy as np
 
     import entropart.cli
@@ -332,7 +360,7 @@ def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: a grid of 1552000 points with its "
-                              "order-2 Gram partials needs at least 0.2 GiB")
+                              "order-2 Gram partials needs at least 0.1 GiB")
         assert "physical memory" in err
     else:  # passes the check and goes on to build the grid
         with pytest.raises(Allocated):

@@ -3,12 +3,19 @@
 ``becke_weights_kernel`` takes the cell function once per unordered atom
 pair, in place, ``eval_primitives`` forms distances once per centre, and
 ``build_molecular_grid`` weighs each atom grid in blocks of whole radial
-shells and writes the kept points straight into the grid's arrays. The
-references below are the ordered-pair kernel, the per-primitive kernel and
-the whole-atom list-and-``vstack`` build: the new code must give the same
-bits wherever its arithmetic is unchanged.
+shells and writes the kept weights and point indices straight into the
+grid's arrays, and ``MolecularGrid.chunks`` forms the coordinates of each
+integration chunk as the walk reaches it. The references below are the
+ordered-pair kernel, the per-primitive kernel and the whole-atom
+list-and-``vstack`` build: the new code must give the same bits wherever
+its arithmetic is unchanged.
 """
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -16,14 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entropart
 from entropart import lebedev
 from entropart.backends import (EXP_UNDERFLOW, becke_weights_kernel,
                                 eval_primitives)
 from entropart.density import TYPE_POWS, PrimitiveBasis
 from entropart.molecule import Molecule
-from entropart.quadrature import (_BLOCK, WEIGHT_SCREEN, AtomicGridSpec,
-                                  build_molecular_grid, grid_estimate,
-                                  radial_grid)
+from entropart.quadrature import (_BLOCK, _CHUNK, WEIGHT_SCREEN,
+                                  AtomicGridSpec, build_molecular_grid,
+                                  grid_estimate, radial_grid)
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=60)
@@ -286,3 +294,92 @@ def test_grid_build_working_set_does_not_grow_with_the_grid(mol, spec):
         tracemalloc.stop()
     excess = peak - grid_estimate(len(mol), spec)[1]
     assert excess < 4 * 2 ** 20, excess / 2 ** 20
+
+
+@pytest.mark.parametrize("mol, spec, kernel, across", [
+    # across: whether some chunk crosses an atom boundary, and whether some
+    # chunk spans screened points
+    (OHLI, AtomicGridSpec(n_radial=150, lebedev_order=110),
+     becke_weights_kernel, (True, True)),
+    (_h_chain(8, 1.8), AtomicGridSpec(n_radial=1, lebedev_order=6),
+     ordered_pair_becke, (True, False)),
+    (_h_chain(1, 0.0), AtomicGridSpec(n_radial=300), ordered_pair_becke,
+     (False, False)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=1000, lebedev_order=434),
+     ordered_pair_becke, (True, True)),
+], ids=["mixed-radii", "h8-1x6", "single-atom", "h2-1000x434"])
+def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
+    grid = build_molecular_grid(mol, spec)
+    points, weights, owners = listed_grid(mol, spec, kernel)
+    assert np.array_equal(grid.points, points)
+    assert np.array_equal(grid.weights, weights)
+    owner = grid.owner_atom
+    assert owner.dtype == np.int64 and np.array_equal(owner, owners)
+    starts, crossing, screened = [], 0, 0
+    n_ang = spec.lebedev_order
+    for start, chunk in grid.chunks():
+        stop = start + len(chunk)
+        starts.append(start)
+        assert chunk.shape == (min(_CHUNK, len(grid) - start), 3)
+        assert np.array_equal(chunk, points[start:stop])
+        crossing += owner[start] != owner[stop - 1]
+        index = grid.index[start:stop]
+        screened += index[-1] - index[0] + 1 > len(index)
+        k = start + len(chunk) // 2
+        assert np.array_equal(grid.position(k), points[k])
+        assert divmod(int(grid.index[k]), n_ang)[0] // spec.n_radial == owner[k]
+    assert starts == list(range(0, len(grid), _CHUNK))
+    assert (crossing > 0, screened > 0) == across
+
+
+def test_grid_holds_weights_and_indices_per_point():
+    mol = OHLI
+    spec = AtomicGridSpec(n_radial=150, lebedev_order=110)
+    grid = build_molecular_grid(mol, spec)
+    per_point = {f.name for f in dataclasses.fields(grid)
+                 if isinstance(getattr(grid, f.name), np.ndarray)
+                 and len(getattr(grid, f.name)) == len(grid)}
+    assert per_point == {"weights", "index"}
+    assert grid.index.dtype == np.int32 and grid.weights.dtype == np.float64
+    assert grid.radial.shape == (3, 150) and grid.directions.shape == (3, 110)
+    # the indices increase along the grid, and the whole arrays are built
+    # on each access, not kept
+    assert (np.diff(grid.index) > 0).all()
+    assert not np.shares_memory(grid.points, grid.points)
+    assert not np.shares_memory(grid.owner_atom, grid.owner_atom)
+
+
+_RSS = textwrap.dedent("""
+    from entropart import (AtomicGridSpec, analyze_field, build_model,
+                           build_molecular_grid)
+
+    def peak_kib():
+        # the process's own peak RSS; ru_maxrss also carries the peak of the
+        # process that started it, which can hide this one
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f
+                        if line.startswith("VmHWM:"))
+
+    before = peak_kib()
+    model = build_model("fci", 1.4)
+    grid = build_molecular_grid(model.molecule(), AtomicGridSpec(1000, 434))
+    analyze_field(model.field(), grid, alphas=(0.5, 2.0, 3.0))
+    print(len(grid), peak_kib() - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_dense_analysis_peak_rss_above_import():
+    # H2 fci on 1000x434 (862,258 points): with three coordinates, a weight
+    # and an owner per point the grid alone held 33 MiB, and the peak RSS
+    # grew 36.1 MiB over the import; weights and 32-bit indices (9.9 MiB)
+    # grow it 13.5 MiB (2-core x86-64 Linux, NumPy 2.4)
+    src = os.path.dirname(os.path.dirname(entropart.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _RSS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    points, grown_kib = map(int, out.split())
+    assert points == 862_258
+    assert grown_kib < 24 * 1024, grown_kib / 1024

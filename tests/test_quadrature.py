@@ -1,13 +1,15 @@
 """Radial transform, Becke cells, molecular grid assembly, integration."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import entropart.quadrature
 from entropart.molecule import Atom, Molecule
-from entropart.quadrature import (AtomicGridSpec, becke_weights,
-                                  build_molecular_grid, grid_estimate,
-                                  integrate, radial_grid)
+from entropart.quadrature import (MAX_GRID_POINTS, AtomicGridSpec,
+                                  becke_weights, build_molecular_grid,
+                                  grid_estimate, integrate, radial_grid)
 
 HYDROGENIC_S = 3.0 + math.log(math.pi)
 
@@ -66,12 +68,30 @@ def test_single_atom_grid_point_count():
     assert len(grid) == 200 * 110
     assert (grid.owner_atom == 0).all()
     # one atom screens no point, so the estimate is exact
-    assert grid_estimate(1, spec) == (len(grid), grid.points.nbytes
-                                      + grid.weights.nbytes
-                                      + grid.owner_atom.nbytes)
-    # estimated only: this grid would need 289 GiB
+    assert grid_estimate(1, spec) == (len(grid), grid.weights.nbytes
+                                      + grid.index.nbytes)
+    # estimated only: this grid would need 87 GiB, 12 bytes a point
     assert grid_estimate(2, AtomicGridSpec(n_radial=20_000_000)) == (
-        7_760_000_000, 310_400_000_000)
+        7_760_000_000, 93_120_000_000)
+
+
+def test_grid_beyond_32_bit_indices_is_refused_before_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
+    mol, spec = Molecule.h2(1.4), AtomicGridSpec(n_radial=20_000_000)
+    assert grid_estimate(2, spec)[0] > MAX_GRID_POINTS == 2**31 - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build_molecular_grid(mol, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(info.value) == ("a grid of 7760000000 points exceeds the "
+                               "2147483647 that 32-bit point indices address")
 
 
 def test_single_atom_hydrogenic_entropy():
@@ -101,6 +121,13 @@ def test_integrate_callable_and_checks():
         integrate(lambda p: np.ones(len(p)), weights=grid.weights)
 
 
+def test_integrate_takes_weights_as_a_sequence():
+    assert integrate([1.0, 2.0], weights=[0.5, 0.5]) == 1.5
+    assert integrate(np.array([1.0, 2.0]), weights=(0.5, 0.5)) == 1.5
+    with pytest.raises(ValueError, match="shape"):
+        integrate([1.0, 2.0], weights=[0.5, 0.5, 0.5])
+
+
 def test_integrate_rejects_nonfinite_with_location():
     mol = Molecule([Atom("H", 1, (0.0, 0.0, 0.0))])
     grid = build_molecular_grid(mol, AtomicGridSpec(n_radial=10,
@@ -109,6 +136,28 @@ def test_integrate_rejects_nonfinite_with_location():
     values[13] = np.nan
     with pytest.raises(ValueError, match="point index 13"):
         integrate(values, grid)
+
+
+def test_integrate_reports_the_position_of_a_nonfinite_chunk_value():
+    # a point of the second atom in the third chunk, by array and callable
+    grid = build_molecular_grid(Molecule.h2(1.4),
+                                AtomicGridSpec(n_radial=40, lebedev_order=194))
+    k = 2 * 4096 + 17
+    assert grid.owner_atom[k] == 1
+    where = f"point index {k}, position {grid.points[k]}"
+    values = np.ones(len(grid))
+    values[k] = np.inf
+
+    def field(points):
+        out = np.ones(len(points))
+        hit = (points == grid.points[k]).all(axis=1)
+        out[hit] = np.nan
+        return out
+
+    for f in (values, field):
+        with pytest.raises(ValueError) as info:
+            integrate(f, grid)
+        assert str(info.value) == f"non-finite field value at {where}"
 
 
 def test_integrate_deterministic():
