@@ -5,12 +5,15 @@ the isolated-atom reference data used by infinite-separation checks.
 """
 
 import dataclasses
+import functools
 import math
 
+from . import parallel
 from .backends import Workspace
 from .density import PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
-from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid, integrate
+from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
+                         build_molecular_grid, nonfinite_error)
 from .reductions import GridSums
 from .renyi import _validate_alpha, asymptotic_renyi_reference, renyi_from_sums
 from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
@@ -20,6 +23,12 @@ from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
 CLOSURE_TOLERANCE = 1e-8    # add - nadd = total, both entropy families
 SCALING_TOLERANCE = 1e-10   # density/shape total relations
 LIMIT_TOLERANCE = 1e-4      # infinite-separation references
+
+# chunks x pair terms of a walk for each worker it is shared among: with
+# less, a forked worker costs about what its share saves (on two cores,
+# two workers break even on an H2 fci walk, 3 pair terms, at 10-15
+# chunks, and save about 20% at 20)
+WORK_PER_WORKER = 30
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,42 +73,65 @@ class FieldAnalysis:
 
 
 def analyze_field(field: PairDensityField, grid: MolecularGrid,
-                  alphas=()) -> FieldAnalysis:
+                  alphas=(), jobs=None) -> FieldAnalysis:
     """Walk the grid once and run every requested decomposition.
 
-    ``integrate`` takes int rho over the grid, evaluating one integration
-    chunk at a time; each chunk's density and pair terms are reduced at
-    once to the chunk partials of every other integral the decompositions
-    need (``GridSums``), so no full-length pair array is held. A non-finite
-    density is raised by ``integrate`` during the walk, as for any field it
-    integrates. The normalization check runs after the walk; the checks on
-    the other integrands, recorded during it, follow before any result is
-    built.
+    The walk evaluates one integration chunk at a time; each chunk's
+    density and pair terms are reduced at once to the chunk partials of
+    every integral the decompositions need, int rho among them
+    (``GridSums``), so no full-length pair array is held. The chunks are
+    shared among ``parallel.workers(jobs, cap)`` processes, chunk i to
+    worker i mod W, with cap one worker per ``WORK_PER_WORKER`` chunks x
+    pair terms; jobs None asks for every usable CPU. The exact sums give
+    the same bits for any W. A non-finite density is raised as
+    ``integrate`` raises it, after the walk; then the normalization
+    check, and then the checks on the other integrands, recorded during
+    the walk, before any result is built. The clamp counts of every
+    worker, up to the chunk of a non-finite density, are added to
+    ``field.diagnostics``, with one warning for the points negated.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
-    sums = GridSums(field.pair_keys, alphas)
+    cap = -(-len(grid) // _CHUNK) * len(field.pair_keys) // WORK_PER_WORKER
     before = dataclasses.replace(field.diagnostics)
-    work = Workspace()  # this call's chunk arrays, freed when it returns
-    start = 0
-
-    def density(points):
-        # integrate walks grid.chunks() in order, one _CHUNK at a time
-        nonlocal start
-        rho, terms = field.pair_block(points, work)
-        sums.add(grid.weights[start:start + len(rho)], rho, terms, work)
-        start += len(rho)
-        return rho
-
-    try:
-        n_grid = integrate(density, grid)
-    finally:
-        field.warn_negated(before)
+    shares = parallel.run(functools.partial(_walk, field, grid, alphas),
+                          jobs, cap)
+    sums = shares[0][0]
+    for other, _ in shares[1:]:
+        sums.merge(other)
+    # the chunks the serial walk would have evaluated
+    last = math.inf if sums.nonfinite_rho is None else sums.nonfinite_rho
+    counts = [c for _, clamps in shares for start, c in clamps if start <= last]
+    field.diagnostics.clamped = before.clamped + sum(c.clamped for c in counts)
+    field.diagnostics.negated = before.negated + sum(c.negated for c in counts)
+    field.warn_negated(before)
+    if sums.nonfinite_rho is not None:
+        raise nonfinite_error(sums.nonfinite_rho, grid)
+    n_grid = float(sums.integral("rho")[0])
     check_normalization(n_grid, field.n_electrons)
     sums.check()
     shannon = shannon_from_sums(sums, n_grid, field.diagnostics.since(before))
     renyi = {a: renyi_from_sums(sums, a, n_grid) for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
+
+
+def _walk(field, grid, alphas, share, shares):
+    """One worker's share of the walk: chunks share, share + shares, ...
+    in order, ending at a non-finite density. Returns its ``GridSums``
+    and the (start, ClampDiagnostics) of its chunks that clamped."""
+    sums = GridSums(field.pair_keys, alphas)
+    work = Workspace()  # this share's chunk arrays, freed when it returns
+    clamps = []
+    for start, points in grid.chunks(share, shares):
+        before = dataclasses.replace(field.diagnostics)
+        rho, terms = field.pair_block(points, work)
+        counts = field.diagnostics.since(before)
+        if counts.clamped or counts.negated:
+            clamps.append((start, counts))
+        if not sums.add(start, grid.weights[start:start + len(rho)], rho,
+                        terms, work):
+            break
+    return sums, clamps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,10 +146,10 @@ class ModelAnalysis:
 
 
 def analyze_model(method: str, separation: float, spec: AtomicGridSpec = None,
-                  alphas=()) -> ModelAnalysis:
+                  alphas=(), jobs=None) -> ModelAnalysis:
     model = build_model(method, separation)
     grid = build_molecular_grid(model.molecule(), spec)
-    analysis = analyze_field(model.field(), grid, alphas=alphas)
+    analysis = analyze_field(model.field(), grid, alphas=alphas, jobs=jobs)
     return ModelAnalysis(method=method, separation=separation,
                          energy=model.energy, ci=model.ci, analysis=analysis)
 
@@ -149,7 +181,7 @@ class AtomReference:
 
 
 def hydrogen_reference(spec: AtomicGridSpec = None, alphas=(),
-                       basis=None) -> AtomReference:
+                       basis=None, jobs=None) -> AtomReference:
     """Entropies and energy of one ground-state hydrogen atom.
 
     Uses the built-in six-Gaussian s contraction unless another basis
@@ -157,7 +189,7 @@ def hydrogen_reference(spec: AtomicGridSpec = None, alphas=(),
     """
     field = atom_field(basis)
     analysis = analyze_field(field, build_molecular_grid(field.molecule, spec),
-                             alphas=alphas)
+                             alphas=alphas, jobs=jobs)
     return AtomReference(energy=hydrogen_atom_energy(basis),
                          n_grid=analysis.n_grid,
                          shannon=analysis.shannon.density.total,

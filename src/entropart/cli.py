@@ -12,13 +12,13 @@ of memory), 2 usage or config error, 3 per-row identity violation,
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__
+from . import __version__, parallel
 from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
                        hydrogen_reference)
 from .models import METHODS
@@ -39,7 +39,7 @@ _DEFAULTS = {
     "units": "nats",
     "format": "csv",
     "out": "-",
-    "jobs": 1,
+    "jobs": parallel.usable_cpus(),
     "emit_plot_script": False,
     "strict_limits": False,
     "raw_primitives": False,
@@ -313,9 +313,9 @@ def _emit(settings, command, rows, extra, reference=None):
             stream.write("\n")
 
 
-def _reference_block(settings):
-    """Isolated-atom constants and H2 infinite-separation limits."""
-    ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas)
+def _reference_block(settings, ref):
+    """Isolated-atom constants of ref (an ``AtomReference``) and the H2
+    infinite-separation limits."""
     s = settings.scale
     d_lim, sig_lim = ref.shannon_limits(2)
     block = {
@@ -334,12 +334,31 @@ def _reference_block(settings):
     return block
 
 
-def _sweep_worker(task):
-    method, R, spec, alphas = task
+def _sweep_task(settings, i):
+    """Task i of a sweep: the row at the i-th distance, or after the last
+    the reference atom. Its walk is serial: the tasks are the shares."""
+    if i == len(settings.distances):
+        return hydrogen_reference(spec=settings.grid_spec,
+                                  alphas=settings.alphas, jobs=1)
+    R = settings.distances[i]
     try:
-        return analyze_model(method, R, spec=spec, alphas=alphas)
+        return analyze_model(settings.method, R, spec=settings.grid_spec,
+                             alphas=settings.alphas, jobs=1)
     except ValueError as e:
         raise ValueError(f"at R={R:g}: {e}") from None
+
+
+def _sweep_share(settings, share, shares):
+    """The (task, result) of tasks share, share + shares, ... in order; a
+    task that raises gives its exception and ends the share."""
+    done = []
+    for i in range(share, len(settings.distances) + 1, shares):
+        try:
+            done.append((i, _sweep_task(settings, i)))
+        except Exception as e:  # raised by cmd_sweep in task order
+            done.append((i, e))
+            break
+    return done
 
 
 def _identity_exit(labelled):
@@ -396,17 +415,20 @@ def cmd_sweep(args):
                                       or settings.out == "-"):
         raise UsageError("--emit-plot-script requires --format csv and --out FILE")
     settings.require_grid_fits(2, settings.alphas)
-    tasks = [(settings.method, R, settings.grid_spec, settings.alphas)
-             for R in settings.distances]
-    # a fork pool starts all of its workers at the first submit
-    workers = min(settings.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(t) for t in tasks]
+    n_tasks = len(settings.distances) + 1
+    done = dict(pair for share in parallel.run(
+        functools.partial(_sweep_share, settings), settings.jobs, n_tasks)
+        for pair in share)
+    # every task before the first that failed has run: raise as a serial
+    # sweep would
+    results = []
+    for i in range(n_tasks):
+        if isinstance(done[i], Exception):
+            raise done[i]
+        results.append(done[i])
+    *results, ref = results
 
-    block = _reference_block(settings)
+    block = _reference_block(settings, ref)
     rows = [[*_flat_leaves({"R": res.separation, "E_total": res.energy}),
              *_analysis_leaves(res.analysis, settings.scale)]
             for res in results]
@@ -455,7 +477,8 @@ def _analyze_wfn(path, settings, single_center=False):
             f"{path} has {len(field.molecule)} nuclei")
     settings.require_grid_fits(len(field.molecule), settings.alphas)
     grid = build_molecular_grid(field.molecule, settings.grid_spec)
-    return doc, analyze_field(field, grid, alphas=settings.alphas)
+    return doc, analyze_field(field, grid, alphas=settings.alphas,
+                              jobs=settings.jobs)
 
 
 def cmd_analyze(args):
@@ -478,7 +501,8 @@ def cmd_atom(args):
         source = args.wfn
     else:
         settings.require_grid_fits(1, settings.alphas)
-        ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas)
+        ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas,
+                                 jobs=settings.jobs)
         n_grid, energy, renyi = ref.n_grid, ref.energy, ref.renyi
         s_rho = s_sigma = ref.shannon
         one_electron = True
@@ -556,6 +580,9 @@ def build_parser():
                          help="entropy units (default nats)")
     measure.add_argument("--format", choices=["csv", "json"],
                          help="output format (default csv)")
+    measure.add_argument("--jobs", type=int,
+                         help="worker processes (default: every usable "
+                              "CPU; 1 runs serially)")
 
     wfn_input = argparse.ArgumentParser(add_help=False)
     wfn_input.add_argument("--raw-primitives", action="store_true", default=None,
@@ -569,8 +596,6 @@ def build_parser():
     p.add_argument("--distances",
                    help="comma-separated internuclear distances in bohr, "
                         "strictly increasing")
-    p.add_argument("--jobs", type=int,
-                   help="parallel workers over distances (default 1)")
     p.add_argument("--emit-plot-script", action="store_true", default=None,
                    help="write a gnuplot script next to the CSV output")
     p.add_argument("--strict-limits", action="store_true", default=None,

@@ -74,15 +74,17 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     needs. The analysis walks the grid in blocks of ``_CHUNK`` points and
     forms each block's coordinates from the whole shells it spans, about
     3 floats per point of those shells in one buffer. For
-    K orbitals and P = nat(nat+1)/2 atom pairs it holds one workspace of
-    about 2 nat + max(nprim, P) + sum_A min(K, m_A) + P rows of ``_CHUNK``
-    floats, allocated at the first block and reused by every other
+    K orbitals and P = nat(nat+1)/2 atom pairs each worker of the walk
+    holds one such buffer and one workspace of about
+    2 nat + max(nprim, P) + sum_A min(K, m_A) + P rows of ``_CHUNK``
+    floats, allocated at its first block and reused by every other
     (``reductions`` lists it; 4.7 MiB for an H8 chain with 48 primitives),
-    and P pair blocks of at most min(K, m_A) min(K, m_B) floats for atoms
+    so W workers hold W of each, one in each process. The field adds
+    P pair blocks of at most min(K, m_A) min(K, m_B) floats for atoms
     with m_A and m_B primitives, plus the nprim**2 coefficient matrix only
-    when it is asked for. At order 2 it also keeps Gram partials that grow
-    with the grid;
-    ``reductions.gram_partials_bytes`` counts them.
+    when it is asked for. At order 2 the walk also keeps Gram partials
+    that grow with the grid; ``reductions.gram_partials_bytes`` counts
+    them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 12
@@ -197,8 +199,9 @@ class MolecularGrid:
     def __len__(self):
         return len(self.weights)
 
-    def chunks(self):
-        """(start, points) for each ``_CHUNK`` of kept points in order.
+    def chunks(self, offset=0, stride=1):
+        """(start, points) for the chunks offset, offset + stride, ... of
+        ``_CHUNK`` kept points, in order; by default every chunk.
 
         The whole shells a chunk spans are formed into one buffer, reused
         by the next chunk, and its kept columns taken (a slice when none
@@ -208,7 +211,7 @@ class MolecularGrid:
         n_ang = self.directions.shape[1]
         centers = self.molecule.positions
         buf = np.empty(0)
-        for start in range(0, len(self), _CHUNK):
+        for start in range(offset * _CHUNK, len(self), stride * _CHUNK):
             idx = self.index[start:start + _CHUNK]
             first = int(idx[0]) // n_ang
             stop = int(idx[-1]) // n_ang + 1
@@ -327,9 +330,15 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
                              f"expected {w.shape}")
         bad = ~np.isfinite(chunk)
         if bad.any():
-            idx = start + int(np.argmax(bad))
-            where = (f" at point index {idx}"
-                     + (f", position {grid.position(idx)}" if grid is not None else ""))
-            raise ValueError(f"non-finite field value{where}")
+            raise nonfinite_error(start + int(np.argmax(bad)), grid)
         parts.append(float(np.dot(chunk, w)))
     return math.fsum(parts)
+
+
+def nonfinite_error(index: int, grid: MolecularGrid | None = None):
+    """The error for a non-finite field value at kept point ``index``,
+    with its position when the grid is known."""
+    where = f" at point index {index}"
+    if grid is not None:
+        where += f", position {grid.position(index)}"
+    return ValueError(f"non-finite field value{where}")

@@ -1,34 +1,40 @@
 """Every grid integral of an analysis, reduced chunk by chunk.
 
-Besides int rho, which ``quadrature.integrate`` takes, a decomposition
-needs over the quadrature grid: int rho ln rho; for every unique pair
-term x = rho^AB the triple int x ln|x|, int x ln|x / rho| and int x; for
-every order alpha int rho**alpha and, per atom, int (rho^AA)**alpha; and
-at alpha = 2 the Gram matrix int x_i x_j of the pair terms (kept as its
-upper triangle). ``GridSums`` serves ``analysis.analyze_field`` alone and
-takes all of them, with no flags: the orders it is given fix the moments,
-and order 2 among them the Gram matrix. ``GridSums.add`` takes the
-values at one chunk of the grid and keeps each integrand's chunk partial,
-its dot product with the weights; each integral is the exactly rounded sum
+A decomposition needs over the quadrature grid: int rho and
+int rho ln rho; for every unique pair term x = rho^AB the triple
+int x ln|x|, int x ln|x / rho| and int x; for every order alpha
+int rho**alpha and, per atom, int (rho^AA)**alpha; and at alpha = 2 the
+Gram matrix int x_i x_j of the pair terms (kept as its upper triangle).
+``GridSums`` serves ``analysis.analyze_field`` alone and takes all of
+them, with no flags: the orders it is given fix the moments, and order 2
+among them the Gram matrix. ``GridSums.add`` takes the values at one
+chunk of the grid and keeps each integrand's chunk partial, its dot
+product with the weights; each integral is the exactly rounded sum
 (``math.fsum``) of its partials. The chunks are the fixed integration
 chunks of ``quadrature.integrate``, so results do not depend on how the
-values were evaluated, and repeated runs agree bit for bit. The array
-functions of ``shannon`` and ``renyi`` are the direct reference: they take
-each integral with ``integrate`` over whole arrays and share only the sign
+values were evaluated, and repeated runs agree bit for bit. The exact
+sum does not depend on the order of its terms either, so the chunks may
+be shared out among workers, each with its own ``GridSums``, and the
+shares joined with ``GridSums.merge``. The array functions of
+``shannon`` and ``renyi`` are the direct reference: they take each
+integral with ``integrate`` over whole arrays and share only the sign
 rules of ``_power`` and their refusal message, and the tests hold the
 walk to them.
 
-Two checks run on every chunk but are raised only by ``check``, after the
-walk, so that the caller can first check normalization: a non-finite
-integrand (reported with its global point index) and, at fractional
-orders, a density or atomic net density below the clamp threshold.
+A non-finite density ends a walk at its chunk, as it ends ``integrate``;
+the caller raises it (``nonfinite_rho``). Two more checks run on every
+chunk but are raised only by ``check``, after the walk, so that the
+caller can first check normalization: a non-finite integrand (reported
+with its global point index) and, at fractional orders, a density or
+atomic net density below the clamp threshold.
 
-``analysis.analyze_field`` gives the walk one ``backends.Workspace``,
-made for the call and dropped when it returns. Every array of a chunk is
-taken from it: the arrays are allocated at the first chunk and reused,
-so a chunk's values hold only until the next chunk. For nat atoms, nprim
-primitives, K orbitals, m_A primitives on atom A and P = nat(nat+1)/2
-pair terms it holds, in rows of ``_CHUNK`` = 4096 floats:
+``analysis.analyze_field`` gives each worker of the walk one
+``backends.Workspace``, made for the call and dropped when it returns.
+Every array of a chunk is taken from it: the arrays are allocated at the
+first chunk and reused, so a chunk's values hold only until the next
+chunk. For nat atoms, nprim primitives, K orbitals, m_A primitives on
+atom A and P = nat(nat+1)/2 pair terms it holds, in rows of ``_CHUNK`` =
+4096 floats:
 
 - ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
   dz for each axis on which a primitive has a power, (2 + axes) nat rows;
@@ -44,7 +50,8 @@ pair terms it holds, in rows of ``_CHUNK`` = 4096 floats:
 
 With a bool row counted as 1/8 of a float row, that is 149.6 rows
 (4.7 MiB) for an H8 chain of STO-6G atoms with 4 doubly occupied orbitals
-(nprim 48, P 36), and 34.5 rows (1.1 MiB) for the H2 fci model.
+(nprim 48, P 36), and 34.5 rows (1.1 MiB) for the H2 fci model, per
+worker: a walk on W workers holds W workspaces, one in each process.
 """
 import collections
 import math
@@ -104,11 +111,13 @@ class GridSums:
         self.gram = 2.0 in self.alphas
         self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
-        self._failures = {}  # sort key (the order of the checks) -> message
-        self._start = 0
+        # sort key (the order of the checks) -> (chunk start, message)
+        self._failures = {}
+        self.nonfinite_rho = None  # the first point of a non-finite density
+        self._start = 0  # of the chunk being taken
 
     def _fail(self, key, message):
-        self._failures.setdefault(key, message)
+        self._failures.setdefault(key, (self._start, message))
 
     def _take(self, family, values, weights, keys):
         """Keep the chunk partials of one family of integrands, one dot
@@ -122,12 +131,19 @@ class GridSums:
                                f"{self._start + int(np.argmax(bad))}")
         self._partials[family].append(partial)
 
-    def add(self, weights, rho, terms, work):
-        """Take the partials of one chunk: weights (n,), the density
-        rho (n,) and the pair terms (len(pair_keys), n). Each integrand
-        is formed in ``work`` (a ``backends.Workspace``) and reduced before
-        the next: a stack shaped like the pair terms, its bool mask, and
-        one row and its mask for rho."""
+    def add(self, start, weights, rho, terms, work) -> bool:
+        """Take the partials of the chunk whose first point is ``start``:
+        weights (n,), the density rho (n,) and the pair terms
+        (len(pair_keys), n). Each integrand is formed in ``work`` (a
+        ``backends.Workspace``) and reduced before the next: a stack shaped
+        like the pair terms, its bool mask, and one row and its mask for
+        rho. A non-finite rho takes nothing: its first point is kept in
+        ``nonfinite_rho`` and False returned, for the walk ends there."""
+        bad = ~np.isfinite(rho)
+        if bad.any():
+            self.nonfinite_rho = start + int(np.argmax(bad))
+            return False
+        self._start = start
         n_pairs = len(self.pair_keys)
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
@@ -135,6 +151,7 @@ class GridSums:
         # formed, so their buffer holds each pair integrand in turn
         stack = work.take("G", terms.shape)
         mask = work.take("stack_mask", terms.shape, bool)
+        self._take("rho", rho[None], weights, [(0,)])
         log_rho = _log_abs(rho, row, row_mask)
         self._take("rho_log_rho", np.multiply(rho, log_rho, out=row),
                    weights, [(1,)])
@@ -166,13 +183,26 @@ class GridSums:
         if self.gram:  # the upper triangle, row by row
             self._partials["gram"].append(
                 (np.multiply(terms, weights, out=stack) @ terms.T)[self._upper])
-        self._start += len(weights)
+        return True
+
+    def merge(self, other):
+        """Take in the partials and failures of another share of the same
+        walk. Each failure keeps the chunk that came first, and the first
+        non-finite density is kept, so the merged checks are the serial
+        walk's."""
+        for family, parts in other._partials.items():
+            self._partials[family].extend(parts)
+        for key, failure in other._failures.items():
+            self._failures[key] = min(self._failures.get(key, failure), failure)
+        self.nonfinite_rho = min((i for i in (self.nonfinite_rho,
+                                              other.nonfinite_rho)
+                                  if i is not None), default=None)
 
     def check(self):
         """Raise the first failure recorded during the walk, in the order
         the integrals are listed in the module docstring."""
         if self._failures:
-            raise ValueError(self._failures[min(self._failures)])
+            raise ValueError(self._failures[min(self._failures)][1])
 
     def integral(self, family) -> np.ndarray:
         """Integrals of one family: the fsum of its chunk partials, per row.

@@ -109,6 +109,40 @@ def _h3_document(side=1.65):
     return build_document(mol, basis, mos, title=f"H3 side={side!r}")
 
 
+def _h8_chain_document(spacing=1.8):
+    """Linear H8 over STO-6G contractions expanded to primitives, the 4
+    lowest S-orthonormal Hueckel-type (Wolfsberg-Helmholz) orbitals doubly
+    occupied: a bonded density whose 36 x 36 Gram product per chunk is
+    large enough for a threaded BLAS to split."""
+    from entropart.density import PrimitiveBasis, contracted_overlap
+    from entropart.molecule import Molecule
+
+    n, phi = 8, sto6g_hydrogen()
+    mol = Molecule([("H", (0.0, 0.0, i * spacing)) for i in range(n)])
+    S = np.array([[contracted_overlap(phi, phi, abs(i - j) * spacing)
+                   for j in range(n)] for i in range(n)])
+    H = 1.75 * -0.5 * S
+    np.fill_diagonal(H, -0.5)
+    w, V = np.linalg.eigh(S)
+    X = V @ np.diag(w ** -0.5) @ V.T
+    energies, C = np.linalg.eigh(X @ H @ X)
+    C = X @ C
+    nprim = len(phi.exponents)
+    basis = PrimitiveBasis(mol, center_index=np.repeat(np.arange(n), nprim),
+                           type_codes=np.ones(n * nprim, dtype=int),
+                           exponents=np.tile(phi.exponents, n))
+    mos = [(2.0, energies[k], np.kron(C[:, k], phi.coefficients))
+           for k in range(n // 2)]
+    return build_document(mol, basis, mos, title=f"H8 chain spacing={spacing!r}")
+
+
+@pytest.fixture(scope="session")
+def h8_wfn_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("h8") / "h8.wfn"
+    path.write_text(write_wfn(_h8_chain_document()))
+    return path
+
+
 @pytest.fixture(scope="session")
 def h3_wfn_field():
     """The H3 field as read back from its .wfn text."""

@@ -49,6 +49,6 @@ def walk(weights, rho, pairs, alphas) -> GridSums:
     sums, work = GridSums(keys, alphas), Workspace()
     for start in range(0, len(weights), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        sums.add(weights[chunk], rho[chunk],
+        sums.add(start, weights[chunk], rho[chunk],
                  np.ascontiguousarray(terms[:, chunk]), work)
     return sums

@@ -190,7 +190,7 @@ def test_parallel_sweep_is_deterministic(tmp_path):
     base = ("sweep", "--method", "fci", "--distances", "1.4,2,3", *QUICK)
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    run_cli(*base, "--out", str(serial), check=0)
+    run_cli(*base, "--jobs", "1", "--out", str(serial), check=0)
     run_cli(*base, "--jobs", "3", "--out", str(parallel), check=0)
     assert serial.read_text() == parallel.read_text()
 
@@ -419,41 +419,40 @@ def test_distance_at_the_coordinate_bound_is_accepted(capsys):
 
 
 @pytest.mark.parametrize("jobs, cpus, distances, workers", [
-    (5000, 4, "1.4,2", 2),
+    (5000, 4, "1.4,2", 3),
     (3, 4, "1.4,2,3,4", 3),
     (8, 2, "1.4,2,3", 2),
-    (8, None, "1.4,2", None),
-    (4, 1, "1.4,2", None),
-    (1, 4, "1.4,2", None),
+    (8, None, "1.4,2", 1),
+    (4, 1, "1.4,2", 1),
+    (1, 4, "1.4,2", 1),
 ], ids=["distances", "asked", "cpus", "cpus-unknown", "one-cpu", "serial"])
 def test_jobs_pool_is_capped(jobs, cpus, distances, workers, monkeypatch,
                              capsys):
-    import entropart.cli
+    # a sweep shares its rows and the reference atom among
+    # min(--jobs, usable CPUs, tasks) workers, and the walks inside a
+    # worker run serially
+    from entropart import parallel
 
     started = []
+    choose = parallel.workers
 
-    class RecordingPool:
-        """Records the pool size and maps in this process; starts nothing."""
+    def recording(*args, **kwargs):
+        started.append(choose(*args, **kwargs))
+        return started[-1]
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(entropart.cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(entropart.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "workers", recording)
+    if cpus is None:  # no affinity call, and no CPU count either
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     code, _, _ = _main(["sweep", "--method", "hf", "--distances", distances,
                         "--jobs", str(jobs), "--n-radial", "60",
                         "--lebedev", "50"], capsys)
     assert code == 0
-    assert started == ([] if workers is None else [workers])
+    assert started[0] == workers
+    assert started[1:] and set(started[1:]) == {1}
 
 
 @pytest.mark.parametrize("error, line", [
