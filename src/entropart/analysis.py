@@ -79,30 +79,31 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     The walk evaluates one integration chunk at a time; each chunk's
     density and pair terms are reduced at once to the chunk partials of
     every integral the decompositions need, int rho among them
-    (``GridSums``), so no full-length pair array is held. The chunks are
-    shared among ``parallel.workers(jobs, cap)`` processes, chunk i to
-    worker i mod W, with cap one worker per ``WORK_PER_WORKER`` chunks x
-    pair terms; jobs None asks for every usable CPU. The exact sums give
-    the same bits for any W. A non-finite density is raised as
-    ``integrate`` raises it, after the walk; then the normalization
-    check, and then the checks on the other integrands, recorded during
-    the walk, before any result is built. The clamp counts of every
-    worker, up to the chunk of a non-finite density, are added to
-    ``field.diagnostics``, with one warning for the points negated.
+    (``GridSums.chunk``), so no full-length pair array is held. The chunks
+    are mapped over ``parallel.map``'s workers, with cap one worker per
+    ``WORK_PER_WORKER`` chunks x pair terms; jobs None asks for every
+    usable CPU. Their partials and clamp counts are taken in grid order,
+    up to the first chunk with a non-finite density, so the result is the
+    serial walk's for any W. The clamp counts are added to
+    ``field.diagnostics``, with one warning for the points negated. Then a
+    non-finite density is raised as ``integrate`` raises it; then the
+    normalization check, and then the checks on the other integrands,
+    recorded during the walk, before any result is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
-    cap = -(-len(grid) // _CHUNK) * len(field.pair_keys) // WORK_PER_WORKER
+    sums = GridSums(field.pair_keys, alphas)
+    n_chunks = -(-len(grid) // _CHUNK)
+    cap = n_chunks * len(field.pair_keys) // WORK_PER_WORKER
     before = dataclasses.replace(field.diagnostics)
-    shares = parallel.run(functools.partial(_walk, field, grid, alphas),
-                          jobs, cap)
-    sums = shares[0][0]
-    for other, _ in shares[1:]:
-        sums.merge(other)
-    # the chunks the serial walk would have evaluated
-    last = math.inf if sums.nonfinite_rho is None else sums.nonfinite_rho
-    counts = [c for _, clamps in shares for start, c in clamps if start <= last]
-    field.diagnostics.clamped = before.clamped + sum(c.clamped for c in counts)
-    field.diagnostics.negated = before.negated + sum(c.negated for c in counts)
+    task = functools.partial(_chunk, field, grid, sums, Workspace())
+    clamped = negated = 0
+    for partials, counts in parallel.map(task, n_chunks, jobs, cap):
+        clamped += counts.clamped
+        negated += counts.negated
+        if not sums.take(partials):
+            break
+    field.diagnostics.clamped = before.clamped + clamped
+    field.diagnostics.negated = before.negated + negated
     field.warn_negated(before)
     if sums.nonfinite_rho is not None:
         raise nonfinite_error(sums.nonfinite_rho, grid)
@@ -115,23 +116,15 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                          shannon=shannon, renyi=renyi)
 
 
-def _walk(field, grid, alphas, share, shares):
-    """One worker's share of the walk: chunks share, share + shares, ...
-    in order, ending at a non-finite density. Returns its ``GridSums``
-    and the (start, ClampDiagnostics) of its chunks that clamped."""
-    sums = GridSums(field.pair_keys, alphas)
-    work = Workspace()  # this share's chunk arrays, freed when it returns
-    clamps = []
-    for start, points in grid.chunks(share, shares):
-        before = dataclasses.replace(field.diagnostics)
-        rho, terms = field.pair_block(points, work)
-        counts = field.diagnostics.since(before)
-        if counts.clamped or counts.negated:
-            clamps.append((start, counts))
-        if not sums.add(start, grid.weights[start:start + len(rho)], rho,
-                        terms, work):
-            break
-    return sums, clamps
+def _chunk(field, grid, sums, work, i):
+    """Chunk i of the walk, its arrays in ``work``: (its partials, as
+    ``sums.chunk`` gives them, and the ClampDiagnostics it added)."""
+    start, points = grid.chunk(i, work)
+    before = dataclasses.replace(field.diagnostics)
+    rho, terms = field.pair_block(points, work)
+    return (sums.chunk(start, grid.weights[start:start + len(rho)], rho,
+                       terms, work),
+            field.diagnostics.since(before))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -336,7 +336,8 @@ def _reference_block(settings, ref):
 
 def _sweep_task(settings, i):
     """Task i of a sweep: the row at the i-th distance, or after the last
-    the reference atom. Its walk is serial: the tasks are the shares."""
+    the reference atom. Its walk is serial: the sweep maps its tasks
+    over the workers instead."""
     if i == len(settings.distances):
         return hydrogen_reference(spec=settings.grid_spec,
                                   alphas=settings.alphas, jobs=1)
@@ -346,19 +347,6 @@ def _sweep_task(settings, i):
                              alphas=settings.alphas, jobs=1)
     except ValueError as e:
         raise ValueError(f"at R={R:g}: {e}") from None
-
-
-def _sweep_share(settings, share, shares):
-    """The (task, result) of tasks share, share + shares, ... in order; a
-    task that raises gives its exception and ends the share."""
-    done = []
-    for i in range(share, len(settings.distances) + 1, shares):
-        try:
-            done.append((i, _sweep_task(settings, i)))
-        except Exception as e:  # raised by cmd_sweep in task order
-            done.append((i, e))
-            break
-    return done
 
 
 def _identity_exit(labelled):
@@ -415,18 +403,8 @@ def cmd_sweep(args):
                                       or settings.out == "-"):
         raise UsageError("--emit-plot-script requires --format csv and --out FILE")
     settings.require_grid_fits(2, settings.alphas)
-    n_tasks = len(settings.distances) + 1
-    done = dict(pair for share in parallel.run(
-        functools.partial(_sweep_share, settings), settings.jobs, n_tasks)
-        for pair in share)
-    # every task before the first that failed has run: raise as a serial
-    # sweep would
-    results = []
-    for i in range(n_tasks):
-        if isinstance(done[i], Exception):
-            raise done[i]
-        results.append(done[i])
-    *results, ref = results
+    *results, ref = parallel.map(functools.partial(_sweep_task, settings),
+                                 len(settings.distances) + 1, settings.jobs)
 
     block = _reference_block(settings, ref)
     rows = [[*_flat_leaves({"R": res.separation, "E_total": res.energy}),

@@ -1,20 +1,22 @@
 """Fork-join over the usable CPUs, with one BLAS thread per worker.
 
-Every integral of an analysis is the exactly rounded sum (``math.fsum``)
-of fixed-chunk partials, so the chunks may be walked in any order and by
-any process and the integral is the same bits. ``run`` splits such work
-into W shares: the calling process does share 0, W - 1 forked children
-do the others, and each child sends its result back pickled through a
-pipe. Threads would not help, because the Python work of each chunk
-holds the interpreter lock.
+``map(task, n)`` is ``[task(0), ..., task(n - 1)]``, run on W workers:
+task i in worker i mod W, worker 0 being the calling process and the
+others forked children, each of which sends its results back pickled
+through a pipe. It returns and raises what a serial loop would, so a
+caller reads as one. Every integral of an analysis is the exactly
+rounded sum (``math.fsum``) of fixed-chunk partials, so the chunks may be
+evaluated by any process and the integral is the same bits. Threads would
+not help, because the Python work of each chunk holds the interpreter
+lock.
 
-While ``run`` works, the loaded OpenBLAS is pinned to one thread through
+While ``map`` works, the loaded OpenBLAS is pinned to one thread through
 its own ``*_set_num_threads`` symbol, found with ctypes, and the caller's
 count is restored afterwards; the children inherit the pin. BLAS threads
 on top of W processes only oversubscribe the CPUs, and a threaded matrix
 product may round differently from a serial one, so results would depend
 on the thread count. Where ``os.fork`` or that symbol is missing,
-``workers`` gives 1 and ``run`` does every share in this process, with
+``workers`` gives 1 and ``map`` runs every task in this process, with
 BLAS threads as they are, and forks nothing.
 """
 import contextlib
@@ -95,26 +97,29 @@ def _one_blas_thread(blas):
         set_(saved)
 
 
-def run(share, jobs=None, cap=None) -> list:
-    """[share(0, W), ..., share(W - 1, W)] for W = ``workers(jobs, cap)``.
+def map(task, n, jobs=None, cap=None) -> list:
+    """[task(0), ..., task(n - 1)], in task order, on W workers for
+    W = ``workers(jobs, min(cap, n))``.
 
-    share(w, W) is called in this process for w = 0 and in a forked child
-    for each other w, every one of them with one BLAS thread. A share
+    Task i runs in worker i mod W, every worker with one BLAS thread:
+    worker 0 is this process and the others are forked children. A task
     should not write files or print: a child's output is never flushed.
-    Warnings a child issues are issued again here. If shares raise, the
-    exception of the lowest share is raised here once every child has
-    ended; a child's exception keeps its type and text.
+    Warnings a child issues are issued again here. Each worker stops at
+    its first task that raises; once every child has ended, the
+    exception of the lowest raising task is raised here, every task
+    before it having run, as in a serial loop. A child's exception keeps
+    its type and text.
     """
-    n = workers(jobs, cap)
+    n_workers = workers(jobs, n if cap is None else min(cap, n))
     blas = _blas()
     if blas is None:
-        return [share(0, 1)]
+        return [task(i) for i in range(n)]
     with _one_blas_thread(blas):
-        if n == 1:
-            return [share(0, 1)]
+        if n_workers == 1:
+            return [task(i) for i in range(n)]
         children = []  # (pid, read end of its pipe)
         try:
-            for w in range(1, n):
+            for w in range(1, n_workers):
                 read, write = os.pipe()
                 try:
                     pid = os.fork()
@@ -125,13 +130,10 @@ def run(share, jobs=None, cap=None) -> list:
                                        "one worker (--jobs 1) forks none") from e
                 if pid == 0:
                     os.close(read)
-                    _child(share, w, n, write)  # does not return
+                    _child(task, w, n_workers, n, write)  # does not return
                 os.close(write)
                 children.append((pid, read))
-            try:
-                outcomes = [(True, share(0, n), [])]
-            except Exception as e:
-                outcomes = [(False, e, [])]
+            outcomes = [(*_share(task, 0, n_workers, n, Exception), [])]
             while children:
                 outcomes.append(_collect(*children.pop(0)))
         finally:
@@ -139,35 +141,47 @@ def run(share, jobs=None, cap=None) -> list:
                 os.close(read)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results = []
-    for ok, value, caught in outcomes:
+    for _, _, caught in outcomes:
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    failed = [w + n_workers * len(done) for w, (done, error, _)
+              in enumerate(outcomes) if error is not None]
+    if failed:
+        raise outcomes[min(failed) % n_workers][1]
+    return [outcomes[i % n_workers][0][i // n_workers] for i in range(n)]
 
 
-def _child(share, w, n, write):
-    """Run one share in a forked child, write its outcome to the pipe
-    and exit: (ok, result or exception, the warnings it issued)."""
+def _share(task, w, n_workers, n, catch):
+    """Worker w's tasks w, w + W, ... in order: (their results, and the
+    exception of the first that raised, or None)."""
+    done = []
+    for i in range(w, n, n_workers):
+        try:
+            done.append(task(i))
+        except catch as e:
+            return done, e
+    return done, None
+
+
+def _child(task, w, n_workers, n, write):
+    """Run worker w's tasks in a forked child, write its outcome to the
+    pipe and exit: (results, exception or None, the warnings it issued)."""
     code = 0
     try:
         with warnings.catch_warnings(record=True) as caught:
-            try:
-                ok, value = True, share(w, n)
-            except BaseException as e:
-                ok, value = False, e
+            done, error = _share(task, w, n_workers, n, BaseException)
         caught = [(c.message, c.category, c.filename, c.lineno) for c in caught]
         try:
-            payload = pickle.dumps((ok, value, caught))
-            if not ok:
+            payload = pickle.dumps((done, error, caught))
+            if error is not None:
                 pickle.loads(payload)  # the exception must rebuild over there
         except Exception:
-            text = (f"{type(value).__name__}: {value}" if not ok
-                    else f"worker {w} could not send its result")
-            payload = pickle.dumps((False, RuntimeError(text), caught))
+            if error is not None:
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+            else:
+                done, error = [], RuntimeError(
+                    f"worker {w} could not send its result")
+            payload = pickle.dumps((done, error, caught))
         with os.fdopen(write, "wb") as fh:
             fh.write(payload)
     except BaseException:
@@ -190,8 +204,8 @@ def _collect(pid, read):
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if outcome is None:
-        return False, RuntimeError(
+    if outcome is None:  # a failure at the child's first task
+        return [], RuntimeError(
             f"a worker process ended without a result ({_describe(status)})"), []
     return outcome
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import lebedev
-from .backends import becke_weights_kernel
+from .backends import Workspace, becke_weights_kernel
 from .molecule import Molecule
 
 WEIGHT_SCREEN = 1e-16
@@ -73,13 +73,13 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     two atoms and 3.1 MiB for eight. Nor what an analysis on the grid
     needs. The analysis walks the grid in blocks of ``_CHUNK`` points and
     forms each block's coordinates from the whole shells it spans, about
-    3 floats per point of those shells in one buffer. For
-    K orbitals and P = nat(nat+1)/2 atom pairs each worker of the walk
-    holds one such buffer and one workspace of about
+    3 floats per point of those shells. For K orbitals and
+    P = nat(nat+1)/2 atom pairs each worker of the walk holds one
+    workspace with those coordinates and about
     2 nat + max(nprim, P) + sum_A min(K, m_A) + P rows of ``_CHUNK``
     floats, allocated at its first block and reused by every other
     (``reductions`` lists it; 4.7 MiB for an H8 chain with 48 primitives),
-    so W workers hold W of each, one in each process. The field adds
+    so W workers hold W of them, one in each process. The field adds
     P pair blocks of at most min(K, m_A) min(K, m_B) floats for atoms
     with m_A and m_B primitives, plus the nprim**2 coefficient matrix only
     when it is asked for. At order 2 the walk also keeps Gram partials
@@ -185,7 +185,7 @@ class MolecularGrid:
     Kept point k of atom a, radial shell i and Lebedev direction j has
     ``index[k] = a * n_radial * n_ang + i * n_ang + j``, so the indices
     increase along the grid, and sits at ``radial[a, i] * directions[:, j]``
-    plus the atom's centre. ``chunks`` forms the coordinates of one
+    plus the atom's centre. ``chunk`` forms the coordinates of one
     integration chunk at a time; ``points`` and ``owner_atom`` build the
     whole arrays on each access and keep nothing.
     """
@@ -199,35 +199,41 @@ class MolecularGrid:
     def __len__(self):
         return len(self.weights)
 
-    def chunks(self, offset=0, stride=1):
-        """(start, points) for the chunks offset, offset + stride, ... of
-        ``_CHUNK`` kept points, in order; by default every chunk.
+    def chunk(self, i, work=None):
+        """(start, points) of chunk i, the ``_CHUNK`` kept points from
+        start = i * ``_CHUNK``.
 
-        The whole shells a chunk spans are formed into one buffer, reused
-        by the next chunk, and its kept columns taken (a slice when none
-        between them was screened); points is their (n, 3) transposed
-        view, valid until the next chunk is formed.
+        The whole shells the chunk spans are formed into the buffer
+        "shells" of ``work`` (a ``backends.Workspace``, a fresh one if
+        None), reused by the next chunk, and its kept columns taken (a
+        slice when none between them was screened); points is their
+        (n, 3) transposed view, valid until the next chunk is formed.
         """
         n_ang = self.directions.shape[1]
-        centers = self.molecule.positions
-        buf = np.empty(0)
-        for start in range(offset * _CHUNK, len(self), stride * _CHUNK):
-            idx = self.index[start:start + _CHUNK]
-            first = int(idx[0]) // n_ang
-            stop = int(idx[-1]) // n_ang + 1
-            if len(buf) < 3 * (stop - first) * n_ang:
-                buf = np.empty(3 * (stop - first) * n_ang)
-            pts = _shell_points(self.radial, centers, self.directions,
-                                first, stop, buf)
-            local = idx - first * n_ang
-            if local[-1] - local[0] + 1 == len(local):
-                pts = pts[:, local[0]:local[-1] + 1]
-            else:
-                pts = np.take(pts, local, axis=1)
-            yield start, pts.T
+        start = i * _CHUNK
+        idx = self.index[start:start + _CHUNK]
+        first = int(idx[0]) // n_ang
+        stop = int(idx[-1]) // n_ang + 1
+        size = 3 * (stop - first) * n_ang
+        buf = (work or Workspace()).take("shells", (size,))
+        pts = _shell_points(self.radial, self.molecule.positions,
+                            self.directions, first, stop, buf)
+        local = idx - first * n_ang
+        if local[-1] - local[0] + 1 == len(local):
+            pts = pts[:, local[0]:local[-1] + 1]
+        else:
+            pts = np.take(pts, local, axis=1)
+        return start, pts.T
+
+    def chunks(self):
+        """(start, points) of every chunk in order, as ``chunk`` gives
+        them, in one buffer."""
+        work = Workspace()
+        for i in range(-(-len(self) // _CHUNK)):
+            yield self.chunk(i, work)
 
     def position(self, k):
-        """The coordinates of kept point k, formed as ``chunks`` forms them."""
+        """The coordinates of kept point k, formed as ``chunk`` forms them."""
         n_ang = self.directions.shape[1]
         shell, j = divmod(int(self.index[k]), n_ang)
         return _shell_points(self.radial, self.molecule.positions,
@@ -298,11 +304,8 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
-    """Deterministic quadrature sum.
+    """Deterministic quadrature sum of an array of point values.
 
-    ``field`` is either an array of point values or a callable evaluated at
-    the grid's points, one chunk at a time and in order (``grid.chunks``),
-    so a callable can reduce other integrands of the same chunk as it goes.
     The reduction uses fixed-size chunks with an exactly rounded sum of the
     chunk partials, so repeated runs over the same grid agree bit for bit
     regardless of threading in the caller.
@@ -313,25 +316,18 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
         weights = grid.weights
     weights = np.asarray(weights, dtype=float)
     if callable(field):
-        if grid is None:
-            raise ValueError("a callable field needs a grid to evaluate at")
-        chunks = (field(pts) for _, pts in grid.chunks())
-    else:
-        values = np.asarray(field, dtype=float)
-        if values.shape != weights.shape:
-            raise ValueError(f"field has shape {values.shape}, expected {weights.shape}")
-        chunks = (values[i:i + _CHUNK] for i in range(0, len(weights), _CHUNK))
+        raise ValueError("field must be an array of point values, "
+                         "not a callable")
+    values = np.asarray(field, dtype=float)
+    if values.shape != weights.shape:
+        raise ValueError(f"field has shape {values.shape}, expected {weights.shape}")
     parts = []
-    for start, chunk in zip(range(0, len(weights), _CHUNK), chunks):
-        chunk = np.asarray(chunk, dtype=float)
-        w = weights[start:start + _CHUNK]
-        if chunk.shape != w.shape:
-            raise ValueError(f"field chunk has shape {chunk.shape}, "
-                             f"expected {w.shape}")
+    for start in range(0, len(weights), _CHUNK):
+        chunk = values[start:start + _CHUNK]
         bad = ~np.isfinite(chunk)
         if bad.any():
             raise nonfinite_error(start + int(np.argmax(bad)), grid)
-        parts.append(float(np.dot(chunk, w)))
+        parts.append(float(np.dot(chunk, weights[start:start + _CHUNK])))
     return math.fsum(parts)
 
 

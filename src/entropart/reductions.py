@@ -7,34 +7,36 @@ int rho**alpha and, per atom, int (rho^AA)**alpha; and at alpha = 2 the
 Gram matrix int x_i x_j of the pair terms (kept as its upper triangle).
 ``GridSums`` serves ``analysis.analyze_field`` alone and takes all of
 them, with no flags: the orders it is given fix the moments, and order 2
-among them the Gram matrix. ``GridSums.add`` takes the values at one
-chunk of the grid and keeps each integrand's chunk partial, its dot
-product with the weights; each integral is the exactly rounded sum
-(``math.fsum``) of its partials. The chunks are the fixed integration
-chunks of ``quadrature.integrate``, so results do not depend on how the
-values were evaluated, and repeated runs agree bit for bit. The exact
-sum does not depend on the order of its terms either, so the chunks may
-be shared out among workers, each with its own ``GridSums``, and the
-shares joined with ``GridSums.merge``. The array functions of
-``shannon`` and ``renyi`` are the direct reference: they take each
-integral with ``integrate`` over whole arrays and share only the sign
-rules of ``_power`` and their refusal message, and the tests hold the
-walk to them.
+among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
+chunk of the grid to each integrand's chunk partial, its dot product
+with the weights, and ``GridSums.take`` keeps them; each integral is the
+exactly rounded sum (``math.fsum``) of its partials. The chunks are the
+fixed integration chunks of ``quadrature.integrate``, so results do not
+depend on how the values were evaluated, and repeated runs agree bit for
+bit. ``chunk`` keeps nothing, so any worker may reduce a chunk; the
+caller takes the chunks in grid order, so every check sees them as a
+serial walk does. The array functions of ``shannon`` and ``renyi`` are
+the direct reference: they take each integral with ``integrate`` over
+whole arrays and share only the sign rules of ``_power`` and their
+refusal message, and the tests hold the walk to them.
 
-A non-finite density ends a walk at its chunk, as it ends ``integrate``;
-the caller raises it (``nonfinite_rho``). Two more checks run on every
-chunk but are raised only by ``check``, after the walk, so that the
-caller can first check normalization: a non-finite integrand (reported
-with its global point index) and, at fractional orders, a density or
-atomic net density below the clamp threshold.
+A non-finite density ends a walk at its chunk, as it ends ``integrate``:
+``take`` keeps its point (``nonfinite_rho``) and nothing more, and the
+caller raises it. Two more checks run on every chunk but are raised only
+by ``check``, after the walk, so that the caller can first check
+normalization: a non-finite integrand (reported with its global point
+index) and, at fractional orders, a density or atomic net density below
+the clamp threshold.
 
-``analysis.analyze_field`` gives each worker of the walk one
-``backends.Workspace``, made for the call and dropped when it returns.
-Every array of a chunk is taken from it: the arrays are allocated at the
-first chunk and reused, so a chunk's values hold only until the next
-chunk. For nat atoms, nprim primitives, K orbitals, m_A primitives on
-atom A and P = nat(nat+1)/2 pair terms it holds, in rows of ``_CHUNK`` =
-4096 floats:
+``analysis.analyze_field`` makes one ``backends.Workspace`` for the
+call; each worker of the walk fills its own copy, and this process's is
+dropped when the call returns. Every array of a chunk is taken from it:
+the arrays are allocated at the first chunk and reused, so a chunk's
+values hold only until the next chunk. Beside the coordinates of the
+whole shells a chunk spans (``MolecularGrid.chunk``, about 3 floats per
+point of those shells), for nat atoms, nprim primitives, K orbitals, m_A
+primitives on atom A and P = nat(nat+1)/2 pair terms it holds, in rows of
+``_CHUNK`` = 4096 floats:
 
 - ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
   dz for each axis on which a primitive has a power, (2 + axes) nat rows;
@@ -44,7 +46,7 @@ atom A and P = nat(nat+1)/2 pair terms it holds, in rows of ``_CHUNK`` =
   sum_A min(K, m_A); one projected atom's primitive rows, max_A m_A; the
   product M_AB V_B of ``quad_form_block``, max_A min(K, m_A); the pair
   terms, P; rho and 2x, 2;
-- ``GridSums.add``: one stack of P rows that holds each pair integrand in
+- ``GridSums.chunk``: one stack of P rows that holds each pair integrand in
   turn, in the buffer of G, which grows to max(nprim, P) rows; one row for
   the integrands of rho; and bool masks of P + 1 rows.
 
@@ -97,7 +99,7 @@ def gram_partials_bytes(n_atoms: int, points: int) -> int:
 class GridSums:
     """Chunk partials of the grid integrals of one field on one grid.
 
-    pair_keys orders the rows of the pair-term stacks given to ``add``, and
+    pair_keys orders the rows of the pair-term stacks given to ``chunk``, and
     alphas are the orders whose moments of rho and of the atomic net
     densities are taken. The Shannon integrals are always taken, and the
     Gram matrix of the pair terms when 2.0 is among the orders.
@@ -111,39 +113,37 @@ class GridSums:
         self.gram = 2.0 in self.alphas
         self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
-        # sort key (the order of the checks) -> (chunk start, message)
-        self._failures = {}
+        self._failures = {}  # check key -> message, the first chunk's
         self.nonfinite_rho = None  # the first point of a non-finite density
-        self._start = 0  # of the chunk being taken
 
-    def _fail(self, key, message):
-        self._failures.setdefault(key, (self._start, message))
-
-    def _take(self, family, values, weights, keys):
-        """Keep the chunk partials of one family of integrands, one dot
-        product with the weights per row (as ``integrate`` takes them);
-        keys[i] is the check-order key of row i."""
-        partial = np.array([np.dot(row, weights) for row in values])
-        if not np.isfinite(partial).all():
-            for key, bad in zip(keys, ~np.isfinite(values)):
-                if bad.any():
-                    self._fail(key, "non-finite field value at point index "
-                               f"{self._start + int(np.argmax(bad))}")
-        self._partials[family].append(partial)
-
-    def add(self, start, weights, rho, terms, work) -> bool:
-        """Take the partials of the chunk whose first point is ``start``:
+    def chunk(self, start, weights, rho, terms, work):
+        """The partials of the chunk whose first point is ``start``:
         weights (n,), the density rho (n,) and the pair terms
-        (len(pair_keys), n). Each integrand is formed in ``work`` (a
-        ``backends.Workspace``) and reduced before the next: a stack shaped
-        like the pair terms, its bool mask, and one row and its mask for
-        rho. A non-finite rho takes nothing: its first point is kept in
-        ``nonfinite_rho`` and False returned, for the walk ends there."""
+        (len(pair_keys), n). Returns (partials, failures, nonfinite):
+        family -> chunk partial, check key -> message, and None, or for a
+        non-finite rho ({}, {}, its first non-finite point). Each
+        integrand is formed in ``work`` (a ``backends.Workspace``) and
+        reduced before the next: a stack shaped like the pair terms, its
+        bool mask, and one row and its mask for rho. Nothing is kept until
+        ``take``, so a worker's copy of these sums can reduce its chunks
+        for the caller's."""
         bad = ~np.isfinite(rho)
         if bad.any():
-            self.nonfinite_rho = start + int(np.argmax(bad))
-            return False
-        self._start = start
+            return {}, {}, start + int(np.argmax(bad))
+        partials, failures = {}, {}
+
+        def keep(family, values, keys):
+            """The family's partial, one dot product with the weights per
+            row (as ``integrate`` takes them); keys[i] is the check-order
+            key of row i."""
+            partials[family] = np.array([np.dot(r, weights) for r in values])
+            if not np.isfinite(partials[family]).all():
+                for key, bad in zip(keys, ~np.isfinite(values)):
+                    if bad.any():
+                        index = start + int(np.argmax(bad))
+                        failures[key] = ("non-finite field value at point "
+                                         f"index {index}")
+
         n_pairs = len(self.pair_keys)
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
@@ -151,58 +151,58 @@ class GridSums:
         # formed, so their buffer holds each pair integrand in turn
         stack = work.take("G", terms.shape)
         mask = work.take("stack_mask", terms.shape, bool)
-        self._take("rho", rho[None], weights, [(0,)])
+        keep("rho", rho[None], [(0,)])
         log_rho = _log_abs(rho, row, row_mask)
-        self._take("rho_log_rho", np.multiply(rho, log_rho, out=row),
-                   weights, [(1,)])
+        keep("rho_log_rho", np.multiply(rho, log_rho, out=row), [(1,)])
         keys = [[(2, i, k) for i in range(n_pairs)] for k in range(3)]
         np.multiply(terms, _log_abs(terms, stack, mask), out=stack)
-        self._take(("pair", 0), stack, weights, keys[0])
+        keep(("pair", 0), stack, keys[0])
         positive = rho > 0  # x ln|x / rho|, the quotient 0 where rho = 0
         np.divide(terms, np.where(positive, rho, 1.0), out=stack)
         stack[:, ~positive] = 0.0
         np.multiply(terms, _log_abs(stack, stack, mask), out=stack)
-        self._take(("pair", 1), stack, weights, keys[1])
-        self._take(("pair", 2), terms, weights, keys[2])
+        keep(("pair", 1), stack, keys[1])
+        keep(("pair", 2), terms, keys[2])
         for j, alpha in enumerate(self.alphas):
             fractional = not float(alpha).is_integer()
             if fractional and (rho < NEGATIVE_CLAMP).any():
-                self._fail((3, j, -1, 0), _sign_message("the density", alpha))
-            self._take(("rho_pow", alpha), _power(rho, alpha, row),
-                       weights, [(3, j, -1, 1)])
+                failures[3, j, -1, 0] = _sign_message("the density", alpha)
+            keep(("rho_pow", alpha), _power(rho, alpha, row), [(3, j, -1, 1)])
             net = np.take(terms, self._diag, axis=0, mode="clip",
                           out=stack[:len(self._diag)])
             if fractional:
                 for t, low in enumerate((net < NEGATIVE_CLAMP).any(axis=1)):
                     if low:
                         atom = self.pair_keys[self._diag[t]][0]
-                        self._fail((3, j, t, 0), _sign_message(
-                            f"the net density of atom {atom}", alpha))
-            self._take(("net_pow", alpha), _power(net, alpha, net), weights,
-                       [(3, j, t, 1) for t in range(len(self._diag))])
+                        failures[3, j, t, 0] = _sign_message(
+                            f"the net density of atom {atom}", alpha)
+            keep(("net_pow", alpha), _power(net, alpha, net),
+                 [(3, j, t, 1) for t in range(len(self._diag))])
         if self.gram:  # the upper triangle, row by row
-            self._partials["gram"].append(
-                (np.multiply(terms, weights, out=stack) @ terms.T)[self._upper])
-        return True
+            partials["gram"] = (np.multiply(terms, weights, out=stack)
+                                @ terms.T)[self._upper]
+        return partials, failures, None
 
-    def merge(self, other):
-        """Take in the partials and failures of another share of the same
-        walk. Each failure keeps the chunk that came first, and the first
-        non-finite density is kept, so the merged checks are the serial
-        walk's."""
-        for family, parts in other._partials.items():
-            self._partials[family].extend(parts)
-        for key, failure in other._failures.items():
-            self._failures[key] = min(self._failures.get(key, failure), failure)
-        self.nonfinite_rho = min((i for i in (self.nonfinite_rho,
-                                              other.nonfinite_rho)
-                                  if i is not None), default=None)
+    def take(self, chunk) -> bool:
+        """Keep a chunk's (partials, failures, nonfinite) from ``chunk``;
+        the chunks are taken in grid order, so each failure keeps its
+        first chunk. A non-finite density keeps its point in
+        ``nonfinite_rho`` and returns False, for the walk ends there."""
+        partials, failures, nonfinite = chunk
+        if nonfinite is not None:
+            self.nonfinite_rho = nonfinite
+            return False
+        for family, partial in partials.items():
+            self._partials[family].append(partial)
+        for key, message in failures.items():
+            self._failures.setdefault(key, message)
+        return True
 
     def check(self):
         """Raise the first failure recorded during the walk, in the order
         the integrals are listed in the module docstring."""
         if self._failures:
-            raise ValueError(self._failures[min(self._failures)][1])
+            raise ValueError(self._failures[min(self._failures)])
 
     def integral(self, family) -> np.ndarray:
         """Integrals of one family: the fsum of its chunk partials, per row.

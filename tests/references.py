@@ -3,8 +3,9 @@ walk fed from whole arrays.
 
 The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
-pointwise wherever rho > 0. ``walk`` feeds ``GridSums.add`` one
-integration chunk at a time, as ``analyze_field`` does, from arrays
+pointwise wherever rho > 0. ``walk`` reduces one integration chunk at a
+time with ``GridSums.chunk`` and takes it with ``GridSums.take``, in grid
+order up to a non-finite density, as ``analyze_field`` does, from arrays
 evaluated over the whole grid.
 """
 import dataclasses
@@ -49,6 +50,8 @@ def walk(weights, rho, pairs, alphas) -> GridSums:
     sums, work = GridSums(keys, alphas), Workspace()
     for start in range(0, len(weights), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        sums.add(start, weights[chunk], rho[chunk],
-                 np.ascontiguousarray(terms[:, chunk]), work)
+        if not sums.take(sums.chunk(start, weights[chunk], rho[chunk],
+                                    np.ascontiguousarray(terms[:, chunk]),
+                                    work)):
+            break
     return sums

@@ -1,5 +1,5 @@
-"""The fork-join walk: shares of the chunks (or of a sweep's rows) in
-forked workers, one BLAS thread each, with the serial walk's results,
+"""The fork-join map: the chunks of a walk (or a sweep's rows) as tasks
+of forked workers, one BLAS thread each, with the serial loop's results,
 messages and exit codes.
 
 Small grids are shared among W = 2 or 3 workers by patching the usable
@@ -16,6 +16,7 @@ import pytest
 import entropart
 from entropart import analysis, cli, parallel
 from entropart.analysis import analyze_field
+from entropart.backends import Workspace
 from entropart.density import (NEGATIVE_CLAMP, DensityMatrix, PairDensityField,
                                PrimitiveBasis)
 from entropart.models import fci_model
@@ -34,10 +35,14 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
 def _force(monkeypatch, cpus):
     """Let every walk take up to ``cpus`` workers, however small."""
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
+    _cpus(monkeypatch, cpus)
     monkeypatch.setattr(analysis, "WORK_PER_WORKER", 1)
 
 
@@ -51,7 +56,7 @@ def _fci():
 
 def _at_chunk(monkeypatch, field, grid, changes):
     """Have field.pair_block apply changes[c](rho, terms) at chunk c."""
-    firsts = {c: next(grid.chunks(c))[1][0].copy() for c in changes}
+    firsts = {c: grid.chunk(c)[1][0].copy() for c in changes}
     evaluate = field.pair_block
 
     def pair_block(points, work=None):
@@ -72,30 +77,30 @@ def _message(call):
 
 # --- the helper -----------------------------------------------------------
 
-def _where(w, n):
-    return w, n, os.getpid(), parallel._blas()[0]()
+def _where(i):
+    return i, os.getpid(), parallel._blas()[0]()
 
 
 def test_shares_run_in_forked_children_with_one_blas_thread(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(4)))
+    # 7 tasks on 3 workers: task i in worker i mod 3, the last share short
+    _cpus(monkeypatch, 4)
     get, set_ = parallel._blas()
     saved = get()
     set_(2)
     try:
-        shares = parallel.run(_where, jobs=3)
+        tasks = parallel.map(_where, 7, jobs=3)
         assert get() == 2  # restored
     finally:
         set_(saved)
-    assert [(w, n) for w, n, _, _ in shares] == [(0, 3), (1, 3), (2, 3)]
-    pids = [pid for _, _, pid, _ in shares]
+    assert [i for i, _, _ in tasks] == list(range(7))
+    pids = [pid for _, pid, _ in tasks]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
-    assert [threads for *_, threads in shares] == [1, 1, 1]
+    assert pids == (pids[:3] * 3)[:7]
+    assert [threads for *_, threads in tasks] == [1] * 7
 
 
 def test_workers_are_capped_by_jobs_cpus_and_work(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(4)))
+    _cpus(monkeypatch, 4)
     assert parallel.workers() == 4
     assert parallel.workers(3) == 3
     assert parallel.workers(8, cap=2) == 2
@@ -103,56 +108,94 @@ def test_workers_are_capped_by_jobs_cpus_and_work(monkeypatch):
     assert parallel.workers(1, cap=100) == 1
 
 
-@pytest.mark.parametrize("why", ["one worker", "no BLAS control", "no fork"])
-def test_nothing_is_forked_without_a_second_worker(why, monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(4)))
-    jobs = 1 if why == "one worker" else 3
-    if why == "no BLAS control":
-        monkeypatch.setattr(parallel, "_blas", lambda: None)
+def _no_fork(monkeypatch):
     forks = []
 
     def fork():
         forks.append(1)
         raise AssertionError("forked")
 
+    monkeypatch.setattr(parallel.os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("why", ["one worker", "no BLAS control", "no fork"])
+def test_nothing_is_forked_without_a_second_worker(why, monkeypatch):
+    _cpus(monkeypatch, 4)
+    jobs = 1 if why == "one worker" else 3
+    if why == "no BLAS control":
+        monkeypatch.setattr(parallel, "_blas", lambda: None)
     if why == "no fork":
         monkeypatch.delattr(parallel.os, "fork")
+        forks = []
     else:
-        monkeypatch.setattr(parallel.os, "fork", fork)
+        forks = _no_fork(monkeypatch)
     assert parallel.workers(jobs) == 1
-    assert parallel.run(lambda w, n: (w, n, os.getpid()), jobs) == [
-        (0, 1, os.getpid())]
+    assert parallel.map(lambda i: (i, os.getpid()), 2, jobs) == [
+        (0, os.getpid()), (1, os.getpid())]
+    assert forks == []
+
+
+def test_nothing_is_forked_for_one_task_or_none(monkeypatch):
+    _cpus(monkeypatch, 4)
+    forks = _no_fork(monkeypatch)
+    assert parallel.map(lambda i: (i, os.getpid()), 1, jobs=4) == [
+        (0, os.getpid())]
+
+    def task(i):
+        raise AssertionError("called")
+
+    assert parallel.map(task, 0) == []  # an empty map
     assert forks == []
 
 
 def _raise_in(where, error):
-    def share(w, n):
-        if w in where:
+    def task(i):
+        if i in where:
             raise error
-        return w
-    return share
+        return i
+    return task
 
 
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.2 GiB"),
                                    ValueError("bad input at point index 3")])
 def test_a_child_exception_keeps_its_type_and_text(error, monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(3)))
+    _cpus(monkeypatch, 3)
     with pytest.raises(type(error)) as info:
-        parallel.run(_raise_in({2}, error), jobs=3)
+        parallel.map(_raise_in({2}, error), 3, jobs=3)
     assert str(info.value) == str(error)
 
 
 def test_the_lowest_share_raises_first(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(3)))
+    _cpus(monkeypatch, 3)
 
-    def share(w, n):
-        raise (KeyError if w == 2 else ValueError)(f"share {w}")
+    def task(i):
+        raise (KeyError if i == 2 else ValueError)(f"task {i}")
 
-    with pytest.raises(ValueError, match="^share 0$"):
-        parallel.run(share, jobs=3)
+    with pytest.raises(ValueError, match="^task 0$"):
+        parallel.map(task, 3, jobs=3)
+
+
+def test_the_lowest_task_raises_when_workers_fail_out_of_order(monkeypatch):
+    # W = 3 over 9 tasks: worker 0 takes 0, 3, 6; worker 1 takes 1, 4, 7;
+    # worker 2 takes 2, 5, 8. Workers 0 and 1 fail after worker 2 does in
+    # task order, at tasks 6 and 7; worker 2 fails at task 5
+    _cpus(monkeypatch, 3)
+
+    def task(i):
+        warnings.warn(f"task {i}", UserWarning)
+        if i in (5, 6, 7):
+            raise ValueError(f"task {i}")
+        return i
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^task 5$"):
+            parallel.map(task, 9, jobs=3)
+    # every task before it ran, as in a serial loop; each worker stopped
+    # at its first failure
+    ran = sorted(int(str(c.message).split()[1]) for c in caught)
+    assert ran == [0, 1, 2, 3, 4, 5, 6, 7]
 
 
 class _Unsendable(Exception):
@@ -162,28 +205,25 @@ class _Unsendable(Exception):
 
 def test_an_exception_that_cannot_travel_keeps_its_type_name_and_text(
         monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(2)))
+    _cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="^_Unsendable: x and y$"):
-        parallel.run(_raise_in({1}, _Unsendable("x", "y")), jobs=2)
+        parallel.map(_raise_in({1}, _Unsendable("x", "y")), 2, jobs=2)
 
 
 def test_a_child_that_dies_is_reported(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(2)))
+    _cpus(monkeypatch, 2)
 
-    def share(w, n):
-        if w == 1:
+    def task(i):
+        if i == 1:
             os._exit(3)
-        return w
+        return i
 
     with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
-        parallel.run(share, jobs=2)
+        parallel.map(task, 2, jobs=2)
 
 
 def test_a_fork_that_fails_ends_the_workers_already_started(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(3)))
+    _cpus(monkeypatch, 3)
     forks = []
     fork = os.fork
 
@@ -197,36 +237,41 @@ def test_a_fork_that_fails_ends_the_workers_already_started(monkeypatch):
     with pytest.raises(RuntimeError, match=(
             r"^cannot start a worker process \(\[Errno 11\] Resource "
             r"temporarily unavailable\); one worker \(--jobs 1\) forks none$")):
-        parallel.run(lambda w, n: w, jobs=3)
+        parallel.map(lambda i: i, 3, jobs=3)
     assert len(forks) == 2  # the first child was ended and reaped
 
 
 def test_a_childs_warnings_are_issued_in_the_caller(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(2)))
+    _cpus(monkeypatch, 2)
 
-    def share(w, n):
-        warnings.warn(f"from share {w}", UserWarning)
-        return w
+    def task(i):
+        warnings.warn(f"from task {i}", UserWarning)
+        return i
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert parallel.run(share, jobs=2) == [0, 1]
-    assert sorted(str(c.message) for c in caught) == ["from share 0",
-                                                      "from share 1"]
+        assert parallel.map(task, 2, jobs=2) == [0, 1]
+    assert sorted(str(c.message) for c in caught) == ["from task 0",
+                                                      "from task 1"]
 
 
 # --- the walk ------------------------------------------------------------
 
-def test_strided_chunks_are_the_walks_chunks():
+def test_each_chunk_is_the_walks_chunk():
+    # screened points and a short last chunk; every chunk of a fresh
+    # workspace, and each in turn of one workspace, in any order
     field, grid = _fci()
+    spans = [np.ptp(grid.index[s:s + _CHUNK]) + 1
+             for s in range(0, len(grid), _CHUNK)]
+    assert max(spans) > _CHUNK  # a chunk with screened points among its own
     serial = [(start, pts.copy()) for start, pts in grid.chunks()]
-    strided = sorted(((start, pts.copy()) for offset in range(3)
-                      for start, pts in grid.chunks(offset, 3)),
-                     key=lambda chunk: chunk[0])
-    assert [s for s, _ in strided] == [s for s, _ in serial]
-    for (_, a), (_, b) in zip(serial, strided):
-        assert np.array_equal(a, b)
+    assert len(serial) == 5 and len(serial[-1][1]) < _CHUNK
+    work = Workspace()
+    for i in (4, 0, 3, 1, 2):
+        for start, pts in (grid.chunk(i), grid.chunk(i, work)):
+            assert start == serial[i][0] == i * _CHUNK
+            assert pts.shape == serial[i][1].shape
+            assert np.array_equal(pts, serial[i][1])
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -368,8 +413,7 @@ def test_a_childs_memory_error_exits_1(monkeypatch, capsys, wfn_fixtures):
 
 
 def test_a_sweep_raises_the_first_failing_row(monkeypatch, capsys):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                        lambda pid: set(range(2)))
+    _cpus(monkeypatch, 2)
     model = cli.analyze_model
 
     def analyze_model(method, R, **kwargs):

@@ -109,16 +109,26 @@ def test_integrate_callable_and_checks():
     mol = Molecule([Atom("H", 1, (0.0, 0.0, 0.0))])
     grid = build_molecular_grid(mol, AtomicGridSpec(n_radial=40,
                                                     lebedev_order=26))
-    by_callable = integrate(
-        lambda p: hydrogenic_density(np.linalg.norm(p, axis=1)), grid)
     r = np.linalg.norm(grid.points, axis=1)
-    assert by_callable == integrate(hydrogenic_density(r), grid)
+    values = hydrogenic_density(r)
+    assert integrate(values, grid) == integrate(values, weights=grid.weights)
     with pytest.raises(ValueError, match="shape"):
         integrate(np.ones(7), grid)
     with pytest.raises(ValueError, match="grid or explicit weights"):
         integrate(np.ones(7))
-    with pytest.raises(ValueError, match="callable field needs a grid"):
-        integrate(lambda p: np.ones(len(p)), weights=grid.weights)
+
+
+def test_integrate_refuses_a_callable():
+    grid = build_molecular_grid(Molecule([Atom("H", 1, (0.0, 0.0, 0.0))]),
+                                AtomicGridSpec(n_radial=10, lebedev_order=6))
+
+    def field(points):
+        return np.ones(len(points))
+
+    for kwargs in ({"grid": grid}, {"weights": grid.weights}):
+        with pytest.raises(ValueError, match=(
+                "^field must be an array of point values, not a callable$")):
+            integrate(field, **kwargs)
 
 
 def test_integrate_takes_weights_as_a_sequence():
@@ -139,24 +149,17 @@ def test_integrate_rejects_nonfinite_with_location():
 
 
 def test_integrate_reports_the_position_of_a_nonfinite_chunk_value():
-    # a point of the second atom in the third chunk, by array and callable
+    # a point of the second atom in the third chunk, inf and nan
     grid = build_molecular_grid(Molecule.h2(1.4),
                                 AtomicGridSpec(n_radial=40, lebedev_order=194))
     k = 2 * 4096 + 17
     assert grid.owner_atom[k] == 1
     where = f"point index {k}, position {grid.points[k]}"
-    values = np.ones(len(grid))
-    values[k] = np.inf
-
-    def field(points):
-        out = np.ones(len(points))
-        hit = (points == grid.points[k]).all(axis=1)
-        out[hit] = np.nan
-        return out
-
-    for f in (values, field):
+    for bad in (np.inf, np.nan):
+        values = np.ones(len(grid))
+        values[k] = bad
         with pytest.raises(ValueError) as info:
-            integrate(f, grid)
+            integrate(values, grid)
         assert str(info.value) == f"non-finite field value at {where}"
 
 

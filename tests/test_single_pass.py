@@ -130,8 +130,8 @@ class _RecordedSums(analysis.GridSums):
 def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
                                                h3_wfn_field):
     # every integral, int rho included, has exactly one partial per chunk,
-    # one row per integrand, on the default grid; the workers' partials
-    # are merged into the sums made in this process
+    # one row per integrand, on the default grid; the workers' chunks are
+    # taken into the one GridSums made in this process
     field = hf_model(1.4).field() if which == "h2" else h3_wfn_field
     nat = len(field.molecule)
     n_pairs = nat * (nat + 1) // 2
