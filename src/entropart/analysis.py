@@ -8,9 +8,11 @@ import dataclasses
 import functools
 import math
 
+import numpy as np
+
 from . import parallel
 from .backends import Workspace
-from .density import PairDensityField
+from .density import ClampDiagnostics, PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
                          build_molecular_grid, nonfinite_error)
@@ -82,35 +84,30 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     (``GridSums.chunk``), so no full-length pair array is held. The chunks
     are mapped over ``parallel.map``'s workers, with cap one worker per
     ``WORK_PER_WORKER`` chunks x pair terms; jobs None asks for every
-    usable CPU. Their partials and clamp counts are taken in grid order,
-    up to the first chunk with a non-finite density, so the result is the
-    serial walk's for any W. The clamp counts are added to
-    ``field.diagnostics``, with one warning for the points negated. Then a
-    non-finite density is raised as ``integrate`` raises it; then the
-    normalization check, and then the checks on the other integrands,
-    recorded during the walk, before any result is built.
+    usable CPU. A chunk raises a non-finite density as ``integrate``
+    raises it; the error of the lowest raising chunk is raised, as in a
+    serial walk, and the call records no clamp counts. Otherwise the
+    partials are taken in grid order, so the result is the serial walk's
+    for any W, and the chunks' clamp counts are summed and added to
+    ``field.diagnostics`` once (``field.record``, one warning for the
+    points negated). Then the normalization check, and then the checks
+    on the other integrands, recorded during the walk, before any result
+    is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas)
     n_chunks = -(-len(grid) // _CHUNK)
     cap = n_chunks * len(field.pair_keys) // WORK_PER_WORKER
-    before = dataclasses.replace(field.diagnostics)
     task = functools.partial(_chunk, field, grid, sums, Workspace())
-    clamped = negated = 0
-    for partials, counts in parallel.map(task, n_chunks, jobs, cap):
-        clamped += counts.clamped
-        negated += counts.negated
-        if not sums.take(partials):
-            break
-    field.diagnostics.clamped = before.clamped + clamped
-    field.diagnostics.negated = before.negated + negated
-    field.warn_negated(before)
-    if sums.nonfinite_rho is not None:
-        raise nonfinite_error(sums.nonfinite_rho, grid)
+    counts = ClampDiagnostics()
+    for partials, chunk_counts in parallel.map(task, n_chunks, jobs, cap):
+        sums.take(partials)
+        counts += chunk_counts
+    field.record(counts)
     n_grid = float(sums.integral("rho")[0])
     check_normalization(n_grid, field.n_electrons)
     sums.check()
-    shannon = shannon_from_sums(sums, n_grid, field.diagnostics.since(before))
+    shannon = shannon_from_sums(sums, n_grid, counts)
     renyi = {a: renyi_from_sums(sums, a, n_grid) for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
@@ -118,13 +115,15 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
 
 def _chunk(field, grid, sums, work, i):
     """Chunk i of the walk, its arrays in ``work``: (its partials, as
-    ``sums.chunk`` gives them, and the ClampDiagnostics it added)."""
+    ``sums.chunk`` gives them, and its ClampDiagnostics). A non-finite
+    density is raised here."""
     start, points = grid.chunk(i, work)
-    before = dataclasses.replace(field.diagnostics)
-    rho, terms = field.pair_block(points, work)
+    rho, terms, counts = field.pair_block(points, work)
+    bad = ~np.isfinite(rho)
+    if bad.any():
+        raise nonfinite_error(start + int(np.argmax(bad)), grid)
     return (sums.chunk(start, grid.weights[start:start + len(rho)], rho,
-                       terms, work),
-            field.diagnostics.since(before))
+                       terms, work), counts)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,7 +21,7 @@ import sys
 from . import __version__, parallel
 from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
                        hydrogen_reference)
-from .models import METHODS
+from .models import METHODS, atom_field, hydrogen_atom_energy
 from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import (MAX_GRID_POINTS, AtomicGridSpec, build_molecular_grid,
                          grid_estimate)
@@ -372,7 +372,7 @@ def _plot_script(csv_path, cols, block, units):
         'set datafile separator ","',
         'set datafile commentschars "#"',
         "set terminal pngcairo size 900,1100",
-        f'set output "{csv_path.rsplit(".", 1)[0]}.png"',
+        f'set output "{os.path.splitext(csv_path)[0]}.png"',
         "set multiplot layout 2,1",
         'set xlabel "R (bohr)"',
         f'set ylabel "entropy ({units})"',
@@ -413,7 +413,7 @@ def cmd_sweep(args):
     _emit(settings, "sweep", rows, {"method": settings.method}, block)
 
     if settings.emit_plot_script:
-        script_path = settings.out.rsplit(".", 1)[0] + ".gp"
+        script_path = os.path.splitext(settings.out)[0] + ".gp"
         with open(script_path, "w") as fh:
             fh.write(_plot_script(settings.out, list(_columns(rows[0])),
                                   block, settings.units))
@@ -453,10 +453,16 @@ def _analyze_wfn(path, settings, single_center=False):
         raise UsageError(
             f"atom subcommand needs a single-center file; "
             f"{path} has {len(field.molecule)} nuclei")
+    return doc, _analyze(field, settings)
+
+
+def _analyze(field, settings):
+    """The FieldAnalysis of field on the settings' grid, once the grid is
+    known to fit."""
     settings.require_grid_fits(len(field.molecule), settings.alphas)
     grid = build_molecular_grid(field.molecule, settings.grid_spec)
-    return doc, analyze_field(field, grid, alphas=settings.alphas,
-                              jobs=settings.jobs)
+    return analyze_field(field, grid, alphas=settings.alphas,
+                         jobs=settings.jobs)
 
 
 def cmd_analyze(args):
@@ -472,24 +478,18 @@ def cmd_atom(args):
     settings = Settings(args)
     if args.wfn:
         doc, fa = _analyze_wfn(args.wfn, settings, single_center=True)
-        n_grid, energy = fa.n_grid, doc.total_energy
-        s_rho, s_sigma = fa.shannon.density.total, fa.shannon.shape.total
-        renyi = {alpha: dec.totals for alpha, dec in fa.renyi.items()}
-        one_electron = abs(fa.n_declared - 1.0) < 1e-12
-        source = args.wfn
+        energy, source = doc.total_energy, args.wfn
     else:
-        settings.require_grid_fits(1, settings.alphas)
-        ref = hydrogen_reference(spec=settings.grid_spec, alphas=settings.alphas,
-                                 jobs=settings.jobs)
-        n_grid, energy, renyi = ref.n_grid, ref.energy, ref.renyi
-        s_rho = s_sigma = ref.shannon
-        one_electron = True
+        fa = _analyze(atom_field(), settings)
+        energy = hydrogen_atom_energy()
         source = "built-in H (six-Gaussian s contraction)"
     # for one electron the shape function equals the density exactly
-    row = {"N": n_grid, "S_rho": s_rho * settings.scale}
-    row["sigma_S"] = row["S_rho"] if one_electron else s_sigma * settings.scale
-    for alpha, totals in sorted(renyi.items()):
-        lab = f"renyi{alpha:g}"
+    one_electron = abs(fa.n_declared - 1.0) < 1e-12
+    row = {"N": fa.n_grid, "S_rho": fa.shannon.density.total * settings.scale}
+    row["sigma_S"] = row["S_rho"] if one_electron \
+        else fa.shannon.shape.total * settings.scale
+    for alpha, dec in sorted(fa.renyi.items()):
+        totals, lab = dec.totals, f"renyi{alpha:g}"
         row[f"{lab}_S_rho"] = totals.density * settings.scale
         row[f"{lab}_S_sigma"] = row[f"{lab}_S_rho"] if one_electron \
             else totals.shape * settings.scale

@@ -207,10 +207,21 @@ class ClampDiagnostics:
     clamped: int = 0    # values in (NEGATIVE_CLAMP, 0) set to 0
     negated: int = 0    # values below NEGATIVE_CLAMP replaced by |value|
 
-    def since(self, earlier: ClampDiagnostics) -> ClampDiagnostics:
-        """The counts added after the snapshot ``earlier`` was taken."""
-        return ClampDiagnostics(clamped=self.clamped - earlier.clamped,
-                                negated=self.negated - earlier.negated)
+    def __add__(self, other: ClampDiagnostics) -> ClampDiagnostics:
+        return ClampDiagnostics(clamped=self.clamped + other.clamped,
+                                negated=self.negated + other.negated)
+
+
+def _clamp(rho: np.ndarray) -> ClampDiagnostics:
+    """Clamp rho in place (see ClampDiagnostics), returning its counts."""
+    neg = rho < 0
+    if not neg.any():
+        return ClampDiagnostics()
+    small = neg & (rho > NEGATIVE_CLAMP)
+    rho[small] = 0.0
+    bad = neg & ~small
+    rho[bad] = np.abs(rho[bad])
+    return ClampDiagnostics(clamped=int(small.sum()), negated=int(bad.sum()))
 
 
 class PairDensityField:
@@ -250,10 +261,10 @@ class PairDensityField:
         return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
 
     def pair_block(self, points, work=None):
-        """The clamped density (see ClampDiagnostics) and the
-        (npairs, npts) stack of the pair terms, in the order of
-        ``pair_keys``, at one block of points. Negated points are counted
-        but not warned about; see ``warn_negated``.
+        """(rho, terms, counts) at one block of points: the clamped
+        density, the (npairs, npts) stack of the pair terms in the order
+        of ``pair_keys``, and the block's ClampDiagnostics. The field is
+        not changed; ``record`` adds counts to ``diagnostics``.
 
         Every array of the block is taken from ``work`` (a
         ``backends.Workspace``, a fresh one by default; ``reductions``
@@ -282,28 +293,17 @@ class PairDensityField:
         for x, (a, b), m in zip(terms, self.pair_keys, self._blocks):
             quad_form_block(m, values[a], values[b], out=x, work=work)
             rho += x if a == b else np.multiply(2.0, x, out=twice)
-        self._clamp(rho)
-        return rho, terms
+        return rho, terms, _clamp(rho)
 
-    def _clamp(self, rho: np.ndarray) -> None:
-        """Clamp rho in place, counting into ``diagnostics``."""
-        neg = rho < 0
-        if not neg.any():
-            return
-        small = neg & (rho > NEGATIVE_CLAMP)
-        self.diagnostics.clamped += int(small.sum())
-        rho[small] = 0.0
-        bad = neg & ~small
-        self.diagnostics.negated += int(bad.sum())
-        rho[bad] = np.abs(rho[bad])
-
-    def warn_negated(self, before: ClampDiagnostics) -> None:
-        """One RuntimeWarning for the points negated since the snapshot
-        ``before``: one per evaluation, however many blocks it took."""
-        nbad = self.diagnostics.since(before).negated
-        if nbad:
+    def record(self, counts: ClampDiagnostics) -> None:
+        """Add one evaluation's counts to ``diagnostics``, with one
+        RuntimeWarning for its negated points, however many blocks it
+        took."""
+        self.diagnostics.clamped += counts.clamped
+        self.diagnostics.negated += counts.negated
+        if counts.negated:
             warnings.warn(
-                f"density below {NEGATIVE_CLAMP} at {nbad} points; "
+                f"density below {NEGATIVE_CLAMP} at {counts.negated} points; "
                 "using absolute values", RuntimeWarning)
 
     def density(self, points) -> np.ndarray:
@@ -317,9 +317,7 @@ class PairDensityField:
             sl = slice(start, start + _CHUNK)
             rho[sl] = quad_form(self.dm.coefficients,
                                 self.basis.evaluate(pts[sl], work))
-        before = dataclasses.replace(self.diagnostics)
-        self._clamp(rho)
-        self.warn_negated(before)
+        self.record(_clamp(rho))
         return rho
 
     def pair_fields(self, points):
@@ -343,12 +341,13 @@ class PairDensityField:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         rho = np.empty(len(pts))
         terms = np.empty((len(self.pair_keys), len(pts)))
-        before = dataclasses.replace(self.diagnostics)
+        counts = ClampDiagnostics()
         work = Workspace()
         for start in range(0, len(pts), _CHUNK):
             sl = slice(start, start + _CHUNK)
-            rho[sl], terms[:, sl] = self.pair_block(pts[sl], work)
-        self.warn_negated(before)
+            rho[sl], terms[:, sl], block = self.pair_block(pts[sl], work)
+            counts += block
+        self.record(counts)
         return rho, dict(zip(self.pair_keys, terms))
 
 

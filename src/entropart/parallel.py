@@ -103,8 +103,10 @@ def map(task, n, jobs=None, cap=None) -> list:
 
     Task i runs in worker i mod W, every worker with one BLAS thread:
     worker 0 is this process and the others are forked children. A task
-    should not write files or print: a child's output is never flushed.
-    Warnings a child issues are issued again here. Each worker stops at
+    returns all it has to tell: what it changes in a child, an object's
+    state say, is lost when the child ends, and a child's output is
+    never flushed, so it should not write files or print. Warnings a
+    child issues are issued again here. Each worker stops at
     its first task that raises; once every child has ended, the
     exception of the lowest raising task is raised here, every task
     before it having run, as in a serial loop. A child's exception keeps

@@ -71,20 +71,13 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     point of at most ``_BLOCK`` points (the Becke distances and cell
     products, the block's points and a few temporaries), about 1.6 MiB for
     two atoms and 3.1 MiB for eight. Nor what an analysis on the grid
-    needs. The analysis walks the grid in blocks of ``_CHUNK`` points and
-    forms each block's coordinates from the whole shells it spans, about
-    3 floats per point of those shells. For K orbitals and
-    P = nat(nat+1)/2 atom pairs each worker of the walk holds one
-    workspace with those coordinates and about
-    2 nat + max(nprim, P) + sum_A min(K, m_A) + P rows of ``_CHUNK``
-    floats, allocated at its first block and reused by every other
-    (``reductions`` lists it; 4.7 MiB for an H8 chain with 48 primitives),
-    so W workers hold W of them, one in each process. The field adds
-    P pair blocks of at most min(K, m_A) min(K, m_B) floats for atoms
-    with m_A and m_B primitives, plus the nprim**2 coefficient matrix only
-    when it is asked for. At order 2 the walk also keeps Gram partials
-    that grow with the grid; ``reductions.gram_partials_bytes`` counts
-    them.
+    needs: each worker of its walk holds one chunk workspace, which the
+    ``reductions`` docstring lists. The field adds P = nat(nat+1)/2 pair
+    blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
+    atoms with m_A and m_B primitives, plus the nprim**2 coefficient
+    matrix only when it is asked for. At order 2 the walk also keeps Gram
+    partials that grow with the grid; ``reductions.gram_partials_bytes``
+    counts them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 12

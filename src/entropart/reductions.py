@@ -20,10 +20,10 @@ the direct reference: they take each integral with ``integrate`` over
 whole arrays and share only the sign rules of ``_power`` and their
 refusal message, and the tests hold the walk to them.
 
-A non-finite density ends a walk at its chunk, as it ends ``integrate``:
-``take`` keeps its point (``nonfinite_rho``) and nothing more, and the
-caller raises it. Two more checks run on every chunk but are raised only
-by ``check``, after the walk, so that the caller can first check
+A non-finite density ends a walk at its chunk, as it ends ``integrate``;
+the caller raises it before the chunk is reduced, so ``chunk`` is given
+a finite density only. Two more checks run on every chunk but are raised
+only by ``check``, after the walk, so that the caller can first check
 normalization: a non-finite integrand (reported with its global point
 index) and, at fractional orders, a density or atomic net density below
 the clamp threshold.
@@ -114,22 +114,17 @@ class GridSums:
         self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
         self._failures = {}  # check key -> message, the first chunk's
-        self.nonfinite_rho = None  # the first point of a non-finite density
 
     def chunk(self, start, weights, rho, terms, work):
         """The partials of the chunk whose first point is ``start``:
-        weights (n,), the density rho (n,) and the pair terms
-        (len(pair_keys), n). Returns (partials, failures, nonfinite):
-        family -> chunk partial, check key -> message, and None, or for a
-        non-finite rho ({}, {}, its first non-finite point). Each
-        integrand is formed in ``work`` (a ``backends.Workspace``) and
-        reduced before the next: a stack shaped like the pair terms, its
-        bool mask, and one row and its mask for rho. Nothing is kept until
-        ``take``, so a worker's copy of these sums can reduce its chunks
-        for the caller's."""
-        bad = ~np.isfinite(rho)
-        if bad.any():
-            return {}, {}, start + int(np.argmax(bad))
+        weights (n,), the finite density rho (n,) and the pair terms
+        (len(pair_keys), n). Returns (partials, failures): family ->
+        chunk partial, and check key -> message. Each integrand is formed
+        in ``work`` (a ``backends.Workspace``) and reduced before the
+        next: a stack shaped like the pair terms, its bool mask, and one
+        row and its mask for rho. Nothing is kept until ``take``, so a
+        worker's copy of these sums can reduce its chunks for the
+        caller's."""
         partials, failures = {}, {}
 
         def keep(family, values, keys):
@@ -181,22 +176,16 @@ class GridSums:
         if self.gram:  # the upper triangle, row by row
             partials["gram"] = (np.multiply(terms, weights, out=stack)
                                 @ terms.T)[self._upper]
-        return partials, failures, None
+        return partials, failures
 
-    def take(self, chunk) -> bool:
-        """Keep a chunk's (partials, failures, nonfinite) from ``chunk``;
-        the chunks are taken in grid order, so each failure keeps its
-        first chunk. A non-finite density keeps its point in
-        ``nonfinite_rho`` and returns False, for the walk ends there."""
-        partials, failures, nonfinite = chunk
-        if nonfinite is not None:
-            self.nonfinite_rho = nonfinite
-            return False
+    def take(self, chunk):
+        """Keep a chunk's (partials, failures) from ``chunk``; the chunks
+        are taken in grid order, so each failure keeps its first chunk."""
+        partials, failures = chunk
         for family, partial in partials.items():
             self._partials[family].append(partial)
         for key, message in failures.items():
             self._failures.setdefault(key, message)
-        return True
 
     def check(self):
         """Raise the first failure recorded during the walk, in the order

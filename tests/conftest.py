@@ -4,6 +4,7 @@ Grid construction and field evaluation dominate test runtime, so analyses
 are cached per (method, separation, grid, alphas) for the whole session.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ from entropart.wfnio import (build_document, field_from_document, parse_wfn,
                              write_wfn)
 
 STANDARD_ALPHAS = (0.5, 2.0, 3.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every walk forks workers by default: none may outlive its test."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

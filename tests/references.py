@@ -5,8 +5,9 @@ The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
 pointwise wherever rho > 0. ``walk`` reduces one integration chunk at a
 time with ``GridSums.chunk`` and takes it with ``GridSums.take``, in grid
-order up to a non-finite density, as ``analyze_field`` does, from arrays
-evaluated over the whole grid.
+order, as ``analyze_field`` does, from arrays evaluated over the whole
+grid. It stops at the first chunk with a non-finite density, where
+``analyze_field`` raises.
 """
 import dataclasses
 
@@ -50,8 +51,8 @@ def walk(weights, rho, pairs, alphas) -> GridSums:
     sums, work = GridSums(keys, alphas), Workspace()
     for start in range(0, len(weights), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        if not sums.take(sums.chunk(start, weights[chunk], rho[chunk],
-                                    np.ascontiguousarray(terms[:, chunk]),
-                                    work)):
+        if not np.isfinite(rho[chunk]).all():
             break
+        sums.take(sums.chunk(start, weights[chunk], rho[chunk],
+                             np.ascontiguousarray(terms[:, chunk]), work))
     return sums

@@ -569,6 +569,18 @@ def test_plot_script_emission(tmp_path):
     assert "atom_limit" in body or "limit" in body
 
 
+def test_plot_script_stays_beside_an_output_in_a_dotted_directory(tmp_path):
+    folder = tmp_path / "plot.dir"
+    folder.mkdir()
+    out = folder / "curve"
+    run_cli("sweep", "--method", "hf", "--distances", "1.4,2", "--n-radial",
+            "60", "--lebedev", "50", "--out", str(out), "--emit-plot-script",
+            check=0)
+    assert sorted(os.listdir(tmp_path)) == ["plot.dir"]
+    assert sorted(os.listdir(folder)) == ["curve", "curve.gp"]
+    assert f'set output "{out}.png"' in (folder / "curve.gp").read_text()
+
+
 def test_strict_limits_failure_near_equilibrium(tmp_path):
     proc = run_cli("sweep", "--method", "fci", "--distances", "1.4",
                    "--strict-limits", *QUICK, "--out",

@@ -17,8 +17,8 @@ import entropart
 from entropart import analysis, cli, parallel
 from entropart.analysis import analyze_field
 from entropart.backends import Workspace
-from entropart.density import (NEGATIVE_CLAMP, DensityMatrix, PairDensityField,
-                               PrimitiveBasis)
+from entropart.density import (NEGATIVE_CLAMP, ClampDiagnostics, DensityMatrix,
+                               PairDensityField, PrimitiveBasis)
 from entropart.models import fci_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
@@ -26,13 +26,6 @@ from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
 
 SPEC = AtomicGridSpec(n_radial=100, lebedev_order=86)
 SRC = os.path.dirname(os.path.dirname(entropart.__file__))
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _cpus(monkeypatch, n):
@@ -55,18 +48,24 @@ def _fci():
 
 
 def _at_chunk(monkeypatch, field, grid, changes):
-    """Have field.pair_block apply changes[c](rho, terms) at chunk c."""
-    firsts = {c: grid.chunk(c)[1][0].copy() for c in changes}
+    """Have field.pair_block apply changes[c](rho, terms) at chunk c.
+    Returns the list of the chunks this process evaluates, in order."""
+    n_chunks = -(-len(grid) // _CHUNK)
+    firsts = [grid.chunk(c)[1][0].copy() for c in range(n_chunks)]
     evaluate = field.pair_block
+    evaluated = []
 
     def pair_block(points, work=None):
-        rho, terms = evaluate(points, work)
-        for c, change in changes.items():
-            if np.array_equal(points[0], firsts[c]):
-                change(rho, terms)
-        return rho, terms
+        rho, terms, counts = evaluate(points, work)
+        (c,) = [c for c, first in enumerate(firsts)
+                if np.array_equal(points[0], first)]
+        evaluated.append(c)
+        if c in changes:
+            changes[c](rho, terms)
+        return rho, terms, counts
 
     monkeypatch.setattr(field, "pair_block", pair_block)
+    return evaluated
 
 
 def _message(call):
@@ -305,6 +304,27 @@ def test_a_non_finite_density_in_a_childs_share(cpus, monkeypatch):
     assert _message(lambda: analyze_field(field, grid, jobs=cpus)) == serial
 
 
+def _memory_error(rho, terms):
+    raise MemoryError("Unable to allocate 7.2 GiB")
+
+
+def _inf(rho, terms):
+    rho[7] = np.inf
+
+
+def _nan(rho, terms):
+    rho[3] = np.nan
+
+
+def test_a_serial_walk_stops_at_a_non_finite_density(monkeypatch):
+    field, grid = _fci()
+    evaluated = _at_chunk(monkeypatch, field, grid, {1: _inf})
+    with pytest.raises(ValueError, match=(
+            f"^non-finite field value at point index {_CHUNK + 7}, ")):
+        analyze_field(field, grid, jobs=1)
+    assert evaluated == [0, 1]
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_a_non_finite_pair_integrand_keeps_its_first_point(cpus, monkeypatch):
@@ -379,6 +399,39 @@ def test_clamp_counts_are_summed_with_one_warning(cpus, monkeypatch):
                         "using absolute values"]
     _force(monkeypatch, cpus)
     assert run(cpus) == (serial, added, messages)
+
+
+def test_pair_block_returns_its_counts_and_leaves_the_field():
+    field, grid = _clamped_h2()
+    counts = ClampDiagnostics()
+    for i in range(-(-len(grid) // _CHUNK)):
+        counts += field.pair_block(grid.chunk(i)[1])[2]
+    assert field.diagnostics == ClampDiagnostics()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        walked = analyze_field(field, grid, jobs=1).shannon.diagnostics
+    assert counts.negated > 0 and counts == walked == field.diagnostics
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("chunk, change, error", [
+    (1, _memory_error, MemoryError), (1, _inf, ValueError),
+    (2, _nan, ValueError)])
+def test_a_walk_that_raises_records_no_clamp_counts(cpus, chunk, change,
+                                                    error, monkeypatch):
+    # chunk 1 is a child's for W = 2 and 3; chunk 2 is this process's for
+    # W = 2 and a child's for W = 3; chunk 0 has negated points
+    field, grid = _clamped_h2()
+    assert field.pair_block(grid.chunk(0)[1])[2].negated > 0
+    field.diagnostics.clamped, field.diagnostics.negated = 3, 4
+    _at_chunk(monkeypatch, field, grid, {chunk: change})
+    _force(monkeypatch, cpus)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            analyze_field(field, grid, jobs=cpus)
+    assert field.diagnostics == ClampDiagnostics(clamped=3, negated=4)
+    assert not [w for w in caught if "density below" in str(w.message)]
 
 
 def _fail_in_children(monkeypatch, error):
