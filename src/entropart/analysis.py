@@ -8,14 +8,12 @@ import dataclasses
 import functools
 import math
 
-import numpy as np
-
 from . import parallel
 from .backends import Workspace
 from .density import ClampDiagnostics, PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
-                         build_molecular_grid, nonfinite_error)
+                         build_molecular_grid)
 from .reductions import GridSums
 from .renyi import _validate_alpha, asymptotic_renyi_reference, renyi_from_sums
 from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
@@ -84,18 +82,18 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     (``GridSums.chunk``), so no full-length pair array is held. The chunks
     are mapped over ``parallel.map``'s workers, with cap one worker per
     ``WORK_PER_WORKER`` chunks x pair terms; jobs None asks for every
-    usable CPU. A chunk raises a non-finite density as ``integrate``
-    raises it; the error of the lowest raising chunk is raised, as in a
-    serial walk, and the call records no clamp counts. Otherwise the
-    partials are taken in grid order, so the result is the serial walk's
-    for any W, and the chunks' clamp counts are summed and added to
-    ``field.diagnostics`` once (``field.record``, one warning for the
-    points negated). Then the normalization check, and then the checks
-    on the other integrands, recorded during the walk, before any result
+    usable CPU. A chunk raises at the first check it fails, a non-finite
+    density or integrand or, at a fractional order, a negative atomic net
+    density (``GridSums.chunk``); the error of the lowest raising chunk is
+    raised, as in a serial walk, and the call records no clamp counts.
+    Otherwise the partials are taken in grid order, so the result is the
+    serial walk's for any W, and the chunks' clamp counts are summed and
+    added to ``field.diagnostics`` once (``field.record``, one warning for
+    the points negated). Then the normalization check, before any result
     is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
-    sums = GridSums(field.pair_keys, alphas)
+    sums = GridSums(field.pair_keys, alphas, grid)
     n_chunks = -(-len(grid) // _CHUNK)
     cap = n_chunks * len(field.pair_keys) // WORK_PER_WORKER
     task = functools.partial(_chunk, field, grid, sums, Workspace())
@@ -106,7 +104,6 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     field.record(counts)
     n_grid = float(sums.integral("rho")[0])
     check_normalization(n_grid, field.n_electrons)
-    sums.check()
     shannon = shannon_from_sums(sums, n_grid, counts)
     renyi = {a: renyi_from_sums(sums, a, n_grid) for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
@@ -115,13 +112,9 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
 
 def _chunk(field, grid, sums, work, i):
     """Chunk i of the walk, its arrays in ``work``: (its partials, as
-    ``sums.chunk`` gives them, and its ClampDiagnostics). A non-finite
-    density is raised here."""
+    ``sums.chunk`` gives them or raises, and its ClampDiagnostics)."""
     start, points = grid.chunk(i, work)
     rho, terms, counts = field.pair_block(points, work)
-    bad = ~np.isfinite(rho)
-    if bad.any():
-        raise nonfinite_error(start + int(np.argmax(bad)), grid)
     return (sums.chunk(start, grid.weights[start:start + len(rho)], rho,
                        terms, work), counts)
 

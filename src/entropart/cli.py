@@ -270,11 +270,16 @@ def _nest(leaves):
 
 @contextlib.contextmanager
 def _output(path):
+    """The stream to write to: stdout for "-", or the file, refused as a
+    usage error when it cannot be written."""
     if path == "-":
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             yield fh
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 def _write_csv(stream, comments, columns, rows):
@@ -402,6 +407,11 @@ def cmd_sweep(args):
     if settings.emit_plot_script and (settings.format != "csv"
                                       or settings.out == "-"):
         raise UsageError("--emit-plot-script requires --format csv and --out FILE")
+    stem = os.path.splitext(settings.out)[0]
+    if settings.emit_plot_script and settings.out in (stem + ".gp",
+                                                      stem + ".png"):
+        raise UsageError(f"--emit-plot-script writes {stem}.gp and its plot "
+                         f"{stem}.png, so --out cannot be either of them")
     settings.require_grid_fits(2, settings.alphas)
     *results, ref = parallel.map(functools.partial(_sweep_task, settings),
                                  len(settings.distances) + 1, settings.jobs)
@@ -413,8 +423,8 @@ def cmd_sweep(args):
     _emit(settings, "sweep", rows, {"method": settings.method}, block)
 
     if settings.emit_plot_script:
-        script_path = os.path.splitext(settings.out)[0] + ".gp"
-        with open(script_path, "w") as fh:
+        script_path = stem + ".gp"
+        with _output(script_path) as fh:
             fh.write(_plot_script(settings.out, list(_columns(rows[0])),
                                   block, settings.units))
         print(f"plot script written to {script_path}", file=sys.stderr)

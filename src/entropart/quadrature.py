@@ -314,14 +314,26 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
     values = np.asarray(field, dtype=float)
     if values.shape != weights.shape:
         raise ValueError(f"field has shape {values.shape}, expected {weights.shape}")
-    parts = []
-    for start in range(0, len(weights), _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        bad = ~np.isfinite(chunk)
-        if bad.any():
-            raise nonfinite_error(start + int(np.argmax(bad)), grid)
-        parts.append(float(np.dot(chunk, weights[start:start + _CHUNK])))
-    return math.fsum(parts)
+    return math.fsum(
+        float(chunk_partials(values[start:start + _CHUNK],
+                             weights[start:start + _CHUNK], start, grid)[0])
+        for start in range(0, len(weights), _CHUNK))
+
+
+def chunk_partials(values, weights, start=0, grid=None) -> np.ndarray:
+    """The partials of ``integrate`` over one chunk, one per row of values
+    ((n,) or (rows, n)): each row's dot product with the chunk's weights
+    (n,). A non-finite value raises ``nonfinite_error`` at the first row
+    and point that hold one, the point's kept index being start plus its
+    column."""
+    rows = np.atleast_2d(values)
+    partials = np.array([np.dot(row, weights) for row in rows])
+    if not np.isfinite(partials).all():
+        for row in rows:
+            bad = ~np.isfinite(row)
+            if bad.any():
+                raise nonfinite_error(start + int(np.argmax(bad)), grid)
+    return partials
 
 
 def nonfinite_error(index: int, grid: MolecularGrid | None = None):

@@ -10,23 +10,22 @@ them, with no flags: the orders it is given fix the moments, and order 2
 among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
 chunk of the grid to each integrand's chunk partial, its dot product
 with the weights, and ``GridSums.take`` keeps them; each integral is the
-exactly rounded sum (``math.fsum``) of its partials. The chunks are the
-fixed integration chunks of ``quadrature.integrate``, so results do not
-depend on how the values were evaluated, and repeated runs agree bit for
-bit. ``chunk`` keeps nothing, so any worker may reduce a chunk; the
-caller takes the chunks in grid order, so every check sees them as a
-serial walk does. The array functions of ``shannon`` and ``renyi`` are
-the direct reference: they take each integral with ``integrate`` over
-whole arrays and share only the sign rules of ``_power`` and their
-refusal message, and the tests hold the walk to them.
+exactly rounded sum (``math.fsum``) of its partials. The chunks and
+their partials are those of ``quadrature.integrate``
+(``quadrature.chunk_partials``), so results do not depend on how the
+values were evaluated, and repeated runs agree bit for bit. The array
+functions of ``shannon`` and ``renyi`` are the direct reference: they
+take each integral with ``integrate`` over whole arrays, share only
+that chunk partial, the sign rules of ``_power`` and their refusal
+message, and the tests hold the walk to them.
 
-A non-finite density ends a walk at its chunk, as it ends ``integrate``;
-the caller raises it before the chunk is reduced, so ``chunk`` is given
-a finite density only. Two more checks run on every chunk but are raised
-only by ``check``, after the walk, so that the caller can first check
-normalization: a non-finite integrand (reported with its global point
-index) and, at fractional orders, a density or atomic net density below
-the clamp threshold.
+``chunk`` keeps nothing, so any worker may reduce a chunk. It raises at
+the first check the chunk fails, in the order it computes the
+integrals: a non-finite density or integrand, with the global index and
+position of its first point as ``integrate`` reports it, and, at
+fractional orders, an atomic net density below the clamp threshold. The
+caller takes the chunks in grid order and raises the first chunk that
+fails, so the error is the serial walk's.
 
 ``analysis.analyze_field`` makes one ``backends.Workspace`` for the
 call; each worker of the walk fills its own copy, and this process's is
@@ -61,7 +60,7 @@ import math
 import numpy as np
 
 from .density import NEGATIVE_CLAMP
-from .quadrature import _CHUNK
+from .quadrature import _CHUNK, chunk_partials
 
 
 def _log_abs(x, out, mask):
@@ -75,8 +74,8 @@ def _power(x, alpha: float, out):
     """x**alpha into out, with the sign rules of the decomposition: integer
     orders keep the sign of negative lobes; fractional orders, undefined
     for negative values, take tiny negatives as zero (anything below the
-    clamp threshold is reported by ``GridSums.check``). In-place ``**=``
-    takes the same shortcuts as ``**`` (a square, a square root)."""
+    clamp threshold is refused by the caller). In-place ``**=`` takes the
+    same shortcuts as ``**`` (a square, a square root)."""
     if float(alpha).is_integer():
         np.copyto(out, x)
         out **= int(round(alpha))
@@ -102,96 +101,77 @@ class GridSums:
     pair_keys orders the rows of the pair-term stacks given to ``chunk``, and
     alphas are the orders whose moments of rho and of the atomic net
     densities are taken. The Shannon integrals are always taken, and the
-    Gram matrix of the pair terms when 2.0 is among the orders.
+    Gram matrix of the pair terms when 2.0 is among the orders. grid (a
+    ``quadrature.MolecularGrid``, or None over bare arrays) places the
+    points named in a non-finite value's error.
     """
 
-    def __init__(self, pair_keys, alphas):
+    def __init__(self, pair_keys, alphas, grid):
         self.pair_keys = list(pair_keys)
         self._diag = np.array([i for i, (a, b) in enumerate(self.pair_keys)
                                if a == b], dtype=np.intp)
         self.alphas = list(alphas)
         self.gram = 2.0 in self.alphas
+        self.grid = grid
         self._upper = np.triu_indices(len(self.pair_keys))
         self._partials = collections.defaultdict(list)
-        self._failures = {}  # check key -> message, the first chunk's
 
     def chunk(self, start, weights, rho, terms, work):
         """The partials of the chunk whose first point is ``start``:
-        weights (n,), the finite density rho (n,) and the pair terms
-        (len(pair_keys), n). Returns (partials, failures): family ->
-        chunk partial, and check key -> message. Each integrand is formed
-        in ``work`` (a ``backends.Workspace``) and reduced before the
-        next: a stack shaped like the pair terms, its bool mask, and one
-        row and its mask for rho. Nothing is kept until ``take``, so a
-        worker's copy of these sums can reduce its chunks for the
-        caller's."""
-        partials, failures = {}, {}
+        weights (n,), the clamped density rho (n,) and the pair terms
+        (len(pair_keys), n). Returns family -> chunk partial, or raises
+        the first check the chunk fails (see the module docstring). Each
+        integrand is formed in ``work`` (a ``backends.Workspace``) and
+        reduced before the next: a stack shaped like the pair terms, its
+        bool mask, and one row and its mask for rho. Nothing is kept
+        until ``take``, so a worker's copy of these sums can reduce its
+        chunks for the caller's."""
+        partials = {}
 
-        def keep(family, values, keys):
-            """The family's partial, one dot product with the weights per
-            row (as ``integrate`` takes them); keys[i] is the check-order
-            key of row i."""
-            partials[family] = np.array([np.dot(r, weights) for r in values])
-            if not np.isfinite(partials[family]).all():
-                for key, bad in zip(keys, ~np.isfinite(values)):
-                    if bad.any():
-                        index = start + int(np.argmax(bad))
-                        failures[key] = ("non-finite field value at point "
-                                         f"index {index}")
+        def keep(family, values):
+            """The family's partial, one per row, as ``integrate`` takes
+            it, or the error of its first non-finite value."""
+            partials[family] = chunk_partials(values, weights, start,
+                                              self.grid)
 
-        n_pairs = len(self.pair_keys)
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
         # a chunk's primitive values G are spent once its pair terms are
         # formed, so their buffer holds each pair integrand in turn
         stack = work.take("G", terms.shape)
         mask = work.take("stack_mask", terms.shape, bool)
-        keep("rho", rho[None], [(0,)])
+        keep("rho", rho[None])
         log_rho = _log_abs(rho, row, row_mask)
-        keep("rho_log_rho", np.multiply(rho, log_rho, out=row), [(1,)])
-        keys = [[(2, i, k) for i in range(n_pairs)] for k in range(3)]
+        keep("rho_log_rho", np.multiply(rho, log_rho, out=row))
         np.multiply(terms, _log_abs(terms, stack, mask), out=stack)
-        keep(("pair", 0), stack, keys[0])
+        keep(("pair", 0), stack)
         positive = rho > 0  # x ln|x / rho|, the quotient 0 where rho = 0
         np.divide(terms, np.where(positive, rho, 1.0), out=stack)
         stack[:, ~positive] = 0.0
         np.multiply(terms, _log_abs(stack, stack, mask), out=stack)
-        keep(("pair", 1), stack, keys[1])
-        keep(("pair", 2), terms, keys[2])
-        for j, alpha in enumerate(self.alphas):
-            fractional = not float(alpha).is_integer()
-            if fractional and (rho < NEGATIVE_CLAMP).any():
-                failures[3, j, -1, 0] = _sign_message("the density", alpha)
-            keep(("rho_pow", alpha), _power(rho, alpha, row), [(3, j, -1, 1)])
+        keep(("pair", 1), stack)
+        keep(("pair", 2), terms)
+        for alpha in self.alphas:
+            keep(("rho_pow", alpha), _power(rho, alpha, row))
             net = np.take(terms, self._diag, axis=0, mode="clip",
                           out=stack[:len(self._diag)])
-            if fractional:
-                for t, low in enumerate((net < NEGATIVE_CLAMP).any(axis=1)):
-                    if low:
-                        atom = self.pair_keys[self._diag[t]][0]
-                        failures[3, j, t, 0] = _sign_message(
-                            f"the net density of atom {atom}", alpha)
-            keep(("net_pow", alpha), _power(net, alpha, net),
-                 [(3, j, t, 1) for t in range(len(self._diag))])
+            if not float(alpha).is_integer():
+                low = (net < NEGATIVE_CLAMP).any(axis=1)
+                if low.any():
+                    atom = self.pair_keys[self._diag[np.argmax(low)]][0]
+                    raise ValueError(_sign_message(
+                        f"the net density of atom {atom}", alpha))
+            keep(("net_pow", alpha), _power(net, alpha, net))
         if self.gram:  # the upper triangle, row by row
             partials["gram"] = (np.multiply(terms, weights, out=stack)
                                 @ terms.T)[self._upper]
-        return partials, failures
+        return partials
 
-    def take(self, chunk):
-        """Keep a chunk's (partials, failures) from ``chunk``; the chunks
-        are taken in grid order, so each failure keeps its first chunk."""
-        partials, failures = chunk
+    def take(self, partials):
+        """Keep a chunk's partials from ``chunk``; the chunks are taken in
+        grid order."""
         for family, partial in partials.items():
             self._partials[family].append(partial)
-        for key, message in failures.items():
-            self._failures.setdefault(key, message)
-
-    def check(self):
-        """Raise the first failure recorded during the walk, in the order
-        the integrals are listed in the module docstring."""
-        if self._failures:
-            raise ValueError(self._failures[min(self._failures)])
 
     def integral(self, family) -> np.ndarray:
         """Integrals of one family: the fsum of its chunk partials, per row.

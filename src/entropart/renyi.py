@@ -9,7 +9,8 @@ streamed walk (``reductions.GridSums``). ``renyi_total``,
 ``renyi_net_nadd_intra`` and ``renyi2_partition`` are the direct
 reference: each takes its integrals with ``quadrature.integrate`` over
 whole arrays; of the walk's code they share only the sign rules of
-``reductions._power`` and their refusal message.
+``reductions._power``, their refusal message and the chunk partial of
+``integrate``.
 """
 
 import dataclasses

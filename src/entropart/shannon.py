@@ -7,7 +7,7 @@ with the additive part equal to net + overlap by construction.
 ``shannon_from_sums`` builds it from the chunk partials of the streamed
 walk (``reductions.GridSums``). ``shannon_from_arrays`` is the direct
 reference: it takes each integral with ``quadrature.integrate`` over
-whole arrays and shares no reduction code with the walk.
+whole arrays and shares no integrand code with the walk.
 """
 
 import dataclasses

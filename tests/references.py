@@ -6,8 +6,7 @@ its integrands at each point, whose closure add - nadd = total holds
 pointwise wherever rho > 0. ``walk`` reduces one integration chunk at a
 time with ``GridSums.chunk`` and takes it with ``GridSums.take``, in grid
 order, as ``analyze_field`` does, from arrays evaluated over the whole
-grid. It stops at the first chunk with a non-finite density, where
-``analyze_field`` raises.
+grid; it raises where the chunk that fails first raises.
 """
 import dataclasses
 
@@ -44,15 +43,13 @@ def shannon_point_terms(rho, pairs) -> ShannonPointTerms:
 
 
 def walk(weights, rho, pairs, alphas) -> GridSums:
-    """The partials of ``GridSums(sorted(pairs), alphas)`` over whole
-    arrays; pairs maps each pair key to its array. Not yet checked."""
+    """The partials of ``GridSums(sorted(pairs), alphas, None)`` over
+    whole arrays; pairs maps each pair key to its array."""
     keys = sorted(pairs)
     terms = np.array([pairs[k] for k in keys])
-    sums, work = GridSums(keys, alphas), Workspace()
+    sums, work = GridSums(keys, alphas, None), Workspace()
     for start in range(0, len(weights), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        if not np.isfinite(rho[chunk]).all():
-            break
         sums.take(sums.chunk(start, weights[chunk], rho[chunk],
                              np.ascontiguousarray(terms[:, chunk]), work))
     return sums

@@ -581,6 +581,57 @@ def test_plot_script_stays_beside_an_output_in_a_dotted_directory(tmp_path):
     assert f'set output "{out}.png"' in (folder / "curve.gp").read_text()
 
 
+@pytest.mark.parametrize("name", ["curve.gp", "curve.png"])
+def test_plot_script_never_overwrites_the_output(name, tmp_path, monkeypatch,
+                                                 capsys):
+    # refused before any work: the script, or the plot it writes, would
+    # replace the CSV it plots
+    import entropart.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(entropart.cli, "analyze_model", no_work)
+    out = tmp_path / name
+    code, stdout, err = _main(["sweep", "--method", "hf", "--distances", "1.4",
+                               "--out", str(out), "--emit-plot-script"], capsys)
+    stem = tmp_path / "curve"
+    assert (code, stdout, err) == (
+        2, "", f"error: --emit-plot-script writes {stem}.gp and its plot "
+               f"{stem}.png, so --out cannot be either of them\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--method", "hf", "--distances", "1.4"),
+    ("analyze", "{h2_fci}"),
+    ("atom",),
+    ("grid-dump",),
+], ids=["sweep", "analyze", "atom", "grid-dump"])
+def test_an_unwritable_output_exits_2(argv, target, tmp_path, wfn_fixtures,
+                                      capsys):
+    out = tmp_path / "missing" / "out.csv" if target == "missing directory" \
+        else tmp_path
+    argv = [a.format(h2_fci=wfn_fixtures["paths"]["h2_fci"]) for a in argv]
+    code, stdout, err = _main([*argv, "--n-radial", "100", "--lebedev", "86",
+                               "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_an_unwritable_plot_script_exits_2(tmp_path, capsys):
+    (tmp_path / "curve.gp").mkdir()
+    code, stdout, err = _main(["sweep", "--method", "hf", "--distances", "1.4",
+                               "--n-radial", "60", "--lebedev", "50", "--out",
+                               str(tmp_path / "curve.csv"),
+                               "--emit-plot-script"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path / 'curve.gp'}: ")
+    assert err.count("\n") == 1
+
+
 def test_strict_limits_failure_near_equilibrium(tmp_path):
     proc = run_cli("sweep", "--method", "fci", "--distances", "1.4",
                    "--strict-limits", *QUICK, "--out",

@@ -5,6 +5,7 @@ messages and exit codes.
 Small grids are shared among W = 2 or 3 workers by patching the usable
 CPUs and the work a worker needs (``analysis.WORK_PER_WORKER``).
 """
+import mmap
 import os
 import subprocess
 import sys
@@ -337,10 +338,69 @@ def test_a_non_finite_pair_integrand_keeps_its_first_point(cpus, monkeypatch):
 
     _at_chunk(monkeypatch, field, grid, {1: at(9), 2: at(2)})
     serial = _message(lambda: analyze_field(field, grid, jobs=1))
-    assert serial == (ValueError,
-                      f"non-finite field value at point index {_CHUNK + 9}")
+    index = _CHUNK + 9
+    assert serial == (ValueError, f"non-finite field value at point index "
+                                  f"{index}, position {grid.position(index)}")
     _force(monkeypatch, cpus)
     assert _message(lambda: analyze_field(field, grid, jobs=cpus)) == serial
+
+
+def _inf_term(rho, terms):
+    terms[0, 9] = np.inf
+
+
+def _negative_net(field):
+    atom1 = field.pair_keys.index((1, 1))
+
+    def change(rho, terms):
+        terms[atom1, 5] = -1.0
+    return change
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_the_first_failing_chunk_is_raised_whatever_the_check(cpus,
+                                                              monkeypatch):
+    # a negative net density in chunk 1 comes before a non-finite pair
+    # integrand in chunk 3 in a serial walk, whichever check comes first
+    # within a chunk
+    field, grid = _fci()
+    _at_chunk(monkeypatch, field, grid, {1: _negative_net(field),
+                                         3: _inf_term})
+    _force(monkeypatch, cpus)
+    assert _message(lambda: analyze_field(field, grid, alphas=(0.5, 2.0),
+                                          jobs=cpus)) == (
+        ValueError, "the net density of atom 1 reaches values below -1e-12; "
+                    "a fractional order alpha=0.5 is undefined there")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_each_worker_stops_at_its_first_failing_chunk(cpus, monkeypatch):
+    # chunk 1 has a non-finite pair integrand; the worker that has it, the
+    # only one for W = 1, evaluates none of its later chunks
+    field, grid = _fci()
+    seen = mmap.mmap(-1, 5)  # anonymous and shared with forked workers
+
+    def mark(c, change=None):
+        def apply(rho, terms):
+            seen[c] = 1
+            if change is not None:
+                change(rho, terms)
+        return apply
+
+    evaluated = _at_chunk(monkeypatch, field, grid,
+                          {c: mark(c, _inf_term if c == 1 else None)
+                           for c in range(5)})
+    _force(monkeypatch, cpus)
+    assert parallel.workers(cpus, cap=99) == cpus
+    with pytest.raises(ValueError, match=(
+            f"^non-finite field value at point index {_CHUNK + 9}, ")):
+        analyze_field(field, grid, jobs=cpus)
+    assert [c for c in range(5) if seen[c]] == [
+        c for c in range(5) if c <= 1 or c % cpus != 1 % cpus]
+    if cpus == 1:
+        assert evaluated == [0, 1]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

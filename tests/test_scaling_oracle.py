@@ -5,7 +5,8 @@ terms and the grid electron count N by exact scaling, and the order-2 Gram
 matrix from one blocked pass. The references here take the long way: the
 direct array reduction run on rho / N and every pair term / N, the
 integral of (rho / N)**alpha, and one ``integrate`` per pair of pair terms
-against the Gram matrix of ``GridSums.add`` fed chunk by chunk.
+against the Gram matrix of ``GridSums.chunk`` fed chunk by chunk and
+taken in grid order (``references.walk``).
 """
 import math
 
@@ -60,9 +61,7 @@ def check_gram(pairs, weights):
     direct = np.array([[integrate(pairs[i] * pairs[j], weights=weights)
                         for j in keys] for i in keys])
     rho = sum((1.0 if a == b else 2.0) * pairs[a, b] for a, b in keys)
-    sums = walk(weights, rho, pairs, (2.0,))
-    sums.check()
-    blocked = sums.gram_matrix()
+    blocked = walk(weights, rho, pairs, (2.0,)).gram_matrix()
     assert np.array_equal(blocked, blocked.T)
     assert np.max(np.abs(blocked - direct)) <= 1e-13 * np.max(np.abs(direct))
 

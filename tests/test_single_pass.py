@@ -2,11 +2,12 @@
 
 ``analyze_field`` evaluates the density and its pair terms one chunk at a
 time and keeps only the chunk partials of its integrals. These tests hold
-its checks to the order and messages of an analysis that evaluates the
-whole grid first, and its memory to a working set that does not grow with
-the grid.
+its checks to the order of a serial walk and to the messages of an
+analysis that evaluates the whole grid first, and its memory to a working
+set that does not grow with the grid.
 """
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -73,11 +74,18 @@ def test_fractional_order_rejects_a_negative_net_density():
 
 
 @pytest.mark.filterwarnings("ignore:density below")
-def test_normalization_is_reported_before_the_sign_check():
+def test_the_sign_check_is_reported_before_normalization():
+    # a pointwise defect of the field is raised where the walk meets it,
+    # before the electron count is known; without one, a wrong electron
+    # count is reported
     field, grid = _h2_field(np.array([[1.0, 0.1], [0.1, -0.2]]),
                             n_electrons=1.0)
-    with pytest.raises(ValueError, match="quadrature is inadequate"):
+    with pytest.raises(ValueError, match=(
+            r"^the net density of atom 1 reaches values below -1e-12; a "
+            r"fractional order alpha=0\.5 is undefined there$")):
         analyze_field(field, grid, alphas=(0.5,))
+    with pytest.raises(ValueError, match="quadrature is inadequate"):
+        analyze_field(field, grid, alphas=(2.0,))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -89,14 +97,18 @@ def test_non_finite_integrand_keeps_its_global_point_index():
     assert np.isfinite(rho).all()
     index = int(np.argmax(~np.isfinite(rho ** 3)))
     assert index >= _CHUNK
-    with pytest.raises(ValueError,
-                       match=f"^non-finite field value at point index {index}$"):
+    message = (f"^non-finite field value at point index {index}, position "
+               f"{re.escape(str(grid.position(index)))}$")
+    with pytest.raises(ValueError, match=message):
         analyze_field(field, grid, alphas=(3.0,))
-    # a wrong electron count is reported first
+    # it is raised before a wrong electron count, which is reported
+    # without it
     field, grid = _h2_field(np.diag([1.0, 1.2e103]), separation=4.0,
                             n_electrons=1.0)
-    with pytest.raises(ValueError, match="quadrature is inadequate"):
+    with pytest.raises(ValueError, match=message):
         analyze_field(field, grid, alphas=(3.0,))
+    with pytest.raises(ValueError, match="quadrature is inadequate"):
+        analyze_field(field, grid, alphas=(2.0,))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
