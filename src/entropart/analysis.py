@@ -14,7 +14,7 @@ from .density import ClampDiagnostics, PairDensityField
 from .models import atom_field, build_model, hydrogen_atom_energy
 from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
                          build_molecular_grid)
-from .reductions import GridSums
+from .reductions import GridSums, integrals
 from .renyi import _validate_alpha, asymptotic_renyi_reference, renyi_from_sums
 from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
                       check_normalization, shannon_from_sums)
@@ -86,26 +86,27 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     density or integrand or, at a fractional order, a negative atomic net
     density (``GridSums.chunk``); the error of the lowest raising chunk is
     raised, as in a serial walk, and the call records no clamp counts.
-    Otherwise the partials are taken in grid order, so the result is the
-    serial walk's for any W, and the chunks' clamp counts are summed and
-    added to ``field.diagnostics`` once (``field.record``, one warning for
-    the points negated). Then the normalization check, before any result
-    is built.
+    Otherwise the partials come back in grid order and are summed once
+    (``reductions.integrals``), so the result is the serial walk's for any
+    W, and the chunks' clamp counts are summed and added to
+    ``field.diagnostics`` once (``field.record``, one warning for the
+    points negated). Then the normalization check, before any result is
+    built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas, grid)
     n_chunks = -(-len(grid) // _CHUNK)
     cap = n_chunks * len(field.pair_keys) // WORK_PER_WORKER
     task = functools.partial(_chunk, field, grid, sums, Workspace())
-    counts = ClampDiagnostics()
-    for partials, chunk_counts in parallel.map(task, n_chunks, jobs, cap):
-        sums.take(partials)
-        counts += chunk_counts
+    partials, counts = zip(*parallel.map(task, n_chunks, jobs, cap))
+    counts = sum(counts, ClampDiagnostics())
     field.record(counts)
-    n_grid = float(sums.integral("rho")[0])
+    values = integrals(partials)
+    n_grid = float(values["rho"][0])
     check_normalization(n_grid, field.n_electrons)
-    shannon = shannon_from_sums(sums, n_grid, counts)
-    renyi = {a: renyi_from_sums(sums, a, n_grid) for a in alphas}
+    shannon = shannon_from_sums(values, field.pair_keys, n_grid, counts)
+    renyi = {a: renyi_from_sums(values, field.pair_keys, a, n_grid)
+             for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
 

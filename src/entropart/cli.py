@@ -23,9 +23,10 @@ from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
                        hydrogen_reference)
 from .models import METHODS, atom_field, hydrogen_atom_energy
 from .molecule import MAX_COORDINATE, Molecule
-from .quadrature import (MAX_GRID_POINTS, AtomicGridSpec, build_molecular_grid,
-                         grid_estimate)
+from .quadrature import (MAX_GRID_POINTS, MAX_STIFFNESS, AtomicGridSpec,
+                         build_molecular_grid, grid_estimate)
 from .reductions import gram_partials_bytes
+from .renyi import ALPHA_ONE_GUARD
 from .wfnio import WfnParseError, field_from_document, parse_wfn
 
 _DEFAULTS = {
@@ -148,7 +149,7 @@ class Settings:
         for a in self.alphas:
             if a <= 0:
                 raise UsageError(f"alphas must be positive, got {a:g}")
-            if abs(a - 1.0) <= 1e-9:
+            if abs(a - 1.0) <= ALPHA_ONE_GUARD:
                 raise UsageError(
                     "alpha = 1 is the Shannon case; it is always computed")
 
@@ -555,7 +556,8 @@ def build_parser():
     common.add_argument("--lebedev", type=int,
                         help="angular nodes per shell (default 194)")
     common.add_argument("--stiffness", type=int,
-                        help="cell-function smoothing iterations (default 3)")
+                        help="cell-function smoothing iterations, 1 to "
+                             f"{MAX_STIFFNESS} (default 3)")
     common.add_argument("--no-size-adjust", action="store_false", default=None,
                         dest="size_adjust",
                         help="disable radius-based cell boundary shifts")

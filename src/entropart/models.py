@@ -116,6 +116,9 @@ def integral_engine(basis: ContractedS, centers):
 
 
 METHODS = ("hf", "hl", "fci")
+# sigma_u scales as 1 / sqrt(1 - S) and J_uu as 1 / (1 - S)^2, so below
+# this the rounding of the integrals decides the fci vector
+MIN_ONE_MINUS_S = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,6 +171,10 @@ def build_model(method: str, R: float, basis: ContractedS | None = None) -> H2Mo
     basis = basis or sto6g_hydrogen()
     S, h, eri = integral_engine(basis, Molecule.h2(R).positions)
     s = float(S[0, 1])
+    if 1.0 - s < MIN_ONE_MINUS_S:
+        raise ValueError(
+            f"the basis functions overlap too closely (1 - S = {1.0 - s:.2g}, "
+            f"below {MIN_ONE_MINUS_S:g}) for the minimal-basis models")
     X = (np.array([[1.0, 1.0], [1.0, -1.0]])
          / np.sqrt([2.0 * (1.0 + s), 2.0 * (1.0 - s)]))
     e = np.diag(X.T @ h @ X)

@@ -89,7 +89,6 @@ class Molecule:
             raise ValueError("molecule needs at least one atom")
         self.atoms = tuple(built)
         self.positions = np.array([a.position for a in built])
-        self.charges = np.array([float(a.z) for a in built])
         # pairwise distinctness: required by the confocal Becke construction
         for i in range(len(built)):
             for j in range(i + 1, len(built)):

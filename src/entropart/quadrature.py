@@ -35,6 +35,7 @@ WEIGHT_SCREEN = 1e-16
 _CHUNK = 4096  # fixed chunk size: the deterministic reduction contract
 _BLOCK = 4 * _CHUNK  # points per block of radial shells while a grid is built
 MAX_GRID_POINTS = 2**31 - 1  # the most that int32 point indices address
+MAX_STIFFNESS = 100  # cell-function iterations; past about 60 weights stay put
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,8 +56,8 @@ class AtomicGridSpec:
             raise ValueError(
                 f"lebedev_order {self.lebedev_order} not in supported set "
                 f"{list(lebedev.SUPPORTED_NODE_COUNTS)}")
-        if self.stiffness < 1:
-            raise ValueError("stiffness must be >= 1")
+        if not 1 <= self.stiffness <= MAX_STIFFNESS:
+            raise ValueError(f"stiffness must be in [1, {MAX_STIFFNESS}]")
 
 
 def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
@@ -75,9 +76,10 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     ``reductions`` docstring lists. The field adds P = nat(nat+1)/2 pair
     blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
     atoms with m_A and m_B primitives, plus the nprim**2 coefficient
-    matrix only when it is asked for. At order 2 the walk also keeps Gram
-    partials that grow with the grid; ``reductions.gram_partials_bytes``
-    counts them.
+    matrix only when it is asked for. At order 2 the chunks' partials,
+    held until ``reductions.integrals`` sums them, also hold Gram partials
+    that grow with the grid; ``reductions.gram_partials_bytes`` counts
+    them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 12

@@ -9,22 +9,23 @@ Gram matrix int x_i x_j of the pair terms (kept as its upper triangle).
 them, with no flags: the orders it is given fix the moments, and order 2
 among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
 chunk of the grid to each integrand's chunk partial, its dot product
-with the weights, and ``GridSums.take`` keeps them; each integral is the
-exactly rounded sum (``math.fsum``) of its partials. The chunks and
-their partials are those of ``quadrature.integrate``
-(``quadrature.chunk_partials``), so results do not depend on how the
-values were evaluated, and repeated runs agree bit for bit. The array
-functions of ``shannon`` and ``renyi`` are the direct reference: they
-take each integral with ``integrate`` over whole arrays, share only
-that chunk partial, the sign rules of ``_power`` and their refusal
-message, and the tests hold the walk to them.
+with the weights, and returns them; ``GridSums`` keeps only what its
+constructor computes. ``integrals`` takes the partials of every chunk,
+in grid order, and sums each integral once, as the exactly rounded sum
+(``math.fsum``) of its partials. The chunks and their partials are those
+of ``quadrature.integrate`` (``quadrature.chunk_partials``), so results
+do not depend on how the values were evaluated, and repeated runs agree
+bit for bit. The array functions of ``shannon`` and ``renyi`` are the
+direct reference: they take each integral with ``integrate`` over whole
+arrays, share only that chunk partial, the sign rules of ``_power`` and
+their refusal message, and the tests hold the walk to them.
 
 ``chunk`` keeps nothing, so any worker may reduce a chunk. It raises at
 the first check the chunk fails, in the order it computes the
 integrals: a non-finite density or integrand, with the global index and
 position of its first point as ``integrate`` reports it, and, at
 fractional orders, an atomic net density below the clamp threshold. The
-caller takes the chunks in grid order and raises the first chunk that
+caller maps the chunks in grid order and raises the first chunk that
 fails, so the error is the serial walk's.
 
 ``analysis.analyze_field`` makes one ``backends.Workspace`` for the
@@ -54,7 +55,6 @@ With a bool row counted as 1/8 of a float row, that is 149.6 rows
 (nprim 48, P 36), and 34.5 rows (1.1 MiB) for the H2 fci model, per
 worker: a walk on W workers holds W workspaces, one in each process.
 """
-import collections
 import math
 
 import numpy as np
@@ -89,14 +89,14 @@ def gram_partials_bytes(n_atoms: int, points: int) -> int:
     """Bytes the order-2 Gram partials of an analysis hold at most, for
     nat atoms on a grid of at most ``points`` points: P(P+1)/2 floats per
     chunk for P = nat(nat+1)/2 pair terms, kept until the end, and twice
-    that while ``GridSums.integral`` stacks them to sum."""
+    that while ``integrals`` stacks them to sum."""
     n_pairs = n_atoms * (n_atoms + 1) // 2
     chunks = -(-points // _CHUNK)
     return 2 * chunks * (n_pairs * (n_pairs + 1) // 2) * 8
 
 
 class GridSums:
-    """Chunk partials of the grid integrals of one field on one grid.
+    """Reduces the grid integrals of one field on one grid, chunk by chunk.
 
     pair_keys orders the rows of the pair-term stacks given to ``chunk``, and
     alphas are the orders whose moments of rho and of the atomic net
@@ -114,7 +114,6 @@ class GridSums:
         self.gram = 2.0 in self.alphas
         self.grid = grid
         self._upper = np.triu_indices(len(self.pair_keys))
-        self._partials = collections.defaultdict(list)
 
     def chunk(self, start, weights, rho, terms, work):
         """The partials of the chunk whose first point is ``start``:
@@ -123,9 +122,9 @@ class GridSums:
         the first check the chunk fails (see the module docstring). Each
         integrand is formed in ``work`` (a ``backends.Workspace``) and
         reduced before the next: a stack shaped like the pair terms, its
-        bool mask, and one row and its mask for rho. Nothing is kept
-        until ``take``, so a worker's copy of these sums can reduce its
-        chunks for the caller's."""
+        bool mask, and one row and its mask for rho. Nothing is kept,
+        so a worker's copy of these sums can reduce its chunks for the
+        caller, whose ``integrals`` sums them."""
         partials = {}
 
         def keep(family, values):
@@ -167,37 +166,16 @@ class GridSums:
                                 @ terms.T)[self._upper]
         return partials
 
-    def take(self, partials):
-        """Keep a chunk's partials from ``chunk``; the chunks are taken in
-        grid order."""
-        for family, partial in partials.items():
-            self._partials[family].append(partial)
 
-    def integral(self, family) -> np.ndarray:
-        """Integrals of one family: the fsum of its chunk partials, per row.
-        ("pair", k) holds, per pair term, int x ln|x| (k = 0),
-        int x ln|x / rho| (k = 1) or int x (k = 2)."""
-        return np.array([math.fsum(col)
-                         for col in np.array(self._partials[family]).T])
-
-    def moment(self, alpha: float) -> float:
-        """int rho**alpha."""
-        return float(self.integral(("rho_pow", alpha))[0])
-
-    def net_moments(self, alpha: float) -> dict:
-        """int (rho^AA)**alpha per atom A."""
-        values = self.integral(("net_pow", alpha))
-        return {self.pair_keys[i][0]: float(v)
-                for i, v in zip(self._diag, values)}
-
-    def gram_matrix(self) -> np.ndarray:
-        """int x_i x_j over the pair terms, exactly symmetric."""
-        n = len(self.pair_keys)
-        upper = self._upper
-        gram = np.empty((n, n))
-        gram[upper] = self.integral("gram")
-        gram.T[upper] = gram[upper]
-        return gram
+def integrals(chunks) -> dict:
+    """The integrals of a walk from the partials of its chunks, each as
+    ``GridSums.chunk`` returns them, in grid order: family -> the fsum of
+    its chunk partials, per row. ("pair", k) holds, per pair term,
+    int x ln|x| (k = 0), int x ln|x / rho| (k = 1) or int x (k = 2), and
+    "gram" the upper triangle of int x_i x_j, row by row."""
+    return {family: np.array([math.fsum(col) for col in
+                              np.array([c[family] for c in chunks]).T])
+            for family in chunks[0]}
 
 
 def _sign_message(name: str, alpha: float) -> str:

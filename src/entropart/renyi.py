@@ -4,8 +4,8 @@ All entropies are in nats. The order-2 entropy admits a full pair-pair
 partition with weights over ordered atom 4-tuples; every order admits
 atomic net and intra-atomic nonadditive terms.
 
-``renyi_from_sums`` builds every result from the chunk partials of the
-streamed walk (``reductions.GridSums``). ``renyi_total``,
+``renyi_from_sums`` builds every result from the integrals of the
+streamed walk (``reductions.integrals``). ``renyi_total``,
 ``renyi_net_nadd_intra`` and ``renyi2_partition`` are the direct
 reference: each takes its integrals with ``quadrature.integrate`` over
 whole arrays; of the walk's code they share only the sign rules of
@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import NEGATIVE_CLAMP
 from .quadrature import integrate
-from .reductions import GridSums, _power, _sign_message
+from .reductions import _power, _sign_message
 
 # orders this close to 1 are rejected; the Shannon module is the limit
 ALPHA_ONE_GUARD = 1e-9
@@ -178,15 +178,23 @@ class RenyiDecomposition:
     pair_partition: Renyi2Partition | None
 
 
-def renyi_from_sums(sums: GridSums, alpha: float,
+def renyi_from_sums(integrals: dict, pair_keys, alpha: float,
                     n_grid: float) -> RenyiDecomposition:
-    """Order-alpha results from the partials of a finished, checked
-    ``GridSums`` that took the moments at alpha; the pair partition, at
-    alpha = 2 only, comes from its Gram matrix."""
-    totals = _totals(alpha, sums.moment(alpha), n_grid)
-    net_terms = _net_terms(alpha, sums.net_moments(alpha), totals.moment)
-    partition = (_partition(sums.pair_keys, sums.gram_matrix())
-                 if alpha == 2.0 else None)
+    """Order-alpha results from the integrals of a finished, checked walk
+    (``reductions.integrals``) that took the moments at alpha, whose
+    pair-term rows pair_keys orders; the pair partition, at alpha = 2
+    only, comes from the Gram matrix, mirrored from its upper triangle
+    (row by row, as ``np.triu_indices`` orders it) so that it is exactly
+    symmetric."""
+    totals = _totals(alpha, float(integrals["rho_pow", alpha][0]), n_grid)
+    net = zip((a for a, b in pair_keys if a == b), integrals["net_pow", alpha])
+    net_terms = _net_terms(alpha, {a: float(m) for a, m in net}, totals.moment)
+    partition = None
+    if alpha == 2.0:
+        upper = np.triu_indices(len(pair_keys))
+        gram = np.empty((len(pair_keys),) * 2)
+        gram[upper] = gram.T[upper] = integrals["gram"]
+        partition = _partition(pair_keys, gram)
     return RenyiDecomposition(alpha=alpha, totals=totals,
                               net_terms=net_terms, pair_partition=partition)
 

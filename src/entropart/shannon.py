@@ -4,8 +4,8 @@ All entropies are in nats. The decomposition splits the total into
 atomic net terms, interatomic overlap terms, and a nonadditive part,
 with the additive part equal to net + overlap by construction.
 
-``shannon_from_sums`` builds it from the chunk partials of the streamed
-walk (``reductions.GridSums``). ``shannon_from_arrays`` is the direct
+``shannon_from_sums`` builds it from the integrals of the streamed walk
+(``reductions.integrals``). ``shannon_from_arrays`` is the direct
 reference: it takes each integral with ``quadrature.integrate`` over
 whole arrays and shares no integrand code with the walk.
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from .density import ClampDiagnostics
 from .quadrature import integrate
-from .reductions import GridSums
 
 # the grid must reproduce the electron count this well before entropies
 # are trusted at all
@@ -100,17 +99,18 @@ def check_normalization(n_grid: float, n_declared: float) -> None:
             f"{n_declared!r}; the quadrature is inadequate for this system")
 
 
-def shannon_from_sums(sums: GridSums, n_grid: float,
+def shannon_from_sums(integrals: dict, pair_keys, n_grid: float,
                       diagnostics: ClampDiagnostics) -> ShannonDecomposition:
-    """Decomposition from the partials of a finished, checked ``GridSums``.
+    """Decomposition from the integrals of a finished, checked walk
+    (``reductions.integrals``), whose pair-term rows pair_keys orders.
 
     n_grid is the grid integral of rho. The shape-function terms follow
     from the same integrals as the density terms, by exact scaling.
     """
-    total = -float(sums.integral("rho_log_rho")[0])
-    one_sided, nadd, population = (sums.integral(("pair", k)) for k in range(3))
+    total = -float(integrals["rho_log_rho"][0])
+    one_sided, nadd, population = (integrals["pair", k] for k in range(3))
     parts = {key: (-float(one_sided[i]), -float(nadd[i]), float(population[i]))
-             for i, key in enumerate(sums.pair_keys)}
+             for i, key in enumerate(pair_keys)}
     return ShannonDecomposition(
         n_grid=n_grid, density=_terms(total, parts),
         shape=_terms(total, parts, n_grid), diagnostics=diagnostics)

@@ -4,9 +4,9 @@ walk fed from whole arrays.
 The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
 pointwise wherever rho > 0. ``walk`` reduces one integration chunk at a
-time with ``GridSums.chunk`` and takes it with ``GridSums.take``, in grid
-order, as ``analyze_field`` does, from arrays evaluated over the whole
-grid; it raises where the chunk that fails first raises.
+time with ``GridSums.chunk`` and sums the partials with ``integrals``, in
+grid order, as ``analyze_field`` does, from arrays evaluated over the
+whole grid; it raises where the chunk that fails first raises.
 """
 import dataclasses
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from entropart.backends import Workspace
 from entropart.quadrature import _CHUNK
-from entropart.reductions import GridSums
+from entropart.reductions import GridSums, integrals
 from entropart.shannon import safe_log
 
 
@@ -42,14 +42,14 @@ def shannon_point_terms(rho, pairs) -> ShannonPointTerms:
     return ShannonPointTerms(total=total, add=add, nadd=nadd)
 
 
-def walk(weights, rho, pairs, alphas) -> GridSums:
-    """The partials of ``GridSums(sorted(pairs), alphas, None)`` over
+def walk(weights, rho, pairs, alphas) -> dict:
+    """The ``integrals`` of ``GridSums(sorted(pairs), alphas, None)`` over
     whole arrays; pairs maps each pair key to its array."""
     keys = sorted(pairs)
     terms = np.array([pairs[k] for k in keys])
     sums, work = GridSums(keys, alphas, None), Workspace()
-    for start in range(0, len(weights), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        sums.take(sums.chunk(start, weights[chunk], rho[chunk],
-                             np.ascontiguousarray(terms[:, chunk]), work))
-    return sums
+    return integrals([
+        sums.chunk(start, weights[start:start + _CHUNK],
+                   rho[start:start + _CHUNK],
+                   np.ascontiguousarray(terms[:, start:start + _CHUNK]), work)
+        for start in range(0, len(weights), _CHUNK)])

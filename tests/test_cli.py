@@ -418,6 +418,30 @@ def test_distance_at_the_coordinate_bound_is_accepted(capsys):
     assert row["S_total"] == pytest.approx(limit, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid-dump", "--distances", "1.4", "--stiffness", "100000000"),
+    ("grid-dump", "--distances", "1.4", "--config", "{cfg}"),
+    ("sweep", "--config", "{cfg}"),
+], ids=["grid-dump", "grid-dump-config", "sweep-config"])
+def test_stiffness_beyond_the_bound_exits_2(argv, tmp_path, capsys):
+    # each cell-function iteration is a pass over every atom pair, so an
+    # unbounded count would never return
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text("stiffness = 101\n")
+    code, out, err = _main([a.format(cfg=cfg) for a in argv]
+                           + ["--n-radial", "2", "--lebedev", "6"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: stiffness must be in [1, 100]\n"
+
+
+def test_a_distance_too_short_for_the_models_exits_1(capsys):
+    code, out, err = _main(["sweep", "--distances", "1e-4", *QUICK], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: at R=0.0001: the basis functions overlap "
+                          "too closely (1 - S = 2.6e-09")
+
+
 @pytest.mark.parametrize("jobs, cpus, distances, workers", [
     (5000, 4, "1.4,2", 3),
     (3, 4, "1.4,2,3,4", 3),

@@ -391,6 +391,23 @@ def test_build_model_validation():
         build_model("hf", 0.0)
 
 
+@pytest.mark.parametrize("method", models.METHODS)
+def test_models_refuse_nearly_coincident_functions(method):
+    # below 1 - S = 1e-6 rounding, amplified by about 1 / (1 - S)^2, would
+    # decide the fci vector: at R = 1e-4 (1 - S = 2.6e-9) it gave
+    # E_fci - E_hf = -3.34 hartree against -0.0044 from R = 1e-3 to 0.03
+    for R in (1e-4, 1.9e-3):
+        with pytest.raises(ValueError, match="overlap too closely") as caught:
+            build_model(method, R)
+        assert "R=" not in str(caught.value)  # sweep names the distance
+    model = build_model(method, 0.005)
+    assert 1.0 - model.S == pytest.approx(6.4e-6, rel=1e-2)
+    assert math.isfinite(model.energy)
+    if method == "fci":
+        gap = model.energy - hf_model(0.005).energy
+        assert gap == pytest.approx(-0.00438, abs=1e-5)
+
+
 def test_natural_orbital_occupations():
     phi = sto6g_hydrogen()
     S = contracted_overlap(phi, phi, 1.4)

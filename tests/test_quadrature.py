@@ -7,9 +7,10 @@ import pytest
 
 import entropart.quadrature
 from entropart.molecule import Atom, Molecule
-from entropart.quadrature import (MAX_GRID_POINTS, AtomicGridSpec,
-                                  becke_weights, build_molecular_grid,
-                                  grid_estimate, integrate, radial_grid)
+from entropart.quadrature import (MAX_GRID_POINTS, MAX_STIFFNESS,
+                                  AtomicGridSpec, becke_weights,
+                                  build_molecular_grid, grid_estimate,
+                                  integrate, radial_grid)
 
 HYDROGENIC_S = 3.0 + math.log(math.pi)
 
@@ -54,8 +55,10 @@ def test_grid_spec_validation():
         AtomicGridSpec(lebedev_order=100)
     with pytest.raises(ValueError, match="n_radial"):
         AtomicGridSpec(n_radial=0)
-    with pytest.raises(ValueError, match="stiffness"):
-        AtomicGridSpec(stiffness=0)
+    for stiffness in (0, MAX_STIFFNESS + 1, 10**8):
+        with pytest.raises(ValueError, match=r"stiffness must be in \[1, 100\]"):
+            AtomicGridSpec(stiffness=stiffness)
+    assert AtomicGridSpec(stiffness=MAX_STIFFNESS).stiffness == 100
     # every atom's radial scale comes from the element table
     with pytest.raises(TypeError, match="bragg_radius"):
         AtomicGridSpec(bragg_radius=0.7)

@@ -6,7 +6,7 @@ matrix from one blocked pass. The references here take the long way: the
 direct array reduction run on rho / N and every pair term / N, the
 integral of (rho / N)**alpha, and one ``integrate`` per pair of pair terms
 against the Gram matrix of ``GridSums.chunk`` fed chunk by chunk and
-taken in grid order (``references.walk``).
+summed in grid order by ``reductions.integrals`` (``references.walk``).
 """
 import math
 
@@ -61,7 +61,10 @@ def check_gram(pairs, weights):
     direct = np.array([[integrate(pairs[i] * pairs[j], weights=weights)
                         for j in keys] for i in keys])
     rho = sum((1.0 if a == b else 2.0) * pairs[a, b] for a, b in keys)
-    blocked = walk(weights, rho, pairs, (2.0,)).gram_matrix()
+    upper = np.triu_indices(len(keys))
+    blocked = np.empty((len(keys), len(keys)))
+    blocked[upper] = walk(weights, rho, pairs, (2.0,))["gram"]
+    blocked.T[upper] = blocked[upper]
     assert np.array_equal(blocked, blocked.T)
     assert np.max(np.abs(blocked - direct)) <= 1e-13 * np.max(np.abs(direct))
 

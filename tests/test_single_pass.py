@@ -23,6 +23,7 @@ from entropart.models import hf_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec,
                                   build_molecular_grid, integrate)
+from entropart.reductions import GridSums, integrals
 
 SPEC = AtomicGridSpec(n_radial=100, lebedev_order=86)
 
@@ -130,28 +131,25 @@ def test_non_finite_density_is_raised_during_the_walk():
         analyze_field(field, grid, alphas=(0.5,))
 
 
-class _RecordedSums(analysis.GridSums):
-    made = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.made.append(self)
-
-
 @pytest.mark.parametrize("which", ["h2", "h3"])
 def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
                                                h3_wfn_field):
     # every integral, int rho included, has exactly one partial per chunk,
     # one row per integrand, on the default grid; the workers' chunks are
-    # taken into the one GridSums made in this process
+    # summed in one call of integrals made in this process
     field = hf_model(1.4).field() if which == "h2" else h3_wfn_field
     nat = len(field.molecule)
     n_pairs = nat * (nat + 1) // 2
-    monkeypatch.setattr(_RecordedSums, "made", [])
-    monkeypatch.setattr(analysis, "GridSums", _RecordedSums)
+    taken = []
+
+    def recorded(chunks):
+        taken.append(chunks)
+        return integrals(chunks)
+
+    monkeypatch.setattr(analysis, "integrals", recorded)
     grid = build_molecular_grid(field.molecule)
     analyze_field(field, grid, alphas=(0.5, 2.0))
-    (sums,) = _RecordedSums.made
+    (chunks,) = taken
     widths = {"rho": 1, "rho_log_rho": 1,
               "gram": n_pairs * (n_pairs + 1) // 2}
     for k in range(3):
@@ -161,9 +159,29 @@ def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
         widths["net_pow", alpha] = nat
     n_chunks = -(-len(grid.weights) // _CHUNK)
     assert n_chunks > 30
-    assert {family: np.shape(parts) for family, parts
-            in sums._partials.items()} == {
+    assert {family: np.shape([chunk[family] for chunk in chunks])
+            for family in set().union(*chunks)} == {
         family: (n_chunks, width) for family, width in widths.items()}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_walk_leaves_its_sums_as_built(monkeypatch, jobs):
+    # the walk's GridSums holds after the walk only what its constructor
+    # made: the chunk partials are returned, not kept (the default grid
+    # gives two workers a share at jobs=2)
+    made = []
+
+    class Recorded(GridSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, args))
+
+    monkeypatch.setattr(analysis, "GridSums", Recorded)
+    field = hf_model(1.4).field()
+    analyze_field(field, build_molecular_grid(field.molecule),
+                  alphas=(0.5, 2.0), jobs=jobs)
+    ((sums, args),) = made
+    np.testing.assert_equal(vars(sums), vars(GridSums(*args)))
 
 
 def test_analysis_does_not_build_pair_arrays(monkeypatch, h3_wfn_field):
