@@ -1,7 +1,9 @@
 """One-stop analysis: walk the grid once, decompose everything.
 
-Couples the pair partition to the Shannon and Renyi modules, and builds
-the isolated-atom reference data used by infinite-separation checks.
+Couples the pair partition to the Shannon and Renyi modules. The
+infinite-separation limits of a set of fragments follow from the
+fragments' own analyses (``separation_limits``): their electron counts,
+integrals of rho ln rho and moments of rho**alpha add.
 """
 
 import dataclasses
@@ -11,13 +13,13 @@ import math
 from . import parallel
 from .backends import Workspace
 from .density import ClampDiagnostics, PairDensityField
-from .models import atom_field, build_model, hydrogen_atom_energy
+from .models import atom_field, build_model
 from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
                          build_molecular_grid)
 from .reductions import GridSums, integrals
-from .renyi import _validate_alpha, asymptotic_renyi_reference, renyi_from_sums
-from .shannon import (ShannonDecomposition, asymptotic_shannon_reference,
-                      check_normalization, shannon_from_sums)
+from .renyi import _totals, _validate_alpha, renyi_from_sums
+from .shannon import (ShannonDecomposition, check_normalization,
+                      shannon_from_sums)
 
 # row-level identity tolerances used by reporting tools
 CLOSURE_TOLERANCE = 1e-8    # add - nadd = total, both entropy families
@@ -140,43 +142,32 @@ def analyze_model(method: str, separation: float, spec: AtomicGridSpec = None,
                          energy=model.energy, ci=model.ci, analysis=analysis)
 
 
-@dataclasses.dataclass(frozen=True)
-class AtomReference:
-    """Isolated-atom constants entering the infinite-separation limits.
+def separation_limits(fragments):
+    """Infinite-separation limits of the union of fragments, each the
+    ``FieldAnalysis`` of one isolated fragment.
 
-    For a one-electron atom the density and shape entropies coincide and
-    every molecular limit below is a function of these numbers alone.
+    Far apart, the fragments' electron counts N, integrals
+    S = -int rho ln rho and moments M_alpha = int rho**alpha add, and each
+    limit is what an analysis computes from those sums. Returns
+    ((S, S / N + ln N), {alpha: RenyiTotals}): the Shannon density and
+    shape limits, and the limits at every order of the first fragment,
+    each shape value by the exact scaling sigma = rho / N.
     """
-
-    energy: float
-    n_grid: float
-    shannon: float
-    renyi: dict  # alpha -> RenyiTotals
-
-    def shannon_limits(self, n_atoms: int = 2):
-        """(density, shape) Shannon limits for n_atoms well-separated copies."""
-        return asymptotic_shannon_reference([self.shannon] * n_atoms,
-                                            [1.0] * n_atoms)
-
-    def renyi_limits(self, alpha: float, n_atoms: int = 2):
-        """(density, shape) order-alpha limits for n_atoms separated copies."""
-        totals = self.renyi[float(alpha)]
-        return asymptotic_renyi_reference(
-            alpha, [totals.density] * n_atoms, [totals.moment] * n_atoms,
-            [1.0] * n_atoms)
+    n = math.fsum(f.n_declared for f in fragments)
+    s = math.fsum(f.shannon.density.total for f in fragments)
+    moments = {a: math.fsum(f.renyi[a].totals.moment for f in fragments)
+               for a in fragments[0].renyi}
+    return ((s, s / n + math.log(n)),
+            {a: _totals(a, m, n) for a, m in moments.items()})
 
 
 def hydrogen_reference(spec: AtomicGridSpec = None, alphas=(),
-                       basis=None, jobs=None) -> AtomReference:
-    """Entropies and energy of one ground-state hydrogen atom.
+                       basis=None, jobs=None) -> FieldAnalysis:
+    """The analysis of one ground-state hydrogen atom, on its own grid.
 
     Uses the built-in six-Gaussian s contraction unless another basis
     is supplied.
     """
     field = atom_field(basis)
-    analysis = analyze_field(field, build_molecular_grid(field.molecule, spec),
-                             alphas=alphas, jobs=jobs)
-    return AtomReference(energy=hydrogen_atom_energy(basis),
-                         n_grid=analysis.n_grid,
-                         shannon=analysis.shannon.density.total,
-                         renyi={a: dec.totals for a, dec in analysis.renyi.items()})
+    return analyze_field(field, build_molecular_grid(field.molecule, spec),
+                         alphas=alphas, jobs=jobs)

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__, parallel
 from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
-                       hydrogen_reference)
+                       hydrogen_reference, separation_limits)
 from .models import METHODS, atom_field, hydrogen_atom_energy
 from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import (MAX_GRID_POINTS, MAX_STIFFNESS, AtomicGridSpec,
@@ -319,24 +319,24 @@ def _emit(settings, command, rows, extra, reference=None):
             stream.write("\n")
 
 
-def _reference_block(settings, ref):
-    """Isolated-atom constants of ref (an ``AtomReference``) and the H2
-    infinite-separation limits."""
+def _reference_block(settings, atom):
+    """Isolated-atom constants of atom (the hydrogen atom's
+    ``FieldAnalysis``) and the H2 infinite-separation limits."""
     s = settings.scale
-    d_lim, sig_lim = ref.shannon_limits(2)
+    energy = hydrogen_atom_energy()
+    (d_lim, sig_lim), renyi = separation_limits([atom, atom])
     block = {
-        "atom": {"E": ref.energy, "S_rho": ref.shannon * s},
+        "atom": {"E": energy, "S_rho": atom.shannon.density.total * s},
         "limits": {"S_rho": d_lim * s, "sigma_S": sig_lim * s,
-                   "E": 2.0 * ref.energy},
+                   "E": 2.0 * energy},
     }
-    for alpha in sorted(ref.renyi):
-        totals = ref.renyi[alpha]
+    for alpha in sorted(atom.renyi):
+        totals, limit = atom.renyi[alpha].totals, renyi[alpha]
         lab = f"{alpha:g}"
         block["atom"][f"renyi{lab}_S_rho"] = totals.density * s
         block["atom"][f"renyi{lab}_moment"] = totals.moment
-        rd, rs = ref.renyi_limits(alpha, 2)
-        block["limits"][f"renyi{lab}_S_rho"] = rd * s
-        block["limits"][f"renyi{lab}_S_sigma"] = rs * s
+        block["limits"][f"renyi{lab}_S_rho"] = limit.density * s
+        block["limits"][f"renyi{lab}_S_sigma"] = limit.shape * s
     return block
 
 
@@ -414,10 +414,10 @@ def cmd_sweep(args):
         raise UsageError(f"--emit-plot-script writes {stem}.gp and its plot "
                          f"{stem}.png, so --out cannot be either of them")
     settings.require_grid_fits(2, settings.alphas)
-    *results, ref = parallel.map(functools.partial(_sweep_task, settings),
-                                 len(settings.distances) + 1, settings.jobs)
+    *results, atom = parallel.map(functools.partial(_sweep_task, settings),
+                                  len(settings.distances) + 1, settings.jobs)
 
-    block = _reference_block(settings, ref)
+    block = _reference_block(settings, atom)
     rows = [[*_flat_leaves({"R": res.separation, "E_total": res.energy}),
              *_analysis_leaves(res.analysis, settings.scale)]
             for res in results]

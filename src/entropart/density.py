@@ -18,7 +18,7 @@ is the density, so the pointwise closure sum_{A,B} rho^AB = rho holds by
 construction; rho^AB for A != B is reported one-sided (totals count it
 twice). ``PairDensityField.pair_block`` evaluates one block of points, so
 an analysis that reduces each block at once needs no full-length pair
-array. Primitive values and the quadratic forms come from the NumPy
+array. The primitive values and the quadratic forms come from the NumPy
 kernels in ``backends``.
 """
 from __future__ import annotations
@@ -65,31 +65,6 @@ def primitive_norm(alpha: float, pows) -> float:
     num = (2.0 * alpha / math.pi) ** 0.75
     return num * math.sqrt((4.0 * alpha) ** L /
                            (_dfact(2 * a - 1) * _dfact(2 * b - 1) * _dfact(2 * c - 1)))
-
-
-@dataclasses.dataclass(frozen=True)
-class Primitive:
-    center_index: int
-    pows: tuple  # (a, b, c), a+b+c <= 3
-    exponent: float
-
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("primitive exponent must be positive")
-        if sum(self.pows) > 3 or min(self.pows) < 0:
-            raise ValueError(f"unsupported angular momentum {self.pows}")
-
-    @property
-    def norm(self) -> float:
-        return primitive_norm(self.exponent, self.pows)
-
-
-def eval_primitive(p: Primitive, center: np.ndarray, r) -> float:
-    """Value of one normalized Cartesian Gaussian at position r."""
-    d = np.asarray(r, dtype=float) - np.asarray(center, dtype=float)
-    a, b, c = p.pows
-    mono = d[0] ** a * d[1] ** b * d[2] ** c
-    return p.norm * mono * math.exp(-p.exponent * float(d @ d))
 
 
 class PrimitiveBasis:

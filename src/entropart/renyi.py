@@ -198,33 +198,3 @@ def renyi_from_sums(integrals: dict, pair_keys, alpha: float,
     return RenyiDecomposition(alpha=alpha, totals=totals,
                               net_terms=net_terms, pair_partition=partition)
 
-
-def asymptotic_renyi_reference(alpha, atom_entropies, atom_moments,
-                               electron_counts):
-    """Infinite-separation Renyi entropies from isolated-fragment data.
-
-    atom_entropies holds each fragment's order-alpha entropy, atom_moments
-    the fragment integrals of rho_A**alpha (which fix the mixing fractions),
-    and electron_counts the fragment electron numbers. Returns the pair
-    (density_limit, shape_limit).
-    """
-    alpha = _validate_alpha(alpha)
-    s_frag = [float(s) for s in atom_entropies]
-    moments = [float(m) for m in atom_moments]
-    counts = [float(n) for n in electron_counts]
-    if not (len(s_frag) == len(moments) == len(counts)):
-        raise ValueError("fragment entropies, moments, and electron counts "
-                         "must have matching lengths")
-    if any(m <= 0 for m in moments):
-        raise ValueError("fragment moments must be positive")
-    if any(n <= 0 for n in counts):
-        raise ValueError("fragment electron counts must be positive")
-    total_moment = math.fsum(moments)
-    n_total = math.fsum(counts)
-    fractions = [m / total_moment for m in moments]
-    pref = 1.0 / (1.0 - alpha)
-    density_limit = math.fsum(p * s for p, s in zip(fractions, s_frag)) \
-        - pref * math.fsum(p * math.log(p) for p in fractions)
-    shape_limit = density_limit + (alpha * pref) * math.fsum(
-        p * math.log(n / n_total) for p, n in zip(fractions, counts))
-    return density_limit, shape_limit

@@ -136,27 +136,3 @@ def shannon_from_arrays(rho, pairs, weights, n_grid: float,
         n_grid=n_grid, density=_terms(total, parts),
         shape=_terms(total, parts, n_grid), diagnostics=diagnostics)
 
-
-def asymptotic_shannon_reference(atom_entropies, electron_counts):
-    """Infinite-separation Shannon entropies from isolated-fragment data.
-
-    atom_entropies holds each fragment's density entropy S^A and
-    electron_counts its electron number N_A. Returns the pair
-    (density_limit, shape_limit): the density entropy tends to the plain
-    sum of fragment entropies, while the shape entropy acquires mixing
-    terms in the electron fractions N_A / N.
-    """
-    s_frag = [float(s) for s in atom_entropies]
-    counts = [float(n) for n in electron_counts]
-    if len(s_frag) != len(counts):
-        raise ValueError("one electron count per fragment entropy is required")
-    if any(n <= 0 for n in counts):
-        raise ValueError("fragment electron counts must be positive")
-    n_total = math.fsum(counts)
-    density_limit = math.fsum(s_frag)
-    # fragment shape entropies follow from the exact scaling identity
-    shape_frag = [(s + n * math.log(n)) / n for s, n in zip(s_frag, counts)]
-    fractions = [n / n_total for n in counts]
-    shape_limit = math.fsum(f * s for f, s in zip(fractions, shape_frag)) \
-        - math.fsum(f * math.log(f) for f in fractions)
-    return density_limit, shape_limit

@@ -332,8 +332,9 @@ def write_wfn(doc: WfnDocument) -> str:
     out.append(f"GAUSSIAN {doc.n_mo:14d} MOL ORBITALS {doc.n_prim:6d} "
                f"PRIMITIVES {doc.n_nuclei:8d} NUCLEI")
     for i, (sym, charge, pos) in enumerate(doc.nuclei):
-        out.append(f"  {sym:<3s}{i + 1:4d}    (CENTRE{i + 1:3d}) "
-                   f"{pos[0]:19.12f}{pos[1]:19.12f}{pos[2]:19.12f}"
+        # a separator before every coordinate, however wide
+        xyz = "".join(f" {x:18.12f}" for x in pos)
+        out.append(f"  {sym:<3s}{i + 1:4d}    (CENTRE{i + 1:3d}) {xyz}"
                    f"  CHARGE = {charge:5.1f}")
 
     def chunked(label, tokens, per_line):

@@ -1,5 +1,8 @@
-"""Test references: the pointwise Shannon integrands, and the streamed
-walk fed from whole arrays.
+"""Test references: one primitive evaluated at one point, the pointwise
+Shannon integrands, and the streamed walk fed from whole arrays.
+
+``eval_primitive`` is the scalar reference of the vectorized primitive
+kernel: one normalized Cartesian Gaussian at one position.
 
 The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
@@ -9,13 +12,34 @@ grid order, as ``analyze_field`` does, from arrays evaluated over the
 whole grid; it raises where the chunk that fails first raises.
 """
 import dataclasses
+import math
 
 import numpy as np
 
 from entropart.backends import Workspace
+from entropart.density import primitive_norm
 from entropart.quadrature import _CHUNK
 from entropart.reductions import GridSums, integrals
 from entropart.shannon import safe_log
+
+
+@dataclasses.dataclass(frozen=True)
+class Primitive:
+    center_index: int
+    pows: tuple  # (a, b, c), a+b+c <= 3
+    exponent: float
+
+    @property
+    def norm(self) -> float:
+        return primitive_norm(self.exponent, self.pows)
+
+
+def eval_primitive(p: Primitive, center: np.ndarray, r) -> float:
+    """Value of one normalized Cartesian Gaussian at position r."""
+    d = np.asarray(r, dtype=float) - np.asarray(center, dtype=float)
+    a, b, c = p.pows
+    mono = d[0] ** a * d[1] ** b * d[2] ** c
+    return p.norm * mono * math.exp(-p.exponent * float(d @ d))
 
 
 @dataclasses.dataclass(frozen=True)

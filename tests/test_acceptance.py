@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from entropart import (AtomicGridSpec, analyze_field, build_molecular_grid,
-                       integrate)
+                       integrate, separation_limits)
 from entropart.models import build_model, hydrogen_atom_energy
 from entropart.molecule import Molecule
 from entropart.wfnio import field_from_document, parse_wfn, write_wfn
@@ -70,9 +70,10 @@ def test_c03_shannon_separation_limit(model_analysis, atom_ref):
     """At R = 50 the density entropy is two atomic entropies and the
     interatomic terms are gone."""
     worst_s, worst_x = 0.0, 0.0
+    limit = 2 * atom_ref.shannon.density.total
     for method in ("hf", "hl", "fci"):
         sh = model_analysis(method, 50.0).analysis.shannon.density
-        worst_s = max(worst_s, abs(sh.total - 2 * atom_ref.shannon))
+        worst_s = max(worst_s, abs(sh.total - limit))
         worst_x = max(worst_x, abs(sh.overlap[(0, 1)]), abs(sh.nadd))
     _report(3, "Shannon separation limit", worst_s <= 1e-4 and worst_x <= 1e-6,
             f"|S - 2 S_atom| <= {worst_s:.2e}, cross terms <= {worst_x:.2e}")
@@ -80,7 +81,7 @@ def test_c03_shannon_separation_limit(model_analysis, atom_ref):
 
 def test_c04_shape_separation_limit(model_analysis, atom_ref):
     """The shape entropy gains exactly log 2 over one atom."""
-    limit = atom_ref.shannon + LN2
+    limit = atom_ref.shannon.density.total + LN2
     worst = max(abs(model_analysis(m, 50.0).analysis.shannon.shape.total
                     - limit) for m in ("hf", "hl", "fci"))
     _report(4, "shape-function separation limit", worst <= 1e-4,
@@ -90,7 +91,7 @@ def test_c04_shape_separation_limit(model_analysis, atom_ref):
 def test_c05_mean_field_hump(model_analysis, atom_ref):
     """At intermediate separation the mean-field entropy overshoots the
     separated-atom value while the correlated one stays below."""
-    limit = 2 * atom_ref.shannon
+    limit = 2 * atom_ref.shannon.density.total
     s_hf = model_analysis("hf", 4.0).analysis.shannon.density.total
     s_fci = model_analysis("fci", 4.0).analysis.shannon.density.total
     _report(5, "mean-field entropy hump", s_hf > limit > s_fci,
@@ -101,7 +102,7 @@ def test_c06_order2_separation_limit(model_analysis, atom_ref):
     """Order-2: total reaches S2_atom - ln 2 and the atomic shares are
     exactly one half each."""
     dec = model_analysis("fci", 50.0).analysis.renyi[2.0]
-    limit, _ = atom_ref.renyi_limits(2.0)
+    limit = separation_limits([atom_ref] * 2)[1][2.0].density
     err = abs(dec.totals.density - limit)
     p = sorted(dec.net_terms.p_atom.values())
     p_err = max(abs(v - 0.5) for v in p)

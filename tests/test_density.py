@@ -8,13 +8,14 @@ import pytest
 from entropart.analysis import analyze_field
 from entropart.backends import quad_form, quad_form_block
 from entropart.density import (TYPE_POWS, ContractedS, DensityMatrix,
-                               PairDensityField, Primitive, PrimitiveBasis,
-                               contracted_overlap, eval_primitive,
-                               primitive_norm)
+                               PairDensityField, PrimitiveBasis,
+                               contracted_overlap, primitive_norm)
 from entropart.models import sto6g_hydrogen
 from entropart.molecule import Atom, Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
                                   integrate)
+
+from references import Primitive, eval_primitive
 
 
 def _one_center(type_code, exponent=0.9):

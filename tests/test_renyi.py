@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from entropart.analysis import separation_limits
 from entropart.density import DensityMatrix, PairDensityField, PrimitiveBasis
 from entropart.models import atom_field
 from entropart.molecule import Atom, Molecule
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid
-from entropart.renyi import (asymptotic_renyi_reference, renyi2_partition,
-                             renyi_net_nadd_intra, renyi_total)
+from entropart.renyi import (renyi2_partition, renyi_net_nadd_intra,
+                             renyi_total)
 
 LN2 = math.log(2.0)
 
@@ -56,16 +57,14 @@ def test_gaussian_closed_form():
 
 
 def test_atom_reference_values(atom_ref):
-    assert atom_ref.renyi[0.5].moment == pytest.approx(10.24752259463314,
-                                                       abs=1e-9)
-    assert atom_ref.renyi[2.0].moment == pytest.approx(0.07585920616321754,
-                                                       abs=1e-12)
-    assert atom_ref.renyi[2.0].density == pytest.approx(2.578876207273665,
-                                                        abs=1e-10)
-    assert atom_ref.renyi[3.0].density == pytest.approx(2.1474599796312166,
-                                                        abs=1e-10)
-    assert atom_ref.renyi[0.5].density == pytest.approx(4.654071956572312,
-                                                        abs=1e-9)
+    totals = {a: dec.totals for a, dec in atom_ref.renyi.items()}
+    assert totals[0.5].moment == pytest.approx(10.24752259463314, abs=1e-9)
+    assert totals[2.0].moment == pytest.approx(0.07585920616321754,
+                                               abs=1e-12)
+    assert totals[2.0].density == pytest.approx(2.578876207273665, abs=1e-10)
+    assert totals[3.0].density == pytest.approx(2.1474599796312166,
+                                                abs=1e-10)
+    assert totals[0.5].density == pytest.approx(4.654071956572312, abs=1e-9)
 
 
 def test_single_atom_partition_is_trivial():
@@ -143,35 +142,35 @@ def test_p_atom_bounds_and_far_limit(model_analysis):
 
 def test_separated_atoms_match_composition_rules(model_analysis, atom_ref):
     analysis = model_analysis("fci", 50.0).analysis
+    _, limits = separation_limits([atom_ref] * 2)
     for alpha in (0.5, 2.0, 3.0):
         dec = analysis.renyi[alpha]
-        density_limit, shape_limit = atom_ref.renyi_limits(alpha)
-        assert dec.totals.density == pytest.approx(density_limit, abs=1e-4)
-        assert dec.totals.shape == pytest.approx(shape_limit, abs=1e-4)
+        assert dec.totals.density == pytest.approx(limits[alpha].density,
+                                                   abs=1e-4)
+        assert dec.totals.shape == pytest.approx(limits[alpha].shape,
+                                                 abs=1e-4)
     dec = analysis.renyi[2.0]
     # intra-atomic mixing term saturates at log 2; net matches one atom
     assert dec.net_terms.nadd_intra == pytest.approx(LN2, abs=1e-6)
-    assert dec.net_terms.net == pytest.approx(atom_ref.renyi[2.0].density,
-                                              abs=1e-4)
+    assert dec.net_terms.net == pytest.approx(
+        atom_ref.renyi[2.0].totals.density, abs=1e-4)
 
 
 def test_composition_rule_formulas(atom_ref):
+    _, limits = separation_limits([atom_ref] * 2)
     for alpha in (0.5, 2.0, 3.0):
-        s_atom = atom_ref.renyi[alpha].density
-        density_limit, shape_limit = atom_ref.renyi_limits(alpha)
+        s_atom = atom_ref.renyi[alpha].totals.density
+        density_limit, shape_limit = limits[alpha].density, limits[alpha].shape
         assert density_limit == pytest.approx(
             s_atom + math.log(2.0) / (1.0 - alpha), rel=1e-13)
         # shape limit adds the alpha-weighted size correction
         assert shape_limit == pytest.approx(
             density_limit + (alpha / (alpha - 1.0)) * math.log(2.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        asymptotic_renyi_reference(2.0, [1.0], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        asymptotic_renyi_reference(2.0, [1.0, 1.0], [1.0, -1.0], [1.0, 1.0])
-    one_density, one_shape = asymptotic_renyi_reference(
-        2.0, [atom_ref.renyi[2.0].density], [atom_ref.renyi[2.0].moment], [1.0])
-    assert one_density == pytest.approx(atom_ref.renyi[2.0].density, rel=1e-14)
-    assert one_shape == pytest.approx(atom_ref.renyi[2.0].density, rel=1e-14)
+    one = separation_limits([atom_ref])[1][2.0]
+    assert one.density == pytest.approx(atom_ref.renyi[2.0].totals.density,
+                                        rel=1e-14)
+    assert one.shape == pytest.approx(atom_ref.renyi[2.0].totals.density,
+                                      rel=1e-14)
 
 
 def test_shape_relation_all_orders(model_analysis):
@@ -229,8 +228,9 @@ def test_saturation_faster_than_shannon(model_analysis, atom_ref):
     """At intermediate separation the order-2 entropy sits much closer to
     its limit than the Shannon entropy does to its own."""
     analysis = model_analysis("fci", 6.0).analysis
-    shannon_gap = abs(analysis.shannon.density.total - 2 * atom_ref.shannon)
-    density_limit, _ = atom_ref.renyi_limits(2.0)
+    shannon_gap = abs(analysis.shannon.density.total
+                      - 2 * atom_ref.shannon.density.total)
+    density_limit = separation_limits([atom_ref] * 2)[1][2.0].density
     renyi_gap = abs(analysis.renyi[2.0].totals.density - density_limit)
     print(f"R=6 gaps: shannon {shannon_gap:.3e}, order-2 {renyi_gap:.3e}")
     assert renyi_gap < shannon_gap

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from entropart.analysis import analyze_field
+from entropart.analysis import analyze_field, separation_limits
 from entropart.models import atom_field
 from entropart.quadrature import AtomicGridSpec, build_molecular_grid
-from entropart.shannon import (asymptotic_shannon_reference,
-                               check_normalization, safe_log)
+from entropart.shannon import check_normalization, safe_log
 
 from references import shannon_point_terms
 
@@ -98,7 +97,7 @@ def test_entropy_rises_toward_separated_atoms(model_analysis, atom_ref):
     values = [model_analysis("fci", r).analysis.shannon.density.total
               for r in ladder]
     assert all(b > a for a, b in zip(values, values[1:]))
-    limit = 2 * atom_ref.shannon
+    limit = 2 * atom_ref.shannon.density.total
     assert values[-1] == pytest.approx(limit, abs=1e-4)
     # strictly below the limit while the physical gap dominates grid error;
     # at R=50 the gap (~1e-7) is smaller than the quadrature error itself
@@ -111,49 +110,31 @@ def test_entropy_rises_toward_separated_atoms(model_analysis, atom_ref):
 
 def test_mean_field_overshoots_the_limit(model_analysis, atom_ref):
     # the hallmark mean-field artifact at intermediate separation
-    limit = 2 * atom_ref.shannon
+    limit = 2 * atom_ref.shannon.density.total
     assert model_analysis("hf", 4.0).analysis.shannon.density.total > limit
     assert model_analysis("fci", 4.0).analysis.shannon.density.total < limit
 
 
 def test_separated_atoms_decomposition(model_analysis, atom_ref):
+    s_atom = atom_ref.shannon.density.total
     for method in ("hf", "hl", "fci"):
         sh = model_analysis(method, 50.0).analysis.shannon
-        assert sh.density.total == pytest.approx(2 * atom_ref.shannon,
-                                                 abs=1e-4)
+        assert sh.density.total == pytest.approx(2 * s_atom, abs=1e-4)
         assert abs(sh.density.overlap[(0, 1)]) < 1e-6
         assert abs(sh.density.nadd) < 1e-6
         # shape entropy gains exactly log 2 over one atom
-        assert sh.shape.total == pytest.approx(atom_ref.shannon + LN2,
-                                               abs=1e-4)
+        assert sh.shape.total == pytest.approx(s_atom + LN2, abs=1e-4)
 
 
 def test_asymptotic_reference_formulas(atom_ref):
-    s = atom_ref.shannon
-    density_limit, shape_limit = asymptotic_shannon_reference([s, s],
-                                                              [1.0, 1.0])
+    s = atom_ref.shannon.density.total
+    (density_limit, shape_limit), _ = separation_limits([atom_ref] * 2)
     assert density_limit == pytest.approx(2 * s, rel=1e-14)
     assert shape_limit == pytest.approx(s + LN2, rel=1e-14)
     # one fragment: no mixing penalty
-    density_limit, shape_limit = asymptotic_shannon_reference([s], [1.0])
+    (density_limit, shape_limit), _ = separation_limits([atom_ref])
     assert density_limit == pytest.approx(s, rel=1e-15)
     assert shape_limit == pytest.approx(s, rel=1e-15)
-    # a 2-electron fragment entering with N_A log N_A bookkeeping
-    density_limit, shape_limit = asymptotic_shannon_reference([s, 2.5],
-                                                              [1.0, 2.0])
-    frag0 = s
-    frag1 = (2.5 + 2.0 * math.log(2.0)) / 2.0
-    expect = ((1 / 3) * frag0 + (2 / 3) * frag1
-              - (1 / 3) * math.log(1 / 3) - (2 / 3) * math.log(2 / 3))
-    assert shape_limit == pytest.approx(expect, rel=1e-13)
-    assert density_limit == pytest.approx(s + 2.5, rel=1e-14)
-
-
-def test_asymptotic_reference_validation():
-    with pytest.raises(ValueError):
-        asymptotic_shannon_reference([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        asymptotic_shannon_reference([1.0], [0.0])
 
 
 def test_normalization_guard():

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropart.density import TYPE_POWS
+from entropart.molecule import MAX_COORDINATE
 from entropart.wfnio import (MolecularOrbital, WfnDocument, WfnParseError,
                              parse_wfn, write_wfn)
 
 FIXED = settings(derandomize=True, deadline=None, database=None)
 
 _SYMBOLS = ("H", "He", "C", "N", "O", "F", "Na", "Cl")
+_MICRO = int(MAX_COORDINATE * 10**6)  # the largest coordinate in 1e-6 bohr
 
 
 def _decimal(lo, hi, digits=12):
@@ -31,8 +33,10 @@ def documents(draw):
     n_nuclei = draw(st.integers(1, 3))
     nuclei = tuple(
         (draw(st.sampled_from(_SYMBOLS)), float(draw(st.integers(1, 20))),
-         # the writer prints positions with 12 decimals
-         np.array([draw(st.integers(-10**7, 10**7)) / 1e6 for _ in range(3)]))
+         # the writer prints positions with 12 decimals; any position a
+         # Molecule accepts, up to MAX_COORDINATE
+         np.array([draw(st.integers(-_MICRO, _MICRO)) / 1e6
+                   for _ in range(3)]))
         for _ in range(n_nuclei))
     n_prim = draw(st.integers(1, 12))
     coefficient = st.one_of(st.just(0.0), _decimal(-1e3, 1e3))
