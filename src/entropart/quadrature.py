@@ -11,18 +11,38 @@ only its weight and a 32-bit flat index into the unscreened product grid,
 12 bytes, plus each atom's radial nodes and the directions. Coordinates
 are formed as they are needed, one integration chunk at a time, the way
 the build forms them (r * u, then plus the centre, per axis), so they are
-the same bits each time. Each atom grid is built and weighed in blocks of
-whole radial shells, at most ``_BLOCK`` points each (one shell of every
-supported Lebedev order fits), and each block's kept weights and indices
-are written straight into the grid's arrays, allocated once at the size
-``grid_estimate`` gives. Beyond those arrays the build holds about
-2 nat + 9 floats per point of one block, a bound that does not grow with
-the grid. Every step is elementwise per point, apart from the sum of the
-cell weights over atoms, so the grid does not depend on the block size.
+the same bits each time.
+
+The cell weights are taken at one Lebedev direction per orbit of the
+operations that fix every nucleus exactly, among the signed swaps of x
+and y, each with or without z -> -z, and gathered back to the other
+directions of the orbit. They are the same bits as at every direction:
+an operation negates or swaps the x and y offsets r * u, or negates z,
+and negation is exact; the squared distance to a nucleus is
+((dx)^2 + (dy)^2) + (dz)^2, whose sum commutes; and every later step of
+the kernel is elementwise per point, or the column sum over atoms. A
+molecule on the z axis is fixed by the eight operations that keep z, and
+weighs 22 of 110, 35 of 194 and 70 of 434 directions; one in a
+coordinate plane weighs 105 of 194; any other molecule weighs all.
+
+Each atom grid is weighed in blocks of whole radial shells, at most
+``_BLOCK`` weighed points each (one shell of every supported Lebedev order
+fits). A block's cell weights are then gathered to every direction,
+screened and written straight into the grid's arrays, allocated once at
+the size ``grid_estimate`` gives, in parts of whole shells of at most
+``_BLOCK`` points. Beyond those arrays the build holds the kernel's
+2 nat + 9 floats per weighed point of one block, the owner's row of its
+cell weights and one part: measured as peak RSS (VmHWM) over the grid's
+arrays, 0.9 MiB for H2 at 400 x 194, 0.6 MiB at 1000 x 434 and 1.6 MiB
+for the H8 chain at 400 x 194, a bound that does not grow with the grid.
+Every step is elementwise per point, apart from the sum of the cell
+weights over atoms, so the grid does not depend on the block size.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -68,10 +88,9 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     weight and an int32 point index per point, 12 bytes), for any molecule.
     Not counted, because they do not grow with the points: the radial nodes
     (nat * n_radial floats) and the Lebedev directions, and the working set
-    while one block of radial shells is weighted, about 2 nat + 9 floats per
-    point of at most ``_BLOCK`` points (the Becke distances and cell
-    products, the block's points and a few temporaries), about 1.6 MiB for
-    two atoms and 3.1 MiB for eight. Nor what an analysis on the grid
+    while one block of radial shells is weighed (module docstring), a peak
+    RSS of about 0.9 MiB over the grid's arrays for two atoms and 1.6 MiB
+    for the H8 chain on the default grid. Nor what an analysis on the grid
     needs: each worker of its walk holds one chunk workspace, which the
     ``reductions`` docstring lists. The field adds P = nat(nat+1)/2 pair
     blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
@@ -251,10 +270,57 @@ class MolecularGrid:
         return (self.index // per_atom).astype(np.int64)
 
 
+# The signed swaps of x and y, each with or without z -> -z: the image of
+# v under operation g is _SIGNS[g] * v[_PERMS[g]]. None moves a term between
+# the two parts of a squared distance, ((dx)^2 + (dy)^2) + (dz)^2, so a
+# point and its image lie at the same distances, bit for bit, from every
+# nucleus that the operation fixes. Operation 0 is the identity.
+_PERMS = np.repeat([[0, 1, 2], [1, 0, 2]], 8, axis=0)
+_SIGNS = np.tile(np.array(list(itertools.product((1.0, -1.0), repeat=3))),
+                 (2, 1))
+
+
+def symmetry_operations(centers) -> np.ndarray:
+    """The indices g of the operations (``_PERMS[g]``, ``_SIGNS[g]``) that
+    map every nucleus exactly onto itself: the identity always, and no
+    operation that a nucleus is off by any amount."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    images = centers[:, _PERMS] * _SIGNS  # (nat, operation, axis)
+    return np.flatnonzero((images == centers[:, None]).all(axis=(0, 2)))
+
+
+@functools.cache
+def direction_images(order: int) -> np.ndarray:
+    """(16, n_ang) read-only: entry [g, j] is the index of the image of
+    Lebedev direction j under operation g. Every Lebedev set is mapped
+    onto itself by each operation; each image set is matched to the
+    directions by sorting both."""
+    directions = lebedev.lebedev_grid(order)[0].T
+    order_of = np.lexsort(directions)
+    images = np.empty((len(_PERMS), directions.shape[1]), dtype=np.intp)
+    for g, (perm, signs) in enumerate(zip(_PERMS, _SIGNS)):
+        images[g, np.lexsort(directions[perm] * signs[:, None])] = order_of
+    images.flags.writeable = False
+    return images
+
+
+def direction_orbits(order: int, operations):
+    """(reps, inverse): one Lebedev direction per orbit of the operations,
+    its lowest index, and for each direction j the position in reps of
+    its orbit's, so that ``reps[inverse[j]]`` is the image of j under one
+    of the operations. ``reps`` ascends."""
+    rep = direction_images(order)[operations].min(axis=0)
+    return np.unique(rep, return_inverse=True)
+
+
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
     """Union of Becke-weighted atomic product grids, built and weighed in
     blocks of whole radial shells.
+
+    The cell weights are taken at one Lebedev direction per orbit of the
+    molecule's ``symmetry_operations`` and gathered back to the rest of
+    the orbit, the same bits as at every direction (module docstring).
 
     Refuses, before it allocates anything, a grid whose unscreened point
     count exceeds ``MAX_GRID_POINTS``, the most that its 32-bit point
@@ -271,29 +337,43 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     directions = ang_pts.T.copy()
     n_ang = len(ang_wts)
-    shells = max(1, _BLOCK // n_ang)
+    # one atom has no cell weights to take, so its blocks are sized by
+    # every direction
+    operations = symmetry_operations(centers) if nat > 1 else [0]
+    reps, inverse = direction_orbits(spec.lebedev_order, operations)
+    weighed = directions[:, reps]
+    shells = max(1, _BLOCK // len(reps))  # per call of the kernel
+    expand = max(1, _BLOCK // n_ang)  # screened and written at a time
     radial = np.empty((nat, n_radial))
     weights = np.empty(size)
     index = np.empty(size, dtype=np.int32)
-    block = np.empty(3 * min(shells, n_radial) * n_ang) if nat > 1 else None
+    block = np.empty(3 * min(shells, n_radial) * len(reps)) if nat > 1 else None
+    cell = None
     n = 0
     for a in range(nat):
         r, wr = radial_grid(n_radial, radii[a])
         radial[a] = r
         for i in range(0, n_radial, shells):
-            wb = wr[i:i + shells]
-            w = (4.0 * math.pi) * (wb[:, None] * ang_wts[None, :]).reshape(-1)
+            count = min(shells, n_radial - i)
             if nat > 1:
                 first = a * n_radial + i
-                pts = _shell_points(radial, centers, directions, first,
-                                    first + len(wb), block)
-                w *= becke_weights(pts.T, centers, radii,
-                                   stiffness=spec.stiffness,
-                                   size_adjust=spec.size_adjust)[a]
-            kept = np.flatnonzero(w >= WEIGHT_SCREEN)
-            weights[n:n + len(kept)] = w[kept]
-            index[n:n + len(kept)] = kept + (a * n_radial + i) * n_ang
-            n += len(kept)
+                pts = _shell_points(radial, centers, weighed, first,
+                                    first + count, block)
+                # the owner's row, so the other atoms' rows are freed
+                cell = becke_weights(pts.T, centers, radii,
+                                     stiffness=spec.stiffness,
+                                     size_adjust=spec.size_adjust
+                                     )[a].reshape(count, -1).copy()
+            for j in range(i, i + count, expand):
+                wb = wr[j:min(j + expand, i + count)]
+                w = (4.0 * math.pi) * (wb[:, None] * ang_wts[None, :])
+                if cell is not None:
+                    w *= cell[j - i:j - i + len(wb), inverse]
+                w = w.reshape(-1)
+                kept = np.flatnonzero(w >= WEIGHT_SCREEN)
+                weights[n:n + len(kept)] = w[kept]
+                index[n:n + len(kept)] = kept + (a * n_radial + j) * n_ang
+                n += len(kept)
     return MolecularGrid(weights=weights[:n], index=index[:n], radial=radial,
                          directions=directions, molecule=molecule, spec=spec)
 

@@ -11,7 +11,7 @@ import pytest
 
 from entropart import (AtomicGridSpec, analyze_model, hydrogen_reference,
                        hl_model, hf_model, fci_model, natural_orbitals,
-                       sto6g_hydrogen)
+                       quadrature, sto6g_hydrogen)
 from entropart.wfnio import (build_document, field_from_document, parse_wfn,
                              write_wfn)
 
@@ -161,3 +161,18 @@ def h3_wfn_field():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def becke_calls(monkeypatch):
+    """The number of points that each call of ``quadrature.becke_weights``
+    weighs while the test runs, in call order."""
+    sizes = []
+    kernel = quadrature.becke_weights
+
+    def counted(points, *args, **kwargs):
+        sizes.append(len(points))
+        return kernel(points, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "becke_weights", counted)
+    return sizes

@@ -1,8 +1,12 @@
 """Test references: one primitive evaluated at one point, the pointwise
-Shannon integrands, and the streamed walk fed from whole arrays.
+Shannon integrands, the streamed walk fed from whole arrays, and the grid
+weighed at every direction.
 
 ``eval_primitive`` is the scalar reference of the vectorized primitive
 kernel: one normalized Cartesian Gaussian at one position.
+
+``listed_grid`` builds a molecular grid atom by atom into lists, with the
+Becke cell weights taken at every Lebedev direction, and stacks them.
 
 The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
@@ -16,9 +20,10 @@ import math
 
 import numpy as np
 
-from entropart.backends import Workspace
+from entropart import lebedev
+from entropart.backends import Workspace, becke_weights_kernel
 from entropart.density import primitive_norm
-from entropart.quadrature import _CHUNK
+from entropart.quadrature import _CHUNK, WEIGHT_SCREEN, radial_grid
 from entropart.reductions import GridSums, integrals
 from entropart.shannon import safe_log
 
@@ -77,3 +82,26 @@ def walk(weights, rho, pairs, alphas) -> dict:
                    rho[start:start + _CHUNK],
                    np.ascontiguousarray(terms[:, start:start + _CHUNK]), work)
         for start in range(0, len(weights), _CHUNK)])
+
+
+
+def listed_grid(molecule, spec, kernel=becke_weights_kernel):
+    """(points, weights, owner_atom) of the grid built atom by atom into
+    lists, every direction weighed by ``kernel``, then stacked."""
+    centers = molecule.positions
+    radii = molecule.bragg_radii()
+    ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
+    all_pts, all_wts, owners = [], [], []
+    for a in range(len(molecule)):
+        r, wr = radial_grid(spec.n_radial, radii[a])
+        pts = centers[a][None, None, :] + r[:, None, None] * ang_pts[None, :, :]
+        pts = pts.reshape(-1, 3)
+        w = (4.0 * math.pi) * (wr[:, None] * ang_wts[None, :]).reshape(-1)
+        if len(molecule) > 1:
+            w = w * kernel(pts, centers, radii, spec.stiffness,
+                           spec.size_adjust)[a]
+        keep = w >= WEIGHT_SCREEN
+        all_pts.append(pts[keep])
+        all_wts.append(w[keep])
+        owners.append(np.full(int(keep.sum()), a, dtype=np.int64))
+    return np.vstack(all_pts), np.concatenate(all_wts), np.concatenate(owners)

@@ -7,8 +7,8 @@ shells and writes the kept weights and point indices straight into the
 grid's arrays, and ``MolecularGrid.chunks`` forms the coordinates of each
 integration chunk as the walk reaches it. The references below are the
 ordered-pair kernel, the per-primitive kernel and the whole-atom
-list-and-``vstack`` build: the new code must give the same bits wherever
-its arithmetic is unchanged.
+list-and-``vstack`` build (``references.listed_grid``): the new code must
+give the same bits wherever its arithmetic is unchanged.
 """
 import dataclasses
 import math
@@ -24,14 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entropart
-from entropart import lebedev
 from entropart.backends import (EXP_UNDERFLOW, becke_weights_kernel,
                                 eval_primitives)
 from entropart.density import TYPE_POWS, PrimitiveBasis
 from entropart.molecule import Molecule
-from entropart.quadrature import (_BLOCK, _CHUNK, WEIGHT_SCREEN,
-                                  AtomicGridSpec, build_molecular_grid,
-                                  grid_estimate, radial_grid)
+from entropart.quadrature import (_BLOCK, _CHUNK, AtomicGridSpec,
+                                  build_molecular_grid, grid_estimate)
+from references import listed_grid
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
                  max_examples=60)
@@ -81,27 +80,6 @@ def per_primitive_values(points, prim_centers, prim_exps, prim_norms,
         if m.any():
             G[m] *= comp[m] ** pw[m, None]
     return G
-
-
-def listed_grid(molecule, spec, kernel):
-    """The grid built atom by atom into lists, then stacked."""
-    centers = molecule.positions
-    radii = molecule.bragg_radii()
-    ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
-    all_pts, all_wts, owners = [], [], []
-    for a in range(len(molecule)):
-        r, wr = radial_grid(spec.n_radial, radii[a])
-        pts = centers[a][None, None, :] + r[:, None, None] * ang_pts[None, :, :]
-        pts = pts.reshape(-1, 3)
-        w = (4.0 * math.pi) * (wr[:, None] * ang_wts[None, :]).reshape(-1)
-        if len(molecule) > 1:
-            w = w * kernel(pts, centers, radii, spec.stiffness,
-                           spec.size_adjust)[a]
-        keep = w >= WEIGHT_SCREEN
-        all_pts.append(pts[keep])
-        all_wts.append(w[keep])
-        owners.append(np.full(int(keep.sum()), a, dtype=np.int64))
-    return np.vstack(all_pts), np.concatenate(all_wts), np.concatenate(owners)
 
 
 def _spread_centres(rng, nat):
@@ -253,24 +231,34 @@ def _h_chain(nat, spacing):
     return Molecule([("H", (0.0, 0.0, spacing * i)) for i in range(nat)])
 
 
-@pytest.mark.parametrize("mol, spec, kernel, blocks", [
-    # (whole blocks, shells in the last partial one) at _BLOCK // n_ang
-    # shells per block
-    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=200), ordered_pair_becke,
-     (2, 32)),
+@pytest.mark.parametrize("mol, spec, kernel, weighed, blocks", [
+    # (whole blocks, shells in the last partial one) at _BLOCK // weighed
+    # shells per block, for the directions weighed per shell: one per
+    # symmetry orbit (35 of 194 and 70 of 434 on the z axis), or every
+    # one where the cell weights are not taken
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=1000), ordered_pair_becke,
+     35, (2, 64)),
     (_h_chain(2, 1.4), AtomicGridSpec(n_radial=50), ordered_pair_becke,
-     (0, 50)),
-    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=120, lebedev_order=434),
-     ordered_pair_becke, (3, 9)),
+     35, (0, 50)),
+    (_h_chain(2, 1.4), AtomicGridSpec(n_radial=710, lebedev_order=434),
+     ordered_pair_becke, 70, (3, 8)),
     (_h_chain(1, 0.0), AtomicGridSpec(n_radial=300), ordered_pair_becke,
-     (3, 48)),
+     194, (3, 48)),
     (OHLI, AtomicGridSpec(n_radial=100, lebedev_order=434),
-     becke_weights_kernel, (2, 26)),
+     becke_weights_kernel, 434, (2, 26)),
+    # each H8 atom at 400x194 is one call of 14,000 points, where every
+    # direction weighed took five
+    (_h_chain(8, 1.8), AtomicGridSpec(), becke_weights_kernel, 35, (0, 400)),
 ], ids=["partial-last-block", "under-one-block", "lebedev-434",
-        "single-atom", "mixed-radii"])
-def test_blocked_grid_is_the_listed_build(mol, spec, kernel, blocks):
-    assert divmod(spec.n_radial, _BLOCK // spec.lebedev_order) == blocks
+        "single-atom", "mixed-radii", "h8-one-call-per-atom"])
+def test_blocked_grid_is_the_listed_build(mol, spec, kernel, weighed, blocks,
+                                          becke_calls):
+    shells = _BLOCK // weighed
+    assert divmod(spec.n_radial, shells) == blocks
     grid = build_molecular_grid(mol, spec)
+    whole, last = blocks
+    per_atom = [shells * weighed] * whole + [last * weighed] * (last > 0)
+    assert becke_calls == (per_atom * len(mol) if len(mol) > 1 else [])
     for got, want in zip((grid.points, grid.weights, grid.owner_atom),
                          listed_grid(mol, spec, kernel)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -283,9 +271,10 @@ def test_blocked_grid_is_the_listed_build(mol, spec, kernel, blocks):
     (_h_chain(8, 1.8), AtomicGridSpec(n_radial=400, lebedev_order=194)),
 ], ids=["h-1000x434", "h2-400x194", "h2-1000x434", "h8-400x194"])
 def test_grid_build_working_set_does_not_grow_with_the_grid(mol, spec):
-    # beyond the grid's own arrays the build holds one block of shells,
-    # about 2 nat + 9 floats per point of at most _BLOCK points (3.1 MiB
-    # at nat = 8), whatever the size of the grid
+    # beyond the grid's own arrays the build holds the kernel's 2 nat + 9
+    # floats per weighed point of at most _BLOCK, and one part of at most
+    # _BLOCK gathered weights (2.7 MiB traced at nat = 8), whatever the
+    # size of the grid
     tracemalloc.start()
     try:
         build_molecular_grid(mol, spec)
