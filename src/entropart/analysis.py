@@ -26,11 +26,12 @@ CLOSURE_TOLERANCE = 1e-8    # add - nadd = total, both entropy families
 SCALING_TOLERANCE = 1e-10   # density/shape total relations
 LIMIT_TOLERANCE = 1e-4      # infinite-separation references
 
-# chunks x pair terms of a walk for each worker it is shared among: with
-# less, a forked worker costs about what its share saves (on two cores,
-# two workers break even on an H2 fci walk, 3 pair terms, at 10-15
-# chunks, and save about 20% at 20)
-WORK_PER_WORKER = 30
+# evaluated points x pair terms of a walk for each worker it is shared
+# among: with less, a forked worker costs about what its share saves (on
+# two cores, two workers break even on an H2 fci walk, 3 pair terms, at
+# 20,000-30,000, and save about 10% of the walk on the default grid, at
+# 83,850, and 38% on the H8 chain, at 3.8 million)
+WORK_PER_WORKER = 15_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,16 +79,26 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                   alphas=(), jobs=None) -> FieldAnalysis:
     """Walk the grid once and run every requested decomposition.
 
-    The walk evaluates one integration chunk at a time; each chunk's
-    density and pair terms are reduced at once to the chunk partials of
-    every integral the decompositions need, int rho among them
-    (``GridSums.chunk``), so no full-length pair array is held. The chunks
-    are mapped over ``parallel.map``'s workers, with cap one worker per
-    ``WORK_PER_WORKER`` chunks x pair terms; jobs None asks for every
-    usable CPU. A chunk raises at the first check it fails, a non-finite
-    density or integrand or, at a fractional order, a negative atomic net
-    density (``GridSums.chunk``); the error of the lowest raising chunk is
-    raised, as in a serial walk, and the call records no clamp counts.
+    The walk evaluates one integration chunk at a time, at one point per
+    orbit of the operations that fix every nucleus of the grid and every
+    primitive of the field (``MolecularGrid.orbits``,
+    ``PrimitiveBasis.operations``), each weighted by the summed kept
+    weight of its orbit's members in the chunk
+    (``MolecularGrid.orbit_chunk``); with no operation but the identity
+    these are the chunk's kept points and weights. Each chunk's density
+    and pair terms are reduced at once to the chunk partials of every
+    integral the decompositions need, int rho among them
+    (``GridSums.chunk``), so no full-length pair array is held. Clamp
+    counts and the non-finite point named in an error are of grid points:
+    an orbit counts its members, and an error names the lowest kept
+    point whose orbit holds the bad value. The chunks are mapped over
+    ``parallel.map``'s workers, with cap one worker per
+    ``WORK_PER_WORKER`` evaluated points x pair terms; jobs None asks for
+    every usable CPU. A chunk raises at the first check it fails, a
+    non-finite density or integrand or, at a fractional order, a negative
+    atomic net density (``GridSums.chunk``); the error of the lowest
+    raising chunk is raised, as in a serial walk, and the call records no
+    clamp counts.
     Otherwise the partials come back in grid order and are summed once
     (``reductions.integrals``), so the result is the serial walk's for any
     W, and the chunks' clamp counts are summed and added to
@@ -98,8 +109,11 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas, grid)
     n_chunks = -(-len(grid) // _CHUNK)
-    cap = n_chunks * len(field.pair_keys) // WORK_PER_WORKER
-    task = functools.partial(_chunk, field, grid, sums, Workspace())
+    orbits = grid.orbits(field.basis.operations())
+    # about len(grid) * orbits / directions points are evaluated
+    evaluated = len(grid) * len(orbits[0]) // grid.directions.shape[1]
+    cap = evaluated * len(field.pair_keys) // WORK_PER_WORKER
+    task = functools.partial(_chunk, field, grid, orbits, sums, Workspace())
     partials, counts = zip(*parallel.map(task, n_chunks, jobs, cap))
     counts = sum(counts, ClampDiagnostics())
     field.record(counts)
@@ -113,13 +127,13 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                          shannon=shannon, renyi=renyi)
 
 
-def _chunk(field, grid, sums, work, i):
-    """Chunk i of the walk, its arrays in ``work``: (its partials, as
-    ``sums.chunk`` gives them or raises, and its ClampDiagnostics)."""
-    start, points = grid.chunk(i, work)
-    rho, terms, counts = field.pair_block(points, work)
-    return (sums.chunk(start, grid.weights[start:start + len(rho)], rho,
-                       terms, work), counts)
+def _chunk(field, grid, orbits, sums, work, i):
+    """Chunk i of the walk, one point per orbit, its arrays in ``work``:
+    (its partials, as ``sums.chunk`` gives them or raises, and its
+    ClampDiagnostics)."""
+    start, points, weights, members = grid.orbit_chunk(i, orbits, work)
+    rho, terms, counts = field.pair_block(points, work, members)
+    return sums.chunk(start, weights, rho, terms, work, members), counts
 
 
 @dataclasses.dataclass(frozen=True)

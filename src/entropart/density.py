@@ -31,7 +31,7 @@ import numpy as np
 
 from .backends import Workspace, eval_primitives, quad_form, quad_form_block
 from .molecule import Molecule
-from .quadrature import _CHUNK
+from .quadrature import _CHUNK, _PERMS, _SIGNS, symmetry_operations
 
 # Cartesian monomial exponents for the standard type codes 1..20
 # (s; px py pz; dxx dyy dzz dxy dxz dyz; fxxx ... fxyz).
@@ -102,6 +102,20 @@ class PrimitiveBasis:
         return eval_primitives(pts, self.molecule.positions, self.center_index,
                                self.exponents, self.norms, self.ang_pows,
                                work=work)
+
+    def operations(self) -> np.ndarray:
+        """The operations of ``quadrature.symmetry_operations`` that map
+        every primitive onto itself, value for value: each fixes the
+        primitive's centre exactly, keeps its powers (powers[perm] ==
+        powers) and flips an even number of its odd powers
+        (prod signs**powers = 1). Then every density the primitives carry,
+        whatever its coefficients, takes the same value at a point and at
+        its image, up to rounding."""
+        ops = symmetry_operations(self.molecule.positions[self.center_index])
+        pows = self.ang_pows[:, None]  # (nprim, 1, 3) against (nprim, ops, 3)
+        kept = ((self.ang_pows[:, _PERMS[ops]] == pows).all(axis=2)
+                & (np.prod(_SIGNS[ops] ** pows, axis=2) == 1.0))
+        return ops[kept.all(axis=0)]
 
     def atom_rows(self, a: int) -> np.ndarray:
         return np.nonzero(self.center_index == a)[0]
@@ -187,8 +201,10 @@ class ClampDiagnostics:
                                 negated=self.negated + other.negated)
 
 
-def _clamp(rho: np.ndarray) -> ClampDiagnostics:
-    """Clamp rho in place (see ClampDiagnostics), returning its counts."""
+def _clamp(rho: np.ndarray, members=None) -> ClampDiagnostics:
+    """Clamp rho in place (see ClampDiagnostics), returning its counts:
+    of its points, or of the grid points that members maps to them (see
+    ``quadrature.MolecularGrid.orbit_chunk``)."""
     neg = rho < 0
     if not neg.any():
         return ClampDiagnostics()
@@ -196,6 +212,8 @@ def _clamp(rho: np.ndarray) -> ClampDiagnostics:
     rho[small] = 0.0
     bad = neg & ~small
     rho[bad] = np.abs(rho[bad])
+    if members is not None:
+        small, bad = small[members], bad[members]
     return ClampDiagnostics(clamped=int(small.sum()), negated=int(bad.sum()))
 
 
@@ -235,11 +253,13 @@ class PairDensityField:
             return n[:, None] * c[rb].T
         return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
 
-    def pair_block(self, points, work=None):
+    def pair_block(self, points, work=None, members=None):
         """(rho, terms, counts) at one block of points: the clamped
         density, the (npairs, npts) stack of the pair terms in the order
-        of ``pair_keys``, and the block's ClampDiagnostics. The field is
-        not changed; ``record`` adds counts to ``diagnostics``.
+        of ``pair_keys``, and the block's ClampDiagnostics, which count
+        the points, or with members (n,), the position among points of
+        each of n grid points, the grid points. The field is not changed;
+        ``record`` adds counts to ``diagnostics``.
 
         Every array of the block is taken from ``work`` (a
         ``backends.Workspace``, a fresh one by default; ``reductions``
@@ -268,7 +288,7 @@ class PairDensityField:
         for x, (a, b), m in zip(terms, self.pair_keys, self._blocks):
             quad_form_block(m, values[a], values[b], out=x, work=work)
             rho += x if a == b else np.multiply(2.0, x, out=twice)
-        return rho, terms, _clamp(rho)
+        return rho, terms, _clamp(rho, members)
 
     def record(self, counts: ClampDiagnostics) -> None:
         """Add one evaluation's counts to ``diagnostics``, with one

@@ -25,6 +25,18 @@ molecule on the z axis is fixed by the eight operations that keep z, and
 weighs 22 of 110, 35 of 194 and 70 of 434 directions; one in a
 coordinate plane weighs 105 of 194; any other molecule weighs all.
 
+An analysis walks the grid in the same orbits, one chunk at a time
+(``MolecularGrid.orbit_chunk``): of the operations that fix every
+nucleus, those that also fix every primitive of the field
+(``density.PrimitiveBasis.operations``) map a kept point onto a point of
+the same radial shell at which the field takes the same value, up to
+rounding, so the walk evaluates one representative of the kept points of
+a shell whose directions share an orbit and weights it by their summed
+kept weight. The H8 chain on 400 x 194 evaluates 106,354 of its 600,784
+kept points, H2 27,804 of 154,928 and the atom at the origin 7,615 of
+77,594. Where only the identity is left, the representatives are the
+kept points themselves, with their weights, bit for bit.
+
 Each atom grid is weighed in blocks of whole radial shells, at most
 ``_BLOCK`` weighed points each (one shell of every supported Lebedev order
 fits). A block's cell weights are then gathered to every direction,
@@ -200,8 +212,9 @@ class MolecularGrid:
     ``index[k] = a * n_radial * n_ang + i * n_ang + j``, so the indices
     increase along the grid, and sits at ``radial[a, i] * directions[:, j]``
     plus the atom's centre. ``chunk`` forms the coordinates of one
-    integration chunk at a time; ``points`` and ``owner_atom`` build the
-    whole arrays on each access and keep nothing.
+    integration chunk at a time, and ``orbit_chunk`` those of one point
+    per orbit of a chunk; ``points`` and ``owner_atom`` build the whole
+    arrays on each access and keep nothing.
     """
     weights: np.ndarray      # (npts,) bohr^3, all factors folded in
     index: np.ndarray        # (npts,) int32 flat index into the product grid
@@ -215,29 +228,64 @@ class MolecularGrid:
 
     def chunk(self, i, work=None):
         """(start, points) of chunk i, the ``_CHUNK`` kept points from
-        start = i * ``_CHUNK``.
+        start = i * ``_CHUNK``: ``orbit_chunk`` over the orbits of the
+        identity, so points (n, 3) are the kept points in order, formed as
+        the build forms them, valid until the next chunk is formed in
+        ``work``."""
+        identity = np.arange(self.directions.shape[1])
+        return self.orbit_chunk(i, (identity, identity), work)[:2]
 
-        The whole shells the chunk spans are formed into the buffer
-        "shells" of ``work`` (a ``backends.Workspace``, a fresh one if
-        None), reused by the next chunk, and its kept columns taken (a
-        slice when none between them was screened); points is their
-        (n, 3) transposed view, valid until the next chunk is formed.
+    def orbit_chunk(self, i, orbits, work=None):
+        """(start, points, weights, members) of chunk i reduced to one
+        point per orbit: its kept points in one radial shell whose
+        directions share an orbit of ``orbits`` (``direction_orbits``'s
+        (reps, inverse)) are one orbit of the chunk, and an orbit that two
+        chunks split is one in each.
+
+        Orbit o of shell s, counted from the chunk's first shell f, has
+        slot (s - f) * len(reps) + o, and the orbits come in the order of
+        their slots. points (m, 3) holds one representative of each, at
+        its direction reps[o] in shell s, formed as the build forms a
+        point (r * u, then plus the centre); weights (m,) the sum of its
+        members' kept weights, in grid order, from 0.0; members (n,) the
+        position in points of each kept point's orbit. Over the identity's
+        orbits, one per direction, the representatives are the kept
+        points in order and their weights are the kept weights, bit for
+        bit. The whole shells the chunk spans are formed at the orbits'
+        directions into the buffer "shells" of ``work`` (a
+        ``backends.Workspace``, a fresh one if None) and the occupied
+        slots taken into its buffer "points", of which points is a view,
+        valid until the next chunk is formed in it.
         """
-        n_ang = self.directions.shape[1]
+        reps, inverse = orbits
+        n_ang, n_orbits = self.directions.shape[1], len(reps)
         start = i * _CHUNK
         idx = self.index[start:start + _CHUNK]
         first = int(idx[0]) // n_ang
         stop = int(idx[-1]) // n_ang + 1
-        size = 3 * (stop - first) * n_ang
-        buf = (work or Workspace()).take("shells", (size,))
-        pts = _shell_points(self.radial, self.molecule.positions,
-                            self.directions, first, stop, buf)
-        local = idx - first * n_ang
-        if local[-1] - local[0] + 1 == len(local):
-            pts = pts[:, local[0]:local[-1] + 1]
-        else:
-            pts = np.take(pts, local, axis=1)
-        return start, pts.T
+        # the slot of each point of the shells first..stop-1, in order
+        slots = np.add.outer(np.arange(stop - first) * n_orbits, inverse)
+        slot = slots.reshape(-1)[idx - first * n_ang]
+        summed = np.bincount(slot, weights=self.weights[start:start + _CHUNK])
+        occupied = np.flatnonzero(summed)  # every kept weight is positive
+        work = Workspace() if work is None else work
+        shells = _shell_points(self.radial, self.molecule.positions,
+                               self.directions[:, reps], first, stop,
+                               work.take("shells", (3 * (stop - first)
+                                                    * n_orbits,)))
+        pts = np.take(shells, occupied, axis=1,
+                      out=work.take("points", (3, len(occupied))))
+        members = (np.cumsum(summed > 0) - 1)[slot]
+        return start, pts.T, summed[occupied], members
+
+    def orbits(self, operations):
+        """``direction_orbits`` of those of ``operations`` (indices into
+        the table of ``symmetry_operations``) that also map every nucleus
+        of the grid exactly onto itself: a kept point and its image under
+        one of them lie in the same radial shell."""
+        fixed = np.intersect1d(operations,
+                               symmetry_operations(self.molecule.positions))
+        return direction_orbits(self.spec.lebedev_order, fixed)
 
     def chunks(self):
         """(start, points) of every chunk in order, as ``chunk`` gives
@@ -402,18 +450,23 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
         for start in range(0, len(weights), _CHUNK))
 
 
-def chunk_partials(values, weights, start=0, grid=None) -> np.ndarray:
+def chunk_partials(values, weights, start=0, grid=None, members=None
+                   ) -> np.ndarray:
     """The partials of ``integrate`` over one chunk, one per row of values
     ((n,) or (rows, n)): each row's dot product with the chunk's weights
     (n,). A non-finite value raises ``nonfinite_error`` at the first row
-    and point that hold one, the point's kept index being start plus its
-    column."""
+    that holds one, naming its first kept point: start plus the point's
+    column, or, for the orbits of ``MolecularGrid.orbit_chunk`` with
+    their members, start plus the first kept point whose orbit's value
+    is not finite."""
     rows = np.atleast_2d(values)
     partials = np.array([np.dot(row, weights) for row in rows])
     if not np.isfinite(partials).all():
         for row in rows:
             bad = ~np.isfinite(row)
             if bad.any():
+                if members is not None:
+                    bad = bad[members]
                 raise nonfinite_error(start + int(np.argmax(bad)), grid)
     return partials
 

@@ -10,20 +10,26 @@ them, with no flags: the orders it is given fix the moments, and order 2
 among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
 chunk of the grid to each integrand's chunk partial, its dot product
 with the weights, and returns them; ``GridSums`` keeps only what its
-constructor computes. ``integrals`` takes the partials of every chunk,
-in grid order, and sums each integral once, as the exactly rounded sum
-(``math.fsum``) of its partials. The chunks and their partials are those
-of ``quadrature.integrate`` (``quadrature.chunk_partials``), so results
-do not depend on how the values were evaluated, and repeated runs agree
-bit for bit. The array functions of ``shannon`` and ``renyi`` are the
-direct reference: they take each integral with ``integrate`` over whole
+constructor computes. The walk gives it the values at one point per
+symmetry orbit of the chunk, with each orbit's summed kept weight
+(``quadrature.MolecularGrid.orbit_chunk``), and for a field with no
+symmetry the chunk's kept points and weights. ``integrals`` takes the
+partials of every chunk, in grid order, and sums each integral once, as
+the exactly rounded sum (``math.fsum``) of its partials. The chunks and
+their partials are those of ``quadrature.integrate``
+(``quadrature.chunk_partials``), and repeated runs agree bit for bit.
+The array functions of ``shannon`` and ``renyi`` are the direct
+reference: they take each integral with ``integrate`` over whole
 arrays, share only that chunk partial, the sign rules of ``_power`` and
-their refusal message, and the tests hold the walk to them.
+their refusal message, and the tests hold the walk to them: to the bit
+without symmetry, to rounding with it.
 
 ``chunk`` keeps nothing, so any worker may reduce a chunk. It raises at
 the first check the chunk fails, in the order it computes the
 integrals: a non-finite density or integrand, with the global index and
-position of its first point as ``integrate`` reports it, and, at
+position of its first kept point as ``integrate`` reports it (for the
+orbits of a chunk, the first kept point whose orbit's value is not
+finite), and, at
 fractional orders, an atomic net density below the clamp threshold. The
 caller maps the chunks in grid order and raises the first chunk that
 fails, so the error is the serial walk's.
@@ -32,11 +38,15 @@ fails, so the error is the serial walk's.
 call; each worker of the walk fills its own copy, and this process's is
 dropped when the call returns. Every array of a chunk is taken from it:
 the arrays are allocated at the first chunk and reused, so a chunk's
-values hold only until the next chunk. Beside the coordinates of the
-whole shells a chunk spans (``MolecularGrid.chunk``, about 3 floats per
-point of those shells), for nat atoms, nprim primitives, K orbitals, m_A
-primitives on atom A and P = nat(nat+1)/2 pair terms it holds, in rows of
-``_CHUNK`` = 4096 floats:
+values hold only until the next chunk. A row holds one float per point
+the chunk evaluates, one per orbit (``MolecularGrid.orbit_chunk``): at
+most ``_CHUNK`` = 4096, and at most 744 for the H8 chain and H2 on the
+default grid, whose 35 orbits of 194 directions per shell leave 723 and
+732 per chunk on average. Beside the coordinates of the representatives
+and of the orbits of the whole shells the chunk spans (about 6 floats per
+evaluated point), for nat atoms, nprim primitives, K orbitals, m_A
+primitives on atom A and P = nat(nat+1)/2 pair terms it holds these
+rows:
 
 - ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
   dz for each axis on which a primitive has a power, (2 + axes) nat rows;
@@ -50,10 +60,11 @@ primitives on atom A and P = nat(nat+1)/2 pair terms it holds, in rows of
   turn, in the buffer of G, which grows to max(nprim, P) rows; one row for
   the integrands of rho; and bool masks of P + 1 rows.
 
-With a bool row counted as 1/8 of a float row, that is 149.6 rows
-(4.7 MiB) for an H8 chain of STO-6G atoms with 4 doubly occupied orbitals
-(nprim 48, P 36), and 34.5 rows (1.1 MiB) for the H2 fci model, per
-worker: a walk on W workers holds W workspaces, one in each process.
+With a bool row counted as 1/8 of a float row, that is 149.6 rows for an
+H8 chain of STO-6G atoms with 4 doubly occupied orbitals (nprim 48,
+P 36), 4.7 MiB at 4096 points and 0.85 MiB at 744, and 34.5 rows for the
+H2 fci model, 1.1 and 0.2 MiB, per worker: a walk on W workers holds W
+workspaces, one in each process.
 """
 import math
 
@@ -115,11 +126,13 @@ class GridSums:
         self.grid = grid
         self._upper = np.triu_indices(len(self.pair_keys))
 
-    def chunk(self, start, weights, rho, terms, work):
+    def chunk(self, start, weights, rho, terms, work, members=None):
         """The partials of the chunk whose first point is ``start``:
         weights (n,), the clamped density rho (n,) and the pair terms
-        (len(pair_keys), n). Returns family -> chunk partial, or raises
-        the first check the chunk fails (see the module docstring). Each
+        (len(pair_keys), n), at the chunk's points or at its orbits'
+        representatives with their members (``MolecularGrid.orbit_chunk``).
+        Returns family -> chunk partial, or raises the first check the
+        chunk fails (see the module docstring). Each
         integrand is formed in ``work`` (a ``backends.Workspace``) and
         reduced before the next: a stack shaped like the pair terms, its
         bool mask, and one row and its mask for rho. Nothing is kept,
@@ -131,7 +144,7 @@ class GridSums:
             """The family's partial, one per row, as ``integrate`` takes
             it, or the error of its first non-finite value."""
             partials[family] = chunk_partials(values, weights, start,
-                                              self.grid)
+                                              self.grid, members)
 
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)

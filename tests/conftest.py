@@ -12,6 +12,7 @@ import pytest
 from entropart import (AtomicGridSpec, analyze_model, hydrogen_reference,
                        hl_model, hf_model, fci_model, natural_orbitals,
                        quadrature, sto6g_hydrogen)
+from entropart.density import PairDensityField
 from entropart.wfnio import (build_document, field_from_document, parse_wfn,
                              write_wfn)
 
@@ -175,4 +176,20 @@ def becke_calls(monkeypatch):
         return kernel(points, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "becke_weights", counted)
+    return sizes
+
+
+@pytest.fixture()
+def pair_block_calls(monkeypatch):
+    """The number of points at which each call of
+    ``PairDensityField.pair_block`` in this process evaluates a field
+    while the test runs, in call order."""
+    sizes = []
+    evaluate = PairDensityField.pair_block
+
+    def counted(self, points, *args, **kwargs):
+        sizes.append(len(points))
+        return evaluate(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(PairDensityField, "pair_block", counted)
     return sizes

@@ -48,16 +48,30 @@ def _fci():
     return field, grid
 
 
+def _orbit_chunk(field, grid, c):
+    """Chunk c as the walk evaluates it, one point per orbit."""
+    return grid.orbit_chunk(c, grid.orbits(field.basis.operations()))
+
+
+def _kept(field, grid, c, rep):
+    """The global index of the first kept point of chunk c whose orbit is
+    the walk's representative rep."""
+    start, _, _, members = _orbit_chunk(field, grid, c)
+    return start + int(np.argmax(members == rep))
+
+
 def _at_chunk(monkeypatch, field, grid, changes):
-    """Have field.pair_block apply changes[c](rho, terms) at chunk c.
+    """Have field.pair_block apply changes[c](rho, terms) at chunk c, to
+    the values at the orbits' representatives that the walk evaluates.
     Returns the list of the chunks this process evaluates, in order."""
     n_chunks = -(-len(grid) // _CHUNK)
-    firsts = [grid.chunk(c)[1][0].copy() for c in range(n_chunks)]
+    firsts = [_orbit_chunk(field, grid, c)[1][0].copy()
+              for c in range(n_chunks)]
     evaluate = field.pair_block
     evaluated = []
 
-    def pair_block(points, work=None):
-        rho, terms, counts = evaluate(points, work)
+    def pair_block(points, work=None, members=None):
+        rho, terms, counts = evaluate(points, work, members)
         (c,) = [c for c, first in enumerate(firsts)
                 if np.array_equal(points[0], first)]
         evaluated.append(c)
@@ -298,7 +312,7 @@ def test_a_non_finite_density_in_a_childs_share(cpus, monkeypatch):
     # chunk 1 is share 1's for W = 2 and 3; chunk 2, later, share 0's or 2's
     _at_chunk(monkeypatch, field, grid, {1: inf, 2: nan})
     serial = _message(lambda: analyze_field(field, grid, jobs=1))
-    index = _CHUNK + 7
+    index = _kept(field, grid, 1, 7)
     assert serial == (ValueError, f"non-finite field value at point index "
                                   f"{index}, position {grid.position(index)}")
     _force(monkeypatch, cpus)
@@ -321,7 +335,8 @@ def test_a_serial_walk_stops_at_a_non_finite_density(monkeypatch):
     field, grid = _fci()
     evaluated = _at_chunk(monkeypatch, field, grid, {1: _inf})
     with pytest.raises(ValueError, match=(
-            f"^non-finite field value at point index {_CHUNK + 7}, ")):
+            f"^non-finite field value at point index "
+            f"{_kept(field, grid, 1, 7)}, ")):
         analyze_field(field, grid, jobs=1)
     assert evaluated == [0, 1]
 
@@ -338,7 +353,7 @@ def test_a_non_finite_pair_integrand_keeps_its_first_point(cpus, monkeypatch):
 
     _at_chunk(monkeypatch, field, grid, {1: at(9), 2: at(2)})
     serial = _message(lambda: analyze_field(field, grid, jobs=1))
-    index = _CHUNK + 9
+    index = _kept(field, grid, 1, 9)
     assert serial == (ValueError, f"non-finite field value at point index "
                                   f"{index}, position {grid.position(index)}")
     _force(monkeypatch, cpus)
@@ -395,7 +410,8 @@ def test_each_worker_stops_at_its_first_failing_chunk(cpus, monkeypatch):
     _force(monkeypatch, cpus)
     assert parallel.workers(cpus, cap=99) == cpus
     with pytest.raises(ValueError, match=(
-            f"^non-finite field value at point index {_CHUNK + 9}, ")):
+            f"^non-finite field value at point index "
+            f"{_kept(field, grid, 1, 9)}, ")):
         analyze_field(field, grid, jobs=cpus)
     assert [c for c in range(5) if seen[c]] == [
         c for c in range(5) if c <= 1 or c % cpus != 1 % cpus]
@@ -498,10 +514,10 @@ def _fail_in_children(monkeypatch, error):
     caller = os.getpid()
     evaluate = PairDensityField.pair_block
 
-    def pair_block(self, points, work=None):
+    def pair_block(self, points, work=None, members=None):
         if os.getpid() != caller:
             raise error
-        return evaluate(self, points, work)
+        return evaluate(self, points, work, members)
 
     monkeypatch.setattr(PairDensityField, "pair_block", pair_block)
 
