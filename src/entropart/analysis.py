@@ -14,8 +14,7 @@ from . import parallel
 from .backends import Workspace
 from .density import ClampDiagnostics, PairDensityField
 from .models import atom_field, build_model
-from .quadrature import (_CHUNK, AtomicGridSpec, MolecularGrid,
-                         build_molecular_grid)
+from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid
 from .reductions import GridSums, integrals
 from .renyi import _totals, _validate_alpha, renyi_from_sums
 from .shannon import (ShannonDecomposition, check_normalization,
@@ -29,9 +28,9 @@ LIMIT_TOLERANCE = 1e-4      # infinite-separation references
 # evaluated points x pair terms of a walk for each worker it is shared
 # among: with less, a forked worker costs about what its share saves (on
 # two cores, two workers break even on an H2 fci walk, 3 pair terms, at
-# 20,000-30,000, and save about 10% of the walk on the default grid, at
-# 83,850, and 38% on the H8 chain, at 3.8 million)
-WORK_PER_WORKER = 15_000
+# 125,000-150,000, and save about 27% of the walk at 1000 x 434, at
+# 414,834, and 28% on the H8 chain, at 3.8 million)
+WORK_PER_WORKER = 70_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,42 +78,38 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                   alphas=(), jobs=None) -> FieldAnalysis:
     """Walk the grid once and run every requested decomposition.
 
-    The walk evaluates one integration chunk at a time, at one point per
-    orbit of the operations that fix every nucleus of the grid and every
-    primitive of the field (``MolecularGrid.orbits``,
+    The walk (``MolecularGrid.walk``) evaluates the field at one point
+    per orbit of the operations that fix every nucleus of the grid and
+    every primitive of the field (``MolecularGrid.orbits``,
     ``PrimitiveBasis.operations``), each weighted by the summed kept
-    weight of its orbit's members in the chunk
-    (``MolecularGrid.orbit_chunk``); with no operation but the identity
-    these are the chunk's kept points and weights. Each chunk's density
-    and pair terms are reduced at once to the chunk partials of every
-    integral the decompositions need, int rho among them
+    weight of its orbit's members, one chunk of ``_CHUNK`` = 4096 such
+    representatives at a time (``Walk.chunk``); with no operation but the
+    identity these are the kept points and their weights. Each chunk's
+    density and pair terms are reduced at once to the chunk partials of
+    every integral the decompositions need, int rho among them
     (``GridSums.chunk``), so no full-length pair array is held. Clamp
     counts and the non-finite point named in an error are of grid points:
-    an orbit counts its members, and an error names the lowest kept
-    point whose orbit holds the bad value. The chunks are mapped over
-    ``parallel.map``'s workers, with cap one worker per
-    ``WORK_PER_WORKER`` evaluated points x pair terms; jobs None asks for
-    every usable CPU. A chunk raises at the first check it fails, a
-    non-finite density or integrand or, at a fractional order, a negative
-    atomic net density (``GridSums.chunk``); the error of the lowest
-    raising chunk is raised, as in a serial walk, and the call records no
-    clamp counts.
-    Otherwise the partials come back in grid order and are summed once
-    (``reductions.integrals``), so the result is the serial walk's for any
-    W, and the chunks' clamp counts are summed and added to
-    ``field.diagnostics`` once (``field.record``, one warning for the
-    points negated). Then the normalization check, before any result is
-    built.
+    a representative counts its orbit's members, and an error names the
+    lowest kept point whose orbit holds the bad value. The chunks are
+    mapped over ``parallel.map``'s workers, with cap one worker per
+    ``WORK_PER_WORKER`` evaluated points x pair terms (the walk's exact
+    ``evaluated``); jobs None asks for every usable CPU. A chunk raises at
+    the first check it fails, a non-finite density or integrand or, at a
+    fractional order, a negative atomic net density (``GridSums.chunk``);
+    the error of the lowest raising chunk is raised, as in a serial walk,
+    and the call records no clamp counts. Otherwise the partials come
+    back in grid order and are summed once (``reductions.integrals``), so
+    the result is the serial walk's for any W, and the chunks' clamp
+    counts are summed and added to ``field.diagnostics`` once
+    (``field.record``, one warning for the points negated). Then the
+    normalization check, before any result is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas, grid)
-    n_chunks = -(-len(grid) // _CHUNK)
-    orbits = grid.orbits(field.basis.operations())
-    # about len(grid) * orbits / directions points are evaluated
-    evaluated = len(grid) * len(orbits[0]) // grid.directions.shape[1]
-    cap = evaluated * len(field.pair_keys) // WORK_PER_WORKER
-    task = functools.partial(_chunk, field, grid, orbits, sums, Workspace())
-    partials, counts = zip(*parallel.map(task, n_chunks, jobs, cap))
+    walk = grid.walk(grid.orbits(field.basis.operations()))
+    cap = walk.evaluated * len(field.pair_keys) // WORK_PER_WORKER
+    task = functools.partial(_chunk, field, walk, sums, Workspace())
+    partials, counts = zip(*parallel.map(task, len(walk), jobs, cap))
     counts = sum(counts, ClampDiagnostics())
     field.record(counts)
     values = integrals(partials)
@@ -127,13 +122,13 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                          shannon=shannon, renyi=renyi)
 
 
-def _chunk(field, grid, orbits, sums, work, i):
+def _chunk(field, walk, sums, work, i):
     """Chunk i of the walk, one point per orbit, its arrays in ``work``:
     (its partials, as ``sums.chunk`` gives them or raises, and its
     ClampDiagnostics)."""
-    start, points, weights, members = grid.orbit_chunk(i, orbits, work)
-    rho, terms, counts = field.pair_block(points, work, members)
-    return sums.chunk(start, weights, rho, terms, work, members), counts
+    chunk = walk.chunk(i, work)
+    rho, terms, counts = field.pair_block(chunk.points, work, chunk.counts)
+    return sums.chunk(chunk, rho, terms, work), counts
 
 
 @dataclasses.dataclass(frozen=True)

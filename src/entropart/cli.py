@@ -24,7 +24,7 @@ from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
 from .models import METHODS, atom_field, hydrogen_atom_energy
 from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import (MAX_GRID_POINTS, MAX_STIFFNESS, AtomicGridSpec,
-                         build_molecular_grid, grid_estimate)
+                         build_molecular_grid, grid_estimate, walk_orbits)
 from .reductions import gram_partials_bytes
 from .renyi import ALPHA_ONE_GUARD
 from .wfnio import WfnParseError, field_from_document, parse_wfn
@@ -176,15 +176,19 @@ class Settings:
     def grid_comment(self):
         return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
 
-    def require_grid_fits(self, n_atoms, alphas=()):
+    def require_grid_fits(self, n_atoms, alphas=(), orbits=None):
         """Refuse, before anything is allocated, a grid larger than memory
         (its arrays and, when the analysis on it takes order 2 among
         alphas, the Gram partials that grow with it) or than its 32-bit
-        point indices address."""
+        point indices address. The walk evaluates at most one point per
+        orbit of each radial shell, for ``orbits`` orbits of the
+        directions (None: every direction)."""
         points, nbytes = grid_estimate(n_atoms, self.grid_spec)
         what = f"a grid of {points} points"
         if 2.0 in alphas:
-            nbytes += gram_partials_bytes(n_atoms, points)
+            per_shell = orbits or self.grid_spec.lebedev_order
+            nbytes += gram_partials_bytes(
+                n_atoms, n_atoms * self.grid_spec.n_radial * per_shell)
             what += " with its order-2 Gram partials"
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -470,7 +474,11 @@ def _analyze_wfn(path, settings, single_center=False):
 def _analyze(field, settings):
     """The FieldAnalysis of field on the settings' grid, once the grid is
     known to fit."""
-    settings.require_grid_fits(len(field.molecule), settings.alphas)
+    orbits = walk_orbits(field.molecule.positions,
+                         settings.grid_spec.lebedev_order,
+                         field.basis.operations())
+    settings.require_grid_fits(len(field.molecule), settings.alphas,
+                               len(orbits[0]))
     grid = build_molecular_grid(field.molecule, settings.grid_spec)
     return analyze_field(field, grid, alphas=settings.alphas,
                          jobs=settings.jobs)

@@ -201,10 +201,10 @@ class ClampDiagnostics:
                                 negated=self.negated + other.negated)
 
 
-def _clamp(rho: np.ndarray, members=None) -> ClampDiagnostics:
+def _clamp(rho: np.ndarray, counts=None) -> ClampDiagnostics:
     """Clamp rho in place (see ClampDiagnostics), returning its counts:
-    of its points, or of the grid points that members maps to them (see
-    ``quadrature.MolecularGrid.orbit_chunk``)."""
+    of its points, or of the grid points that each point stands for by
+    counts (see ``quadrature.Walk.chunk``)."""
     neg = rho < 0
     if not neg.any():
         return ClampDiagnostics()
@@ -212,8 +212,8 @@ def _clamp(rho: np.ndarray, members=None) -> ClampDiagnostics:
     rho[small] = 0.0
     bad = neg & ~small
     rho[bad] = np.abs(rho[bad])
-    if members is not None:
-        small, bad = small[members], bad[members]
+    if counts is not None:
+        small, bad = counts * small, counts * bad
     return ClampDiagnostics(clamped=int(small.sum()), negated=int(bad.sum()))
 
 
@@ -253,12 +253,12 @@ class PairDensityField:
             return n[:, None] * c[rb].T
         return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
 
-    def pair_block(self, points, work=None, members=None):
+    def pair_block(self, points, work=None, counts=None):
         """(rho, terms, counts) at one block of points: the clamped
         density, the (npairs, npts) stack of the pair terms in the order
         of ``pair_keys``, and the block's ClampDiagnostics, which count
-        the points, or with members (n,), the position among points of
-        each of n grid points, the grid points. The field is not changed;
+        the points, or with counts (npts,), the number of grid points
+        each point stands for, the grid points. The field is not changed;
         ``record`` adds counts to ``diagnostics``.
 
         Every array of the block is taken from ``work`` (a
@@ -288,7 +288,7 @@ class PairDensityField:
         for x, (a, b), m in zip(terms, self.pair_keys, self._blocks):
             quad_form_block(m, values[a], values[b], out=x, work=work)
             rho += x if a == b else np.multiply(2.0, x, out=twice)
-        return rho, terms, _clamp(rho, members)
+        return rho, terms, _clamp(rho, counts)
 
     def record(self, counts: ClampDiagnostics) -> None:
         """Add one evaluation's counts to ``diagnostics``, with one

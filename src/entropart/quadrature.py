@@ -25,17 +25,20 @@ molecule on the z axis is fixed by the eight operations that keep z, and
 weighs 22 of 110, 35 of 194 and 70 of 434 directions; one in a
 coordinate plane weighs 105 of 194; any other molecule weighs all.
 
-An analysis walks the grid in the same orbits, one chunk at a time
-(``MolecularGrid.orbit_chunk``): of the operations that fix every
-nucleus, those that also fix every primitive of the field
-(``density.PrimitiveBasis.operations``) map a kept point onto a point of
-the same radial shell at which the field takes the same value, up to
-rounding, so the walk evaluates one representative of the kept points of
-a shell whose directions share an orbit and weights it by their summed
-kept weight. The H8 chain on 400 x 194 evaluates 106,354 of its 600,784
-kept points, H2 27,804 of 154,928 and the atom at the origin 7,615 of
-77,594. Where only the identity is left, the representatives are the
-kept points themselves, with their weights, bit for bit.
+An analysis walks the grid in the same orbits (``MolecularGrid.walk``):
+of the operations that fix every nucleus, those that also fix every
+primitive of the field (``density.PrimitiveBasis.operations``) map a kept
+point onto a point of the same radial shell at which the field takes the
+same value, up to rounding, so the walk evaluates one representative of
+the kept points of a shell whose directions share an orbit and weights it
+by their summed kept weight. Its chunks are ``_CHUNK`` representatives
+each, in (shell, orbit) order, found from two tables of one integer per
+radial shell that the walk builds once. The H8 chain on 400 x 194
+evaluates 106,078 of its 600,784 kept points in 26 chunks, H2 27,734 of
+154,928 in 7 and the atom at the origin 7,598 of 77,594 in 2. Where only
+the identity is left, the representatives are the kept points
+themselves, with their weights, bit for bit, in the chunks of
+``_CHUNK`` kept points.
 
 Each atom grid is weighed in blocks of whole radial shells, at most
 ``_BLOCK`` weighed points each (one shell of every supported Lebedev order
@@ -104,13 +107,15 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     RSS of about 0.9 MiB over the grid's arrays for two atoms and 1.6 MiB
     for the H8 chain on the default grid. Nor what an analysis on the grid
     needs: each worker of its walk holds one chunk workspace, which the
-    ``reductions`` docstring lists. The field adds P = nat(nat+1)/2 pair
+    ``reductions`` docstring lists, and the walk two integers per radial
+    shell (``Walk``). The field adds P = nat(nat+1)/2 pair
     blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
     atoms with m_A and m_B primitives, plus the nprim**2 coefficient
     matrix only when it is asked for. At order 2 the chunks' partials,
     held until ``reductions.integrals`` sums them, also hold Gram partials
-    that grow with the grid; ``reductions.gram_partials_bytes`` counts
-    them.
+    that grow with the points the walk evaluates, at most nat * n_radial
+    times the orbits per shell (``walk_orbits``);
+    ``reductions.gram_partials_bytes`` counts them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
     return points, points * 12
@@ -211,9 +216,10 @@ class MolecularGrid:
     Kept point k of atom a, radial shell i and Lebedev direction j has
     ``index[k] = a * n_radial * n_ang + i * n_ang + j``, so the indices
     increase along the grid, and sits at ``radial[a, i] * directions[:, j]``
-    plus the atom's centre. ``chunk`` forms the coordinates of one
-    integration chunk at a time, and ``orbit_chunk`` those of one point
-    per orbit of a chunk; ``points`` and ``owner_atom`` build the whole
+    plus the atom's centre. ``walk`` gives the chunks of a walk over the
+    orbits of some operations, one point per orbit; ``chunk``, ``chunks``
+    and ``position`` are the walk over the identity's orbits, the kept
+    points themselves. ``points`` and ``owner_atom`` build the whole
     arrays on each access and keep nothing.
     """
     weights: np.ndarray      # (npts,) bohr^3, all factors folded in
@@ -226,81 +232,33 @@ class MolecularGrid:
     def __len__(self):
         return len(self.weights)
 
+    def orbits(self, operations):
+        """``walk_orbits`` of this grid's nuclei and Lebedev order."""
+        return walk_orbits(self.molecule.positions, self.spec.lebedev_order,
+                           operations)
+
+    def walk(self, orbits):
+        """The ``Walk`` of this grid over ``orbits``, ``direction_orbits``'s
+        (reps, inverse)."""
+        return Walk(self, orbits)
+
     def chunk(self, i, work=None):
         """(start, points) of chunk i, the ``_CHUNK`` kept points from
-        start = i * ``_CHUNK``: ``orbit_chunk`` over the orbits of the
-        identity, so points (n, 3) are the kept points in order, formed as
-        the build forms them, valid until the next chunk is formed in
-        ``work``."""
-        identity = np.arange(self.directions.shape[1])
-        return self.orbit_chunk(i, (identity, identity), work)[:2]
-
-    def orbit_chunk(self, i, orbits, work=None):
-        """(start, points, weights, members) of chunk i reduced to one
-        point per orbit: its kept points in one radial shell whose
-        directions share an orbit of ``orbits`` (``direction_orbits``'s
-        (reps, inverse)) are one orbit of the chunk, and an orbit that two
-        chunks split is one in each.
-
-        Orbit o of shell s, counted from the chunk's first shell f, has
-        slot (s - f) * len(reps) + o, and the orbits come in the order of
-        their slots. points (m, 3) holds one representative of each, at
-        its direction reps[o] in shell s, formed as the build forms a
-        point (r * u, then plus the centre); weights (m,) the sum of its
-        members' kept weights, in grid order, from 0.0; members (n,) the
-        position in points of each kept point's orbit. Over the identity's
-        orbits, one per direction, the representatives are the kept
-        points in order and their weights are the kept weights, bit for
-        bit. The whole shells the chunk spans are formed at the orbits'
-        directions into the buffer "shells" of ``work`` (a
-        ``backends.Workspace``, a fresh one if None) and the occupied
-        slots taken into its buffer "points", of which points is a view,
-        valid until the next chunk is formed in it.
-        """
-        reps, inverse = orbits
-        n_ang, n_orbits = self.directions.shape[1], len(reps)
-        start = i * _CHUNK
-        idx = self.index[start:start + _CHUNK]
-        first = int(idx[0]) // n_ang
-        stop = int(idx[-1]) // n_ang + 1
-        # the slot of each point of the shells first..stop-1, in order
-        slots = np.add.outer(np.arange(stop - first) * n_orbits, inverse)
-        slot = slots.reshape(-1)[idx - first * n_ang]
-        summed = np.bincount(slot, weights=self.weights[start:start + _CHUNK])
-        occupied = np.flatnonzero(summed)  # every kept weight is positive
-        work = Workspace() if work is None else work
-        shells = _shell_points(self.radial, self.molecule.positions,
-                               self.directions[:, reps], first, stop,
-                               work.take("shells", (3 * (stop - first)
-                                                    * n_orbits,)))
-        pts = np.take(shells, occupied, axis=1,
-                      out=work.take("points", (3, len(occupied))))
-        members = (np.cumsum(summed > 0) - 1)[slot]
-        return start, pts.T, summed[occupied], members
-
-    def orbits(self, operations):
-        """``direction_orbits`` of those of ``operations`` (indices into
-        the table of ``symmetry_operations``) that also map every nucleus
-        of the grid exactly onto itself: a kept point and its image under
-        one of them lie in the same radial shell."""
-        fixed = np.intersect1d(operations,
-                               symmetry_operations(self.molecule.positions))
-        return direction_orbits(self.spec.lebedev_order, fixed)
+        start = i * ``_CHUNK``: the walk over the identity's orbits, so
+        points (n, 3) are the kept points in order, formed as the build
+        forms them, valid until the next chunk is formed in ``work``."""
+        return i * _CHUNK, self.walk(self.orbits([0])).chunk(i, work).points
 
     def chunks(self):
         """(start, points) of every chunk in order, as ``chunk`` gives
         them, in one buffer."""
-        work = Workspace()
-        for i in range(-(-len(self) // _CHUNK)):
-            yield self.chunk(i, work)
+        walk, work = self.walk(self.orbits([0])), Workspace()
+        for i in range(len(walk)):
+            yield i * _CHUNK, walk.chunk(i, work).points
 
     def position(self, k):
         """The coordinates of kept point k, formed as ``chunk`` forms them."""
-        n_ang = self.directions.shape[1]
-        shell, j = divmod(int(self.index[k]), n_ang)
-        return _shell_points(self.radial, self.molecule.positions,
-                             self.directions, shell, shell + 1,
-                             np.empty(3 * n_ang))[:, j]
+        return self.chunk(k // _CHUNK)[1][k % _CHUNK].copy()
 
     @property
     def points(self):
@@ -316,6 +274,131 @@ class MolecularGrid:
         access."""
         per_atom = self.spec.n_radial * self.directions.shape[1]
         return (self.index // per_atom).astype(np.int64)
+
+
+class Walk:
+    """The chunks of a walk over a grid at one point per orbit.
+
+    The kept points of one radial shell whose directions share an orbit of
+    ``orbits`` (``direction_orbits``'s (reps, inverse)) are one orbit of
+    the grid, and its representative sits at direction reps[o] of that
+    shell. The representatives come in (shell, orbit) order, ``evaluated``
+    of them, and chunk i is representatives i * ``_CHUNK`` up to
+    i * ``_CHUNK`` + ``_CHUNK`` - 1. Over the identity's orbits, one per
+    direction, the representatives are the kept points in order.
+
+    A walk holds two tables of one integer per radial shell: the first
+    kept point of each shell, and the representatives before it, counted
+    with one ``np.bincount`` per block of whole shells of at most
+    ``_BLOCK`` product-grid points. A chunk finds the shells it spans in
+    them. ``evaluated`` is exact, known before any chunk is formed.
+    """
+
+    def __init__(self, grid: MolecularGrid, orbits):
+        self.grid = grid
+        self.reps, self.inverse = orbits
+        n_ang = grid.directions.shape[1]
+        n_shells, n_orbits = grid.radial.size, len(self.reps)
+        # the first kept point of each shell, and len(grid) past the last
+        starts = np.arange(n_shells + 1, dtype=grid.index.dtype) * n_ang
+        self.first = np.searchsorted(grid.index, starts)
+        if n_orbits == n_ang:  # every kept point is an orbit
+            self.before = self.first
+        else:
+            occupied = np.empty(n_shells, dtype=np.intp)
+            step = max(1, _BLOCK // n_ang)
+            for s in range(0, n_shells, step):
+                e = min(s + step, n_shells)
+                hits = np.bincount(self._slots(s, e),
+                                   minlength=(e - s) * n_orbits)
+                occupied[s:e] = np.count_nonzero(
+                    hits.reshape(e - s, n_orbits), axis=1)
+            self.before = np.concatenate(([0], np.cumsum(occupied)))
+        self.evaluated = int(self.before[-1])
+        # each orbit's direction, and each shell's radius and centre
+        self._u = grid.directions[:, self.reps]
+        self._r = grid.radial.reshape(-1)
+        self._c = np.repeat(grid.molecule.positions.T, grid.spec.n_radial,
+                            axis=1)
+
+    def __len__(self):
+        return -(-self.evaluated // _CHUNK)
+
+    def _slots(self, s, e):
+        """The slot (shell - s) * len(reps) + orbit of each kept point of
+        the shells s..e-1, in order."""
+        n_ang = self.grid.directions.shape[1]
+        index = self.grid.index[self.first[s]:self.first[e]]
+        shell = index // n_ang
+        orbit = np.take(self.inverse, index - shell * n_ang)
+        shell -= s
+        shell *= len(self.reps)
+        shell += orbit
+        return shell
+
+    def chunk(self, i, work=None) -> Chunk:
+        """Chunk i: the shells that hold its representatives are taken
+        whole, their kept points' weights and counts summed per slot with
+        ``np.bincount``, in grid order from 0.0, and the chunk's occupied
+        slots kept. Each representative is formed as the build forms a
+        point (r * u, then plus the centre) into the buffer "points" of
+        ``work`` (a ``backends.Workspace``, a fresh one if None), valid
+        until the next chunk is formed in it. Over the identity's orbits
+        the weights are the kept weights, bit for bit."""
+        lo = i * _CHUNK
+        hi = min(lo + _CHUNK, self.evaluated)
+        s = int(np.searchsorted(self.before, lo, side="right")) - 1
+        e = int(np.searchsorted(self.before, hi))
+        kept = self._slots(s, e)
+        counts = np.bincount(kept)
+        summed = np.bincount(kept, weights=self.grid.weights[
+            self.first[s]:self.first[e]])
+        first = lo - int(self.before[s])
+        slots = np.flatnonzero(counts)[first:first + hi - lo]
+        shell = slots // len(self.reps)
+        orbit = slots - shell * len(self.reps)
+        shell += s
+        work = Workspace() if work is None else work
+        pts = work.take("points", (3, hi - lo))
+        np.multiply(np.take(self._r, shell), np.take(self._u, orbit, axis=1),
+                    out=pts)
+        pts += np.take(self._c, shell, axis=1)
+        return Chunk(int(self.first[s]), summed[slots], points=pts.T,
+                     counts=counts[slots], slots=slots, kept_slots=kept)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Chunk:
+    """One integration chunk: the weights (m,) of its points, and for a
+    chunk of a ``Walk`` the representatives (m, 3) it evaluates and the
+    member count of each.
+
+    start is the chunk's first kept point, or for a walk's chunk that of
+    the shells it spans, and ``kept_slots`` the slot of each kept point of
+    those shells; ``slots`` are the chunk's own, one per representative,
+    ascending. A kept point whose slot is not among them belongs to a
+    neighbouring chunk. Without them, the chunk's points are the kept
+    points from start, in order.
+    """
+    start: int
+    weights: np.ndarray
+    points: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    slots: np.ndarray | None = None
+    kept_slots: np.ndarray | None = None
+
+    def first_kept(self, bad) -> int:
+        """The global index of the lowest kept point whose point, or
+        representative, bad (m,) flags; it flags one. For a walk's chunk
+        the shells' kept points are scanned for it here, so a chunk that
+        raises no error pays nothing for it."""
+        if self.slots is None:
+            return self.start + int(np.argmax(bad))
+        kept = self.kept_slots
+        column = np.minimum(np.searchsorted(self.slots, kept),
+                            len(self.slots) - 1)
+        return self.start + int(np.argmax((self.slots[column] == kept)
+                                          & bad[column]))
 
 
 # The signed swaps of x and y, each with or without z -> -z: the image of
@@ -350,6 +433,16 @@ def direction_images(order: int) -> np.ndarray:
         images[g, np.lexsort(directions[perm] * signs[:, None])] = order_of
     images.flags.writeable = False
     return images
+
+
+def walk_orbits(centers, order: int, operations):
+    """``direction_orbits`` of those of ``operations`` (indices into the
+    table of ``symmetry_operations``) that also map every nucleus of
+    ``centers`` exactly onto itself: a kept point of a grid on these
+    nuclei and its image under one of them lie in the same radial shell.
+    Known before the grid is built."""
+    fixed = np.intersect1d(operations, symmetry_operations(centers))
+    return direction_orbits(order, fixed)
 
 
 def direction_orbits(order: int, operations):
@@ -446,28 +539,24 @@ def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
         raise ValueError(f"field has shape {values.shape}, expected {weights.shape}")
     return math.fsum(
         float(chunk_partials(values[start:start + _CHUNK],
-                             weights[start:start + _CHUNK], start, grid)[0])
+                             Chunk(start, weights[start:start + _CHUNK]),
+                             grid)[0])
         for start in range(0, len(weights), _CHUNK))
 
 
-def chunk_partials(values, weights, start=0, grid=None, members=None
-                   ) -> np.ndarray:
+def chunk_partials(values, chunk: Chunk, grid=None) -> np.ndarray:
     """The partials of ``integrate`` over one chunk, one per row of values
-    ((n,) or (rows, n)): each row's dot product with the chunk's weights
-    (n,). A non-finite value raises ``nonfinite_error`` at the first row
-    that holds one, naming its first kept point: start plus the point's
-    column, or, for the orbits of ``MolecularGrid.orbit_chunk`` with
-    their members, start plus the first kept point whose orbit's value
-    is not finite."""
+    ((m,) or (rows, m)): each row's dot product with the chunk's weights
+    (m,). A non-finite value raises ``nonfinite_error`` at the first row
+    that holds one, naming the chunk's ``first_kept`` of its non-finite
+    values: the lowest kept point whose orbit's value is not finite."""
     rows = np.atleast_2d(values)
-    partials = np.array([np.dot(row, weights) for row in rows])
+    partials = np.array([np.dot(row, chunk.weights) for row in rows])
     if not np.isfinite(partials).all():
         for row in rows:
             bad = ~np.isfinite(row)
             if bad.any():
-                if members is not None:
-                    bad = bad[members]
-                raise nonfinite_error(start + int(np.argmax(bad)), grid)
+                raise nonfinite_error(chunk.first_kept(bad), grid)
     return partials
 
 

@@ -10,14 +10,15 @@ them, with no flags: the orders it is given fix the moments, and order 2
 among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
 chunk of the grid to each integrand's chunk partial, its dot product
 with the weights, and returns them; ``GridSums`` keeps only what its
-constructor computes. The walk gives it the values at one point per
-symmetry orbit of the chunk, with each orbit's summed kept weight
-(``quadrature.MolecularGrid.orbit_chunk``), and for a field with no
-symmetry the chunk's kept points and weights. ``integrals`` takes the
-partials of every chunk, in grid order, and sums each integral once, as
-the exactly rounded sum (``math.fsum``) of its partials. The chunks and
-their partials are those of ``quadrature.integrate``
-(``quadrature.chunk_partials``), and repeated runs agree bit for bit.
+constructor computes. The walk gives it the values at ``_CHUNK``
+representatives of the grid's symmetry orbits at a time, with each
+orbit's summed kept weight (``quadrature.Walk.chunk``), and for a field
+with no symmetry ``_CHUNK`` kept points and their weights.
+``integrals`` takes the partials of every chunk, in grid order, and sums
+each integral once, as the exactly rounded sum (``math.fsum``) of its
+partials. A chunk's partials are taken as ``quadrature.integrate`` takes
+them (``quadrature.chunk_partials``), and repeated runs agree bit for
+bit.
 The array functions of ``shannon`` and ``renyi`` are the direct
 reference: they take each integral with ``integrate`` over whole
 arrays, share only that chunk partial, the sign rules of ``_power`` and
@@ -27,9 +28,9 @@ without symmetry, to rounding with it.
 ``chunk`` keeps nothing, so any worker may reduce a chunk. It raises at
 the first check the chunk fails, in the order it computes the
 integrals: a non-finite density or integrand, with the global index and
-position of its first kept point as ``integrate`` reports it (for the
-orbits of a chunk, the first kept point whose orbit's value is not
-finite), and, at
+position of its first kept point as ``integrate`` reports it (for a
+walk's chunk, the lowest kept point whose orbit's value is not finite,
+found only then, by ``quadrature.Chunk.first_kept``), and, at
 fractional orders, an atomic net density below the clamp threshold. The
 caller maps the chunks in grid order and raises the first chunk that
 fails, so the error is the serial walk's.
@@ -39,14 +40,14 @@ call; each worker of the walk fills its own copy, and this process's is
 dropped when the call returns. Every array of a chunk is taken from it:
 the arrays are allocated at the first chunk and reused, so a chunk's
 values hold only until the next chunk. A row holds one float per point
-the chunk evaluates, one per orbit (``MolecularGrid.orbit_chunk``): at
-most ``_CHUNK`` = 4096, and at most 744 for the H8 chain and H2 on the
-default grid, whose 35 orbits of 194 directions per shell leave 723 and
-732 per chunk on average. Beside the coordinates of the representatives
-and of the orbits of the whole shells the chunk spans (about 6 floats per
-evaluated point), for nat atoms, nprim primitives, K orbitals, m_A
-primitives on atom A and P = nat(nat+1)/2 pair terms it holds these
-rows:
+the chunk evaluates, one per orbit (``quadrature.Walk.chunk``):
+``_CHUNK`` = 4096 in every chunk but the last. Beside the coordinates of
+the representatives (3 rows), a chunk holds one 32-bit slot per kept
+point of the shells it spans (about 5.6 per evaluated point for a
+molecule on the z axis, whose 35 orbits of 194 directions per shell
+hold 5.5 directions each), and for nat atoms, nprim primitives, K
+orbitals, m_A primitives on atom A and P = nat(nat+1)/2 pair terms the
+workspace holds these rows:
 
 - ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
   dz for each axis on which a primitive has a power, (2 + axes) nat rows;
@@ -62,9 +63,9 @@ rows:
 
 With a bool row counted as 1/8 of a float row, that is 149.6 rows for an
 H8 chain of STO-6G atoms with 4 doubly occupied orbitals (nprim 48,
-P 36), 4.7 MiB at 4096 points and 0.85 MiB at 744, and 34.5 rows for the
-H2 fci model, 1.1 and 0.2 MiB, per worker: a walk on W workers holds W
-workspaces, one in each process.
+P 36), 4.7 MiB at 4096 points, and 34.5 rows for the H2 fci model,
+1.1 MiB, per worker: a walk on W workers holds W workspaces, one in each
+process.
 """
 import math
 
@@ -96,13 +97,14 @@ def _power(x, alpha: float, out):
     return out
 
 
-def gram_partials_bytes(n_atoms: int, points: int) -> int:
+def gram_partials_bytes(n_atoms: int, evaluated: int) -> int:
     """Bytes the order-2 Gram partials of an analysis hold at most, for
-    nat atoms on a grid of at most ``points`` points: P(P+1)/2 floats per
-    chunk for P = nat(nat+1)/2 pair terms, kept until the end, and twice
-    that while ``integrals`` stacks them to sum."""
+    nat atoms on a walk that evaluates at most ``evaluated`` points:
+    P(P+1)/2 floats per chunk of ``_CHUNK`` evaluated points for
+    P = nat(nat+1)/2 pair terms, kept until the end, and twice that while
+    ``integrals`` stacks them to sum."""
     n_pairs = n_atoms * (n_atoms + 1) // 2
-    chunks = -(-points // _CHUNK)
+    chunks = -(-evaluated // _CHUNK)
     return 2 * chunks * (n_pairs * (n_pairs + 1) // 2) * 8
 
 
@@ -126,11 +128,10 @@ class GridSums:
         self.grid = grid
         self._upper = np.triu_indices(len(self.pair_keys))
 
-    def chunk(self, start, weights, rho, terms, work, members=None):
-        """The partials of the chunk whose first point is ``start``:
-        weights (n,), the clamped density rho (n,) and the pair terms
-        (len(pair_keys), n), at the chunk's points or at its orbits'
-        representatives with their members (``MolecularGrid.orbit_chunk``).
+    def chunk(self, chunk, rho, terms, work):
+        """The partials of one ``quadrature.Chunk``: the clamped density
+        rho (n,) and the pair terms (len(pair_keys), n) at its n points,
+        the kept points or a walk's representatives, and its weights (n,).
         Returns family -> chunk partial, or raises the first check the
         chunk fails (see the module docstring). Each
         integrand is formed in ``work`` (a ``backends.Workspace``) and
@@ -143,9 +144,9 @@ class GridSums:
         def keep(family, values):
             """The family's partial, one per row, as ``integrate`` takes
             it, or the error of its first non-finite value."""
-            partials[family] = chunk_partials(values, weights, start,
-                                              self.grid, members)
+            partials[family] = chunk_partials(values, chunk, self.grid)
 
+        weights = chunk.weights
         n = len(weights)
         row, row_mask = work.take("row", (1, n)), work.take("row_mask", (1, n), bool)
         # a chunk's primitive values G are spent once its pair terms are

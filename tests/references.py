@@ -23,7 +23,7 @@ import numpy as np
 from entropart import lebedev
 from entropart.backends import Workspace, becke_weights_kernel
 from entropart.density import primitive_norm
-from entropart.quadrature import _CHUNK, WEIGHT_SCREEN, radial_grid
+from entropart.quadrature import _CHUNK, WEIGHT_SCREEN, Chunk, radial_grid
 from entropart.reductions import GridSums, integrals
 from entropart.shannon import safe_log
 
@@ -78,7 +78,7 @@ def walk(weights, rho, pairs, alphas) -> dict:
     terms = np.array([pairs[k] for k in keys])
     sums, work = GridSums(keys, alphas, None), Workspace()
     return integrals([
-        sums.chunk(start, weights[start:start + _CHUNK],
+        sums.chunk(Chunk(start, weights[start:start + _CHUNK]),
                    rho[start:start + _CHUNK],
                    np.ascontiguousarray(terms[:, start:start + _CHUNK]), work)
         for start in range(0, len(weights), _CHUNK)])

@@ -155,8 +155,8 @@ def test_sweep_without_alphas_is_shannon_only(tmp_path):
 
 def test_units_bits_scales_entropies_only(tmp_path):
     # several rows, because the p4-sum residual of any one row may round
-    # to exactly zero
-    base = ("sweep", "--method", "hf", "--distances", "1.4,2,3,4,6",
+    # to exactly zero (every hf row from 1.4 to 10 bohr does on this grid)
+    base = ("sweep", "--method", "hl", "--distances", "1.4,2,3,4,6",
             "--alphas", "2", *QUICK)
     nats = tmp_path / "nats.csv"
     bits = tmp_path / "bits.csv"
@@ -326,24 +326,28 @@ def test_gram_partials_bytes_of_h20():
     assert gram_partials_bytes(1, 1) == 16
 
 
-@pytest.mark.parametrize("alphas, refused", [("2", True), ("0.5,2,3", True),
-                                             ("0.5,3", False)])
-def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
-                                                 monkeypatch, capsys):
-    # H20 on the default grid: 19 MB of grid arrays (12 bytes a point) fit
-    # in 100 MB of physical memory, the 134 MB of order-2 Gram partials do not
+def _h20_wfn(tmp_path, types):
+    """An H20 chain on the z axis, one primitive of the given types per
+    atom and 10 doubly occupied orbitals, written as a .wfn file."""
     import numpy as np
 
-    import entropart.cli
-    import entropart.quadrature
     from entropart import PrimitiveBasis, build_document, write_wfn
     from entropart.molecule import Molecule
 
     mol = Molecule([("H", (0.0, 0.0, 2.0 * i)) for i in range(20)])
-    basis = PrimitiveBasis(mol, range(20), [1] * 20, [0.8] * 20)
+    basis = PrimitiveBasis(mol, range(20), types, [0.8] * 20)
     mos = [(2.0, -0.5, np.eye(20)[k]) for k in range(10)]
     path = tmp_path / "h20.wfn"
     path.write_text(write_wfn(build_document(mol, basis, mos, title="H20")))
+    return path
+
+
+def _memory_check(monkeypatch, capsys, argv, memory):
+    """The exit code and stderr of ``argv`` with ``memory`` bytes of
+    physical memory (in whole pages), or None where the check passes and
+    the grid build starts."""
+    import entropart.cli
+    import entropart.quadrature
 
     class Allocated(Exception):
         pass
@@ -351,20 +355,55 @@ def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
     def no_allocation(*args, **kwargs):
         raise Allocated
 
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100_000_000 // 4096}
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(entropart.cli.os, "sysconf", pages.__getitem__)
     monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
-    argv = ["analyze", str(path), "--alphas", alphas]
+    try:
+        code = entropart.cli.main(argv)
+    except Allocated:
+        return None
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("alphas, refused", [("2", True), ("0.5,2,3", True),
+                                             ("0.5,3", False)])
+def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
+                                                 monkeypatch, capsys):
+    # H20 on the default grid, a px primitive on one atom and a py on the
+    # next, so that the walk evaluates every kept point: 19 MB of grid
+    # arrays (12 bytes a point) fit in 100 MB of physical memory, the
+    # 134 MB of order-2 Gram partials do not
+    path = _h20_wfn(tmp_path, [2, 3] + [1] * 18)
+    got = _memory_check(monkeypatch, capsys,
+                        ["analyze", str(path), "--alphas", alphas],
+                        100_000_000)
     if refused:
-        assert entropart.cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
+        code, err = got
+        assert code == 2
         assert err.startswith("error: a grid of 1552000 points with its "
                               "order-2 Gram partials needs at least 0.1 GiB")
         assert "physical memory" in err
     else:  # passes the check and goes on to build the grid
-        with pytest.raises(Allocated):
-            entropart.cli.main(argv)
+        assert got is None
+
+
+def test_the_memory_check_counts_the_points_the_walk_evaluates(
+        tmp_path, monkeypatch, capsys):
+    # with s primitives the walk evaluates at most 35 of the 194
+    # directions of each of the 20 x 400 shells, 280,000 points in 69
+    # chunks: 18,624,000 bytes of grid arrays and 2 x 69 x 22,155 Gram
+    # entries of 8 bytes, 43,083,120 bytes in all, where every direction
+    # would take 134 MB of Gram partials
+    argv = ["analyze", str(_h20_wfn(tmp_path, [1] * 20)), "--alphas", "2"]
+    need = 1_552_000 * 12 + 2 * 69 * 22_155 * 8
+    assert need == 43_083_120
+    code, err = _memory_check(monkeypatch, capsys, argv, need - 4096)
+    assert code == 2 and err.startswith(
+        "error: a grid of 1552000 points with its order-2 Gram partials "
+        "needs at least 0.0 GiB, more than the 0.0 GiB of physical memory")
+    assert _memory_check(monkeypatch, capsys, argv, need + 4096) is None
 
 
 def _main(argv, capsys):

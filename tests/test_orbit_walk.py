@@ -1,15 +1,15 @@
 """The walk at one point per symmetry orbit.
 
-``analyze_field`` reduces each chunk of the grid to one point per orbit of
-the operations that fix every nucleus and every primitive of the field
+``analyze_field`` walks the grid at one point per orbit of the operations
+that fix every nucleus and every primitive of the field
 (``PrimitiveBasis.operations``, ``MolecularGrid.orbits``), evaluates the
-field there and weights it by the orbit's summed kept weight
-(``MolecularGrid.orbit_chunk``). Where only the identity is left, the
-representatives are the kept points and every integral must be the bits
-of ``references.walk`` over the arrays of ``pair_fields``; elsewhere it
-moves by rounding only. The walk must also evaluate only the
-representatives, so that a reduction that silently stops applying fails
-here.
+field there and weights it by the orbit's summed kept weight, 4096
+representatives a chunk (``MolecularGrid.walk``). Where only the identity
+is left, the representatives are the kept points and every integral must
+be the bits of ``references.walk`` over the arrays of ``pair_fields``;
+elsewhere it moves by rounding only. The walk must also evaluate only the
+representatives, each once, so that a reduction that silently stops
+applying fails here.
 """
 import warnings
 
@@ -85,6 +85,18 @@ def _walked(monkeypatch, field, grid, calls):
     return values
 
 
+def _pairs(grid, orbits):
+    """The (shell, orbit) of every kept point, from its flat index."""
+    shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
+    return shell, orbits[1][j]
+
+
+def _evaluated(grid, orbits):
+    """The number of distinct (shell, orbit) pairs of the kept points."""
+    shell, orbit = _pairs(grid, orbits)
+    return len(np.unique(shell * len(orbits[0]) + orbit))
+
+
 def _reference(field, grid):
     rho, pairs = field.pair_fields(grid.points)
     return walk(grid.weights, rho, pairs, ALPHAS)
@@ -136,29 +148,35 @@ def test_with_symmetry_every_integral_moves_by_rounding(case, spec,
 
 
 @pytest.mark.parametrize("case, kept, evaluated", [
-    ("h2", 154_928, 27_804), ("atom", 77_594, 7_615),
-    ("h8", 600_784, 106_354)])
+    ("h2", 154_928, 27_734), ("atom", 77_594, 7_598),
+    ("h8", 600_784, 106_078)])
 def test_the_walk_evaluates_one_point_per_orbit(case, kept, evaluated,
                                                 pair_block_calls,
                                                 h8_wfn_path):
     # on the default grid, 194 directions per shell: H2 and the H8 chain
-    # on the z axis have 35 orbits per shell, the atom at the origin 19,
-    # and an orbit that a chunk boundary splits is evaluated in each chunk
+    # on the z axis have 35 orbits per shell, the atom at the origin 19;
+    # each orbit of each shell is evaluated once, 4096 to a chunk
     if case == "h8":
         field = _h8_field(h8_wfn_path)
     else:
         field = atom_field() if case == "atom" else build_model("fci", 1.4).field()
     grid = build_molecular_grid(field.molecule)
+    orbits = grid.orbits(field.basis.operations())
+    assert len(orbits[0]) == (19 if case == "atom" else 35)
     analyze_field(field, grid, jobs=1)
     assert len(grid) == kept
+    assert _evaluated(grid, orbits) == evaluated
     assert sum(pair_block_calls) == evaluated
-    assert len(pair_block_calls) == -(-kept // _CHUNK)
+    assert pair_block_calls == [_CHUNK] * (evaluated // _CHUNK) + [
+        evaluated % _CHUNK]
 
 
 def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
-    # against a loop over the kept points: each orbit is the kept points
-    # of one shell whose directions share an orbit, its representative
-    # the image of every member under an operation, exactly
+    # against a loop over the kept points: each representative stands for
+    # the kept points of one shell whose directions share an orbit, in
+    # (shell, orbit) order, 4096 to a chunk; it is the image of every
+    # member under an operation, exactly, its weight their kept weights
+    # summed in grid order and its count theirs
     field = _h8_field(h8_wfn_path)
     grid = build_molecular_grid(field.molecule, SPEC)
     ops = field.basis.operations()
@@ -167,30 +185,34 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     orbits = grid.orbits(ops)
     reps, inverse = orbits
     n_ang, positions = grid.directions.shape[1], grid.points
-    for i in (0, 3, -(-len(grid) // _CHUNK) - 1):
-        start, points, weights, members = grid.orbit_chunk(i, orbits)
-        sums, firsts = {}, {}
-        for k in range(start, min(start + _CHUNK, len(grid))):
-            shell, j = divmod(int(grid.index[k]), n_ang)
-            key = (shell, int(inverse[j]))
-            sums[key] = sums.get(key, 0.0) + float(grid.weights[k])
-            firsts.setdefault(key, k)
-        keys = sorted(sums)
-        assert weights.tolist() == [sums[key] for key in keys]
-        assert members.tolist() == [
-            keys.index((int(grid.index[k]) // n_ang,
-                        int(inverse[grid.index[k] % n_ang])))
-            for k in range(start, start + len(members))]
-        for m, (shell, orbit) in enumerate(keys):
+    sums, members = {}, {}
+    for k in range(len(grid)):
+        shell, j = divmod(int(grid.index[k]), n_ang)
+        key = (shell, int(inverse[j]))
+        sums[key] = sums.get(key, 0.0) + float(grid.weights[k])
+        members.setdefault(key, []).append(k)
+    keys = sorted(sums)
+    walk = grid.walk(orbits)
+    assert walk.evaluated == len(keys) == _evaluated(grid, orbits)
+    assert len(walk) == -(-len(keys) // _CHUNK) == 3
+    for i in range(3):
+        chunk = walk.chunk(i)
+        mine = keys[i * _CHUNK:(i + 1) * _CHUNK]
+        assert chunk.weights.tolist() == [sums[key] for key in mine]
+        assert chunk.counts.tolist() == [len(members[key]) for key in mine]
+        for m, (shell, orbit) in enumerate(mine):
             atom = shell // grid.spec.n_radial
             r = grid.radial.reshape(-1)[shell]
             u = grid.directions[:, reps[orbit]]
-            assert np.array_equal(points[m],
+            assert np.array_equal(chunk.points[m],
                                   r * u + grid.molecule.positions[atom])
-            for k in np.flatnonzero(members == m) + start:
+            for k in members[shell, orbit]:
                 assert any(np.array_equal(_SIGNS[g] * positions[k][_PERMS[g]],
-                                          points[m]) for g in ops)
-            assert np.argmax(members == m) + start == firsts[keys[m]]
+                                          chunk.points[m]) for g in ops)
+            # an error at this representative names its first member
+            bad = np.zeros(len(mine), dtype=bool)
+            bad[m] = True
+            assert chunk.first_kept(bad) == members[shell, orbit][0]
 
 
 def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(
@@ -211,8 +233,9 @@ def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(
     grid = build_molecular_grid(mol, SPEC)
     got = _walked(monkeypatch, field, grid, pair_block_calls)
     # y -> -y leaves 61 of 110 directions per shell
-    assert len(pair_block_calls) == -(-len(grid) // _CHUNK)
-    assert len(grid) / 2 < sum(pair_block_calls) < len(grid) * 0.6
+    evaluated = _evaluated(grid, grid.orbits(fixes_x))
+    assert len(grid) / 2 < sum(pair_block_calls) == evaluated < len(grid) * 0.6
+    assert len(pair_block_calls) == -(-evaluated // _CHUNK)
     want = _reference(field, grid)
     for family in want:
         assert np.allclose(got[family], want[family], rtol=1e-14, atol=0.0), family

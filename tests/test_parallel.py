@@ -26,6 +26,8 @@ from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
                                   integrate)
 
 SPEC = AtomicGridSpec(n_radial=100, lebedev_order=86)
+# H2 on this grid evaluates 17,336 points, five walk chunks
+WALK_SPEC = AtomicGridSpec(n_radial=250, lebedev_order=194)
 SRC = os.path.dirname(os.path.dirname(entropart.__file__))
 
 
@@ -40,44 +42,47 @@ def _force(monkeypatch, cpus):
     monkeypatch.setattr(analysis, "WORK_PER_WORKER", 1)
 
 
+def _walk(field, grid):
+    """The walk of field over grid, one point per orbit."""
+    return grid.walk(grid.orbits(field.basis.operations()))
+
+
 def _fci():
     field = fci_model(1.4).field()
-    grid = build_molecular_grid(field.molecule, SPEC)
-    n_chunks = -(-len(grid) // _CHUNK)
-    assert n_chunks == 5 and len(grid) % _CHUNK, len(grid)  # a short last chunk
+    grid = build_molecular_grid(field.molecule, WALK_SPEC)
+    walk = _walk(field, grid)
+    # a short last chunk
+    assert len(walk) == 5 and walk.evaluated % _CHUNK, walk.evaluated
     return field, grid
 
 
-def _orbit_chunk(field, grid, c):
-    """Chunk c as the walk evaluates it, one point per orbit."""
-    return grid.orbit_chunk(c, grid.orbits(field.basis.operations()))
-
-
 def _kept(field, grid, c, rep):
-    """The global index of the first kept point of chunk c whose orbit is
-    the walk's representative rep."""
-    start, _, _, members = _orbit_chunk(field, grid, c)
-    return start + int(np.argmax(members == rep))
+    """The global index of the first kept point whose orbit is the walk's
+    representative rep of chunk c: the orbits are the distinct (shell,
+    orbit) pairs of the kept points, in order."""
+    reps, inverse = grid.orbits(field.basis.operations())
+    shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
+    pair = shell * len(reps) + inverse[j]
+    return int(np.argmax(pair == np.unique(pair)[c * _CHUNK + rep]))
 
 
 def _at_chunk(monkeypatch, field, grid, changes):
     """Have field.pair_block apply changes[c](rho, terms) at chunk c, to
     the values at the orbits' representatives that the walk evaluates.
     Returns the list of the chunks this process evaluates, in order."""
-    n_chunks = -(-len(grid) // _CHUNK)
-    firsts = [_orbit_chunk(field, grid, c)[1][0].copy()
-              for c in range(n_chunks)]
+    walk = _walk(field, grid)
+    firsts = [walk.chunk(c).points[0].copy() for c in range(len(walk))]
     evaluate = field.pair_block
     evaluated = []
 
-    def pair_block(points, work=None, members=None):
-        rho, terms, counts = evaluate(points, work, members)
+    def pair_block(points, work=None, counts=None):
+        rho, terms, block = evaluate(points, work, counts)
         (c,) = [c for c, first in enumerate(firsts)
                 if np.array_equal(points[0], first)]
         evaluated.append(c)
         if c in changes:
             changes[c](rho, terms)
-        return rho, terms, counts
+        return rho, terms, block
 
     monkeypatch.setattr(field, "pair_block", pair_block)
     return evaluated
@@ -274,7 +279,7 @@ def test_a_childs_warnings_are_issued_in_the_caller(monkeypatch):
 def test_each_chunk_is_the_walks_chunk():
     # screened points and a short last chunk; every chunk of a fresh
     # workspace, and each in turn of one workspace, in any order
-    field, grid = _fci()
+    grid = build_molecular_grid(fci_model(1.4).molecule(), SPEC)
     spans = [np.ptp(grid.index[s:s + _CHUNK]) + 1
              for s in range(0, len(grid), _CHUNK)]
     assert max(spans) > _CHUNK  # a chunk with screened points among its own
@@ -444,7 +449,7 @@ def _clamped_h2():
     mol = Molecule.h2(1.4)
     basis = PrimitiveBasis(mol, [0, 1], [1, 1], [1.0, 1.0])
     c = np.array([[1.0, -1.2], [-1.2, 1.0]])
-    grid = build_molecular_grid(mol, SPEC)
+    grid = build_molecular_grid(mol, WALK_SPEC)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         probe = PairDensityField(basis, DensityMatrix(c, n_electrons=1.0))
@@ -498,7 +503,8 @@ def test_a_walk_that_raises_records_no_clamp_counts(cpus, chunk, change,
     # chunk 1 is a child's for W = 2 and 3; chunk 2 is this process's for
     # W = 2 and a child's for W = 3; chunk 0 has negated points
     field, grid = _clamped_h2()
-    assert field.pair_block(grid.chunk(0)[1])[2].negated > 0
+    first = _walk(field, grid).chunk(0)
+    assert field.pair_block(first.points, None, first.counts)[2].negated > 0
     field.diagnostics.clamped, field.diagnostics.negated = 3, 4
     _at_chunk(monkeypatch, field, grid, {chunk: change})
     _force(monkeypatch, cpus)
@@ -514,10 +520,10 @@ def _fail_in_children(monkeypatch, error):
     caller = os.getpid()
     evaluate = PairDensityField.pair_block
 
-    def pair_block(self, points, work=None, members=None):
+    def pair_block(self, points, work=None, counts=None):
         if os.getpid() != caller:
             raise error
-        return evaluate(self, points, work, members)
+        return evaluate(self, points, work, counts)
 
     monkeypatch.setattr(PairDensityField, "pair_block", pair_block)
 
@@ -536,7 +542,7 @@ def test_a_childs_memory_error_exits_1(monkeypatch, capsys, wfn_fixtures):
     _force(monkeypatch, 2)
     _fail_in_children(monkeypatch, MemoryError("Unable to allocate 7.2 GiB"))
     code = cli.main(["analyze", str(wfn_fixtures["paths"]["h2_fci"]),
-                     "--n-radial", "100", "--lebedev", "86", "--jobs", "2"])
+                     "--n-radial", "250", "--jobs", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: Unable to allocate 7.2 GiB\n")
 

@@ -134,9 +134,11 @@ def test_non_finite_density_is_raised_during_the_walk():
 @pytest.mark.parametrize("which", ["h2", "h3"])
 def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
                                                h3_wfn_field):
-    # every integral, int rho included, has exactly one partial per chunk,
-    # one row per integrand, on the default grid; the workers' chunks are
-    # summed in one call of integrals made in this process
+    # every integral, int rho included, has exactly one partial per chunk
+    # of 4096 evaluated points, one per distinct (shell, orbit) of the
+    # kept points, one row per integrand, on the default grid; the
+    # workers' chunks are summed in one call of integrals made in this
+    # process
     field = hf_model(1.4).field() if which == "h2" else h3_wfn_field
     nat = len(field.molecule)
     n_pairs = nat * (nat + 1) // 2
@@ -157,8 +159,11 @@ def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
     for alpha in (0.5, 2.0):
         widths["rho_pow", alpha] = 1
         widths["net_pow", alpha] = nat
-    n_chunks = -(-len(grid.weights) // _CHUNK)
-    assert n_chunks > 30
+    reps, inverse = grid.orbits(field.basis.operations())
+    shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
+    evaluated = len(np.unique(shell * len(reps) + inverse[j]))
+    n_chunks = -(-evaluated // _CHUNK)
+    assert n_chunks >= 7
     assert {family: np.shape([chunk[family] for chunk in chunks])
             for family in set().union(*chunks)} == {
         family: (n_chunks, width) for family, width in widths.items()}
@@ -167,8 +172,9 @@ def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_walk_leaves_its_sums_as_built(monkeypatch, jobs):
     # the walk's GridSums holds after the walk only what its constructor
-    # made: the chunk partials are returned, not kept (the default grid
-    # gives two workers a share at jobs=2)
+    # made: the chunk partials are returned, not kept (with one worker per
+    # unit of work, the walk gives two workers a share at jobs=2)
+    monkeypatch.setattr(analysis, "WORK_PER_WORKER", 1)
     made = []
 
     class Recorded(GridSums):
