@@ -10,12 +10,14 @@ import dataclasses
 import functools
 import math
 
+import numpy as np
+
 from . import parallel
 from .backends import Workspace
 from .density import ClampDiagnostics, PairDensityField
 from .models import atom_field, build_model
 from .quadrature import AtomicGridSpec, MolecularGrid, build_molecular_grid
-from .reductions import GridSums, integrals
+from .reductions import GridSums, integrals, symmetrized
 from .renyi import _totals, _validate_alpha, renyi_from_sums
 from .shannon import (ShannonDecomposition, check_normalization,
                       shannon_from_sums)
@@ -101,7 +103,10 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     back in grid order and are summed once (``reductions.integrals``), so
     the result is the serial walk's for any W, and the chunks' clamp
     counts are summed and added to ``field.diagnostics`` once
-    (``field.record``, one warning for the points negated). Then the
+    (``field.record``, one warning for the points negated). The
+    integrals of atoms and pairs that a symmetry of the field and the
+    grid exchanges are replaced by their mean (``reductions.symmetrized``
+    over ``_permutations``), so they are the same bits. Then the
     normalization check, before any result is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
@@ -112,7 +117,8 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     partials, counts = zip(*parallel.map(task, len(walk), jobs, cap))
     counts = sum(counts, ClampDiagnostics())
     field.record(counts)
-    values = integrals(partials)
+    values = symmetrized(integrals(partials), field.pair_keys,
+                         _permutations(field, grid))
     n_grid = float(values["rho"][0])
     check_normalization(n_grid, field.n_electrons)
     shannon = shannon_from_sums(values, field.pair_keys, n_grid, counts)
@@ -120,6 +126,16 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
              for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
+
+
+def _permutations(field, grid):
+    """``field.atom_permutations()`` when the grid is on the field's
+    nuclei, each at the same position with the same element; otherwise
+    none."""
+    same = (np.array_equal(grid.molecule.positions, field.molecule.positions)
+            and [a.z for a in grid.molecule.atoms]
+            == [a.z for a in field.molecule.atoms])
+    return field.atom_permutations() if same else []
 
 
 def _chunk(field, walk, sums, work, i):

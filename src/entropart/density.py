@@ -31,7 +31,8 @@ import numpy as np
 
 from .backends import Workspace, eval_primitives, quad_form, quad_form_block
 from .molecule import Molecule
-from .quadrature import _CHUNK, _PERMS, _SIGNS, symmetry_operations
+from .quadrature import (_CHUNK, _PERMS, _SIGNS, nuclear_permutations,
+                         symmetry_operations)
 
 # Cartesian monomial exponents for the standard type codes 1..20
 # (s; px py pz; dxx dyy dzz dxy dxz dyz; fxxx ... fxyz).
@@ -117,6 +118,26 @@ class PrimitiveBasis:
                 & (np.prod(_SIGNS[ops] ** pows, axis=2) == 1.0))
         return ops[kept.all(axis=0)]
 
+    def image(self, g: int, atoms):
+        """(sigma, signs) for operation g of ``quadrature.symmetry_operations``
+        followed by the translation that takes nucleus a to nucleus
+        atoms[a]: the image of primitive i is primitive sigma[i], on
+        nucleus atoms[center_index[i]] with the same exponent and powers
+        powers[perm], and phi_sigma[i](g r) = signs[i] phi_i(r). Primitives
+        alike on one nucleus are matched in their order. None when some
+        primitive has no image."""
+        centers = np.asarray(atoms)[self.center_index]
+        pows = self.ang_pows[:, _PERMS[g]]
+        mine = np.lexsort((*self.ang_pows.T, self.exponents, self.center_index))
+        theirs = np.lexsort((*pows.T, self.exponents, centers))
+        if not (np.array_equal(self.center_index[mine], centers[theirs])
+                and np.array_equal(self.exponents[mine], self.exponents[theirs])
+                and np.array_equal(self.ang_pows[mine], pows[theirs])):
+            return None
+        sigma = np.empty(len(self), dtype=np.intp)
+        sigma[theirs] = mine
+        return sigma, np.prod(_SIGNS[g] ** pows, axis=1)
+
     def atom_rows(self, a: int) -> np.ndarray:
         return np.nonzero(self.center_index == a)[0]
 
@@ -163,6 +184,7 @@ class DensityMatrix:
                     f"(nprim, K); got {occupations.shape} and {vectors.shape}")
             if not (np.isfinite(occupations).all() and np.isfinite(vectors).all()):
                 raise ValueError("orbital factor must be finite")
+        self._factored = orbitals is not None
         self.n_electrons = float(n_electrons)
         if self.n_electrons <= 0:
             raise ValueError("electron count must be positive")
@@ -178,6 +200,22 @@ class DensityMatrix:
             n, v = self.occupations, self.orbitals
             self._coefficients = _symmetrized(np.einsum("k,ik,jk->ij", n, v, v))
         return self._coefficients
+
+
+    def invariant(self, sigma, signs) -> bool:
+        """Whether D[sigma[i], sigma[j]] signs[i] signs[j] == D[i, j]
+        exactly, tested on the form that was given: D itself, or the
+        factor, whose every orbital must satisfy c[sigma] signs == +-c
+        (enough for D, not needed: orbitals of one occupation that the
+        permutation mixes fail it)."""
+        if not self._factored:
+            d = self.coefficients
+            return np.array_equal(d[np.ix_(sigma, sigma)]
+                                  * np.outer(signs, signs), d)
+        c = self.orbitals
+        image = c[sigma] * signs[:, None]
+        return bool(((image == c).all(axis=0)
+                     | (image == -c).all(axis=0)).all())
 
 
 def _symmetrized(c):
@@ -252,6 +290,26 @@ class PairDensityField:
         if primitive_b:  # N C_B^T
             return n[:, None] * c[rb].T
         return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
+
+    def atom_permutations(self) -> list:
+        """The permutations of the atoms, other than the identity, of the
+        operations of ``quadrature.nuclear_permutations`` of the field's
+        nuclei that map the field onto itself: every primitive onto a
+        primitive (``PrimitiveBasis.image``) and the density matrix onto
+        itself (``DensityMatrix.invariant``). Under such an operation g,
+        rho^(perm[A] perm[B]) at g(r) is rho^AB at r, for every pair.
+        Each permutation is listed once, at the first operation that
+        gives it and maps the field onto itself."""
+        found = {tuple(range(len(self.molecule)))}
+        out = []
+        for g, atoms in nuclear_permutations(self.molecule).items():
+            if tuple(atoms) in found:
+                continue
+            image = self.basis.image(g, atoms)
+            if image is not None and self.dm.invariant(*image):
+                found.add(tuple(atoms))
+                out.append(atoms)
+        return out
 
     def pair_block(self, points, work=None, counts=None):
         """(rho, terms, counts) at one block of points: the clamped

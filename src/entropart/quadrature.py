@@ -420,6 +420,28 @@ def symmetry_operations(centers) -> np.ndarray:
     return np.flatnonzero((images == centers[:, None]).all(axis=(0, 2)))
 
 
+def nuclear_permutations(molecule: Molecule) -> dict:
+    """g -> perm for each operation g of the table of
+    ``symmetry_operations`` that, followed by one translation t, maps
+    every nucleus exactly onto a nucleus of the same element: g(c_a) + t
+    == c_perm[a], coordinate for coordinate, for every nucleus a. The
+    identity is always one, with t = 0; t is the one that takes nucleus 0
+    to the nucleus nearest where the centroid's translation takes it."""
+    centers = molecule.positions
+    z = [atom.z for atom in molecule.atoms]
+    where = {tuple(c): b for b, c in enumerate(centers.tolist())}
+    mean = centers.mean(axis=0)
+    out = {}
+    for g, (perm, signs) in enumerate(zip(_PERMS, _SIGNS)):
+        images = centers[:, perm] * signs
+        guess = images[0] + (mean - mean[perm] * signs)
+        t = centers[np.argmin(((centers - guess) ** 2).sum(axis=1))] - images[0]
+        atoms = [where.get(tuple(c)) for c in (images + t).tolist()]
+        if None not in atoms and all(z[a] == z[b] for a, b in enumerate(atoms)):
+            out[g] = np.array(atoms)
+    return out
+
+
 @functools.cache
 def direction_images(order: int) -> np.ndarray:
     """(16, n_ang) read-only: entry [g, j] is the index of the image of

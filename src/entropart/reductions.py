@@ -18,7 +18,8 @@ with no symmetry ``_CHUNK`` kept points and their weights.
 each integral once, as the exactly rounded sum (``math.fsum``) of its
 partials. A chunk's partials are taken as ``quadrature.integrate`` takes
 them (``quadrature.chunk_partials``), and repeated runs agree bit for
-bit.
+bit. ``symmetrized`` then averages the integrals of atoms and pairs
+that a symmetry of the field exchanges, so that they are the same bits.
 The array functions of ``shannon`` and ``renyi`` are the direct
 reference: they take each integral with ``integrate`` over whole
 arrays, share only that chunk partial, the sign rules of ``_power`` and
@@ -190,6 +191,53 @@ def integrals(chunks) -> dict:
     return {family: np.array([math.fsum(col) for col in
                               np.array([c[family] for c in chunks]).T])
             for family in chunks[0]}
+
+
+def symmetrized(values, pair_keys, permutations) -> dict:
+    """The integrals values (as ``integrals`` gives them) of a field and
+    grid that the atom permutations map onto themselves, each integral of
+    a pair term, atomic net density or Gram entry replaced by the mean of
+    its images under the group that the permutations generate: the exactly
+    rounded sum (``math.fsum``) of the images, divided by the group's
+    order. Images of one another have the same images, so atoms and pairs
+    that the group exchanges get the same bits; in exact arithmetic their
+    integrals are equal, and the mean moves each by rounding only. The
+    integrals of rho are left as they are, and with the identity alone
+    every value is."""
+    group = _group(permutations, pair_keys[-1][1] + 1)
+    if len(group) == 1:
+        return values
+    index = {key: k for k, key in enumerate(pair_keys)}
+    pairs = np.array([[index[tuple(sorted((p[a], p[b])))]
+                       for a, b in pair_keys] for p in group])
+    upper = np.triu_indices(len(pair_keys))
+    entry = np.zeros((len(pair_keys),) * 2, dtype=np.intp)
+    entry[upper] = np.arange(len(upper[0]))
+    entry = np.maximum(entry, entry.T)
+    # (order, len(row)): the index of each entry's image, per family
+    images = {"pair": pairs, "net_pow": group,
+              "gram": entry[pairs[:, upper[0]], pairs[:, upper[1]]]}
+    out = {}
+    for family, row in values.items():
+        kind = family[0] if isinstance(family, tuple) else family
+        out[family] = row if kind not in images else np.array(
+            [math.fsum(row[k]) for k in images[kind].T]) / len(group)
+    return out
+
+
+def _group(permutations, n):
+    """(order, n): every product of the permutations of range(n), the
+    identity among them."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for q in permutations:
+            r = tuple(p[i] for i in q)
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    return np.array(sorted(group))
 
 
 def _sign_message(name: str, alpha: float) -> str:
