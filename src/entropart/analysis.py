@@ -83,10 +83,10 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     The walk (``MolecularGrid.walk``) evaluates the field at one point
     per orbit of the operations that fix every nucleus of the grid and
     every primitive of the field (``MolecularGrid.orbits``,
-    ``PrimitiveBasis.operations``), each weighted by the summed kept
-    weight of its orbit's members, one chunk of ``_CHUNK`` = 4096 such
-    representatives at a time (``Walk.chunk``); with no operation but the
-    identity these are the kept points and their weights. Each chunk's
+    ``PrimitiveBasis.operations``), each weighted by its grid row's
+    weight times its orbit's member count, one chunk of ``_CHUNK`` = 4096
+    such representatives at a time (``Walk.chunk``); with no operation but
+    the identity these are the kept points and their weights. Each chunk's
     density and pair terms are reduced at once to the chunk partials of
     every integral the decompositions need, int rho among them
     (``GridSums.chunk``), so no full-length pair array is held. Clamp

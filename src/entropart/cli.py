@@ -538,11 +538,10 @@ def cmd_grid_dump(args):
         stream.write(f"# entropart {__version__} grid-dump: {what}\n")
         stream.write(f"# {settings.grid_comment()}\n")
         stream.write("x,y,z,weight,owner_atom\n")
-        owners = grid.owner_atom
+        weights, owners = grid.weights, grid.owner_atom
         for start, pts in grid.chunks():
             stop = start + len(pts)
-            for p, w, o in zip(pts, grid.weights[start:stop],
-                               owners[start:stop]):
+            for p, w, o in zip(pts, weights[start:stop], owners[start:stop]):
                 stream.write(f"{_fnum(p[0])},{_fnum(p[1])},{_fnum(p[2])},"
                              f"{_fnum(w)},{int(o)}\n")
     return 0

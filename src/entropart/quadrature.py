@@ -5,53 +5,49 @@ A molecular grid is the union of per-atom product grids (radial x angular),
 each point carrying weight 4*pi * w_rad * w_ang * omega_Becke. Points whose
 combined weight falls below 1e-16 are dropped; they contribute nothing at
 the tolerances this package states. The cell weights come from the NumPy
-kernel ``backends.becke_weights_kernel``. A point is fixed by its atom,
-radial shell and Lebedev direction, so the grid keeps for each kept point
-only its weight and a 32-bit flat index into the unscreened product grid,
-12 bytes, plus each atom's radial nodes and the directions. Coordinates
-are formed as they are needed, one integration chunk at a time, the way
-the build forms them (r * u, then plus the centre, per axis), so they are
+kernel ``backends.becke_weights_kernel``.
+
+The grid is held in orbit form. The operations that fix every nucleus
+exactly (``symmetry_operations``), among the signed swaps of x and y,
+each with or without z -> -z, split the Lebedev directions into orbits
+(``direction_orbits``), and the points of one radial shell whose
+directions share an orbit carry the same weight, bit for bit. The
+Lebedev weights are equal on an orbit, and so are the cell weights: an
+operation negates or swaps the x and y offsets r * u, or negates z, and
+negation is exact; the squared distance to a nucleus is
+((dx)^2 + (dy)^2) + (dz)^2, whose sum commutes; and every later step of
+the kernel is elementwise per point, or the column sum over atoms. So
+the cell weights are taken at one direction per orbit, screening keeps
+or drops an orbit of a shell whole, and the grid keeps 12 bytes per kept
+(shell, orbit) (``MolecularGrid``). A molecule on the z axis is fixed by
+the eight operations that keep z and has 22 orbits of 110 directions, 35
+of 194 and 70 of 434; the atom at the origin, fixed by all sixteen, 19
+of 194; one in a coordinate plane 105 of 194; any other molecule one
+orbit per direction.
+
+An analysis walks the grid (``MolecularGrid.walk``) at one point per
+orbit of the operations that also fix every primitive of the field
+(``density.PrimitiveBasis.operations``): these map a kept point onto a
+point of the same radial shell at which the field takes the same value,
+up to rounding. Its chunks are ``_CHUNK`` representatives each, in
+(shell, orbit) order. The H8 chain on 400 x 194 evaluates 106,078 of
+its 600,784 kept points in 26 chunks, H2 27,734 of 154,928 in 7 and the
+atom at the origin 7,598 of 77,594 in 2. Over the identity's orbits the
+representatives are the kept points themselves, in order, with their
+weights, bit for bit. Coordinates are formed one chunk at a time, the way the
+build forms them (r * u, then plus the centre, per axis), so they are
 the same bits each time.
 
-The cell weights are taken at one Lebedev direction per orbit of the
-operations that fix every nucleus exactly, among the signed swaps of x
-and y, each with or without z -> -z, and gathered back to the other
-directions of the orbit. They are the same bits as at every direction:
-an operation negates or swaps the x and y offsets r * u, or negates z,
-and negation is exact; the squared distance to a nucleus is
-((dx)^2 + (dy)^2) + (dz)^2, whose sum commutes; and every later step of
-the kernel is elementwise per point, or the column sum over atoms. A
-molecule on the z axis is fixed by the eight operations that keep z, and
-weighs 22 of 110, 35 of 194 and 70 of 434 directions; one in a
-coordinate plane weighs 105 of 194; any other molecule weighs all.
-
-An analysis walks the grid in the same orbits (``MolecularGrid.walk``):
-of the operations that fix every nucleus, those that also fix every
-primitive of the field (``density.PrimitiveBasis.operations``) map a kept
-point onto a point of the same radial shell at which the field takes the
-same value, up to rounding, so the walk evaluates one representative of
-the kept points of a shell whose directions share an orbit and weights it
-by their summed kept weight. Its chunks are ``_CHUNK`` representatives
-each, in (shell, orbit) order, found from two tables of one integer per
-radial shell that the walk builds once. The H8 chain on 400 x 194
-evaluates 106,078 of its 600,784 kept points in 26 chunks, H2 27,734 of
-154,928 in 7 and the atom at the origin 7,598 of 77,594 in 2. Where only
-the identity is left, the representatives are the kept points
-themselves, with their weights, bit for bit, in the chunks of
-``_CHUNK`` kept points.
-
 Each atom grid is weighed in blocks of whole radial shells, at most
-``_BLOCK`` weighed points each (one shell of every supported Lebedev order
-fits). A block's cell weights are then gathered to every direction,
-screened and written straight into the grid's arrays, allocated once at
-the size ``grid_estimate`` gives, in parts of whole shells of at most
-``_BLOCK`` points. Beyond those arrays the build holds the kernel's
-2 nat + 9 floats per weighed point of one block, the owner's row of its
-cell weights and one part: measured as peak RSS (VmHWM) over the grid's
-arrays, 0.9 MiB for H2 at 400 x 194, 0.6 MiB at 1000 x 434 and 1.6 MiB
-for the H8 chain at 400 x 194, a bound that does not grow with the grid.
-Every step is elementwise per point, apart from the sum of the cell
-weights over atoms, so the grid does not depend on the block size.
+``_BLOCK`` weighed points each (one shell of every supported Lebedev
+order fits), screened per orbit and written straight into the grid's
+arrays, allocated once at one row per (shell, orbit). Beyond those
+arrays the build holds the kernel's 2 nat + 9 floats per weighed point
+of one block: measured as peak RSS (VmHWM) over the grid's arrays,
+1.0 MiB for H2 at 400 x 194, 1.8 MiB at 1000 x 434 and 2.2 MiB for the
+H8 chain at 400 x 194, a bound that does not grow with the grid. Every
+step is elementwise per point, apart from the sum of the cell weights
+over atoms, so the grid does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -98,16 +94,19 @@ class AtomicGridSpec:
 def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     """(points, bytes) of a molecular grid before it is built.
 
-    Points are counted before weight screening; bytes are what
-    ``build_molecular_grid`` allocates for the grid's arrays (a float64
-    weight and an int32 point index per point, 12 bytes), for any molecule.
+    Points are counted before weight screening. Bytes are an upper bound
+    on the grid's arrays for any molecule: those of the kept-point arrays
+    ``weights`` and ``index`` that the grid builds on access, a float64
+    weight and an int32 point index per point, 12 bytes. The grid itself
+    keeps 12 bytes per kept (radial shell, orbit of directions), as many
+    only where no operation but the identity fixes the nuclei.
     Not counted, because they do not grow with the points: the radial nodes
     (nat * n_radial floats) and the Lebedev directions, and the working set
     while one block of radial shells is weighed (module docstring), a peak
-    RSS of about 0.9 MiB over the grid's arrays for two atoms and 1.6 MiB
+    RSS of about 1.0 MiB over the grid's arrays for two atoms and 2.2 MiB
     for the H8 chain on the default grid. Nor what an analysis on the grid
     needs: each worker of its walk holds one chunk workspace, which the
-    ``reductions`` docstring lists, and the walk two integers per radial
+    ``reductions`` docstring lists, and the walk one integer per radial
     shell (``Walk``). The field adds P = nat(nat+1)/2 pair
     blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
     atoms with m_A and m_B primitives, plus the nprim**2 coefficient
@@ -185,52 +184,37 @@ def becke_weights(points, centers, radii=None, stiffness: int = 3,
     return w[:, 0] if single else w
 
 
-def _shell_points(radial, centers, directions, first, stop, out):
-    """Coordinates of the radial shells first..stop-1, counted over the
-    atoms in order (shell i of atom a is a * n_radial + i), as a (3, m)
-    view of the flat buffer ``out``, m = (stop - first) * n_ang, the
-    directions of each shell in order. Each axis is r * u, then plus the
-    atom's centre: the build and every later walk form a point with the
-    same two roundings, so it has the same coordinates each time."""
-    n_radial = radial.shape[1]
-    n_ang = directions.shape[1]
-    pts = out[:3 * (stop - first) * n_ang].reshape(3, stop - first, n_ang)
-    r = radial.reshape(-1)
-    s = first
-    while s < stop:
-        a = s // n_radial
-        end = min(stop, (a + 1) * n_radial)
-        for k in range(3):
-            shells = pts[k, s - first:end - first]
-            np.multiply(r[s:end, None], directions[k], out=shells)
-            shells += centers[a, k]
-        s = end
-    return pts.reshape(3, -1)
-
-
 @dataclasses.dataclass(frozen=True)
 class MolecularGrid:
-    """The kept points of every atom's product grid, held as weights and
-    flat indices; coordinates are formed as they are needed.
+    """The kept points of every atom's product grid, one row per kept
+    (radial shell, orbit of directions); coordinates are formed as they
+    are needed.
 
-    Kept point k of atom a, radial shell i and Lebedev direction j has
-    ``index[k] = a * n_radial * n_ang + i * n_ang + j``, so the indices
-    increase along the grid, and sits at ``radial[a, i] * directions[:, j]``
-    plus the atom's centre. ``walk`` gives the chunks of a walk over the
-    orbits of some operations, one point per orbit; ``chunk``, ``chunks``
-    and ``position`` are the walk over the identity's orbits, the kept
-    points themselves. ``points`` and ``owner_atom`` build the whole
+    The orbits are ``nuclear_orbits``, ``direction_orbits``'s (reps,
+    inverse) of the nuclei's ``symmetry_operations``. Row k holds the
+    weight of each of its members and ``orbit_index[k] = shell *
+    len(reps) + orbit``, ascending; shell i of atom a is a * n_radial + i.
+    Its members are the directions j with ``inverse[j] == orbit``, each at
+    ``radial[a, i] * directions[:, j]`` plus the atom's centre. The kept
+    points are the members of every row, ``len`` of them, in the order of
+    their flat index a * n_radial * n_ang + i * n_ang + j. ``walk`` gives
+    the chunks of a walk over the orbits of some operations, one point
+    per orbit; ``chunk``, ``chunks`` and ``position`` are the walk over
+    the identity's orbits, the kept points themselves. ``weights``,
+    ``index``, ``points`` and ``owner_atom`` build the whole kept-point
     arrays on each access and keep nothing.
     """
-    weights: np.ndarray      # (npts,) bohr^3, all factors folded in
-    index: np.ndarray        # (npts,) int32 flat index into the product grid
-    radial: np.ndarray       # (nat, n_radial) radial nodes, bohr
-    directions: np.ndarray   # (3, n_ang) Lebedev unit vectors
+    orbit_weights: np.ndarray  # (rows,) bohr^3, all factors folded in
+    orbit_index: np.ndarray    # (rows,) int32 shell * len(reps) + orbit
+    n_points: int              # kept points, the members of every row
+    radial: np.ndarray         # (nat, n_radial) radial nodes, bohr
+    directions: np.ndarray     # (3, n_ang) Lebedev unit vectors
+    nuclear_orbits: tuple      # (reps, inverse) of the nuclei's operations
     molecule: Molecule
     spec: AtomicGridSpec
 
     def __len__(self):
-        return len(self.weights)
+        return self.n_points
 
     def orbits(self, operations):
         """``walk_orbits`` of this grid's nuclei and Lebedev order."""
@@ -241,6 +225,40 @@ class MolecularGrid:
         """The ``Walk`` of this grid over ``orbits``, ``direction_orbits``'s
         (reps, inverse)."""
         return Walk(self, orbits)
+
+    def cells(self, s, e):
+        """(e - s, len(reps)) weights of the (shell, orbit) cells of the
+        shells s..e-1: each row's weight, 0.0 where the orbit was
+        screened."""
+        n_orbits = len(self.nuclear_orbits[0])
+        lo, hi = np.searchsorted(self.orbit_index, np.array(
+            [s, e], dtype=self.orbit_index.dtype) * n_orbits)
+        out = np.zeros((e - s) * n_orbits)
+        out[self.orbit_index[lo:hi] - s * n_orbits] = self.orbit_weights[lo:hi]
+        return out.reshape(e - s, n_orbits)
+
+    def _kept(self):
+        """(flat index, weight) of the kept points, per block of whole
+        shells of at most ``_BLOCK`` product-grid points."""
+        inverse = self.nuclear_orbits[1]
+        n_ang, n_shells = len(inverse), self.radial.size
+        step = max(1, _BLOCK // n_ang)
+        for s in range(0, n_shells, step):
+            w = self.cells(s, min(s + step, n_shells))[:, inverse].reshape(-1)
+            kept = np.flatnonzero(w)
+            yield kept + s * n_ang, w[kept]
+
+    @property
+    def weights(self):
+        """(npts,) float64 weight of each kept point, in bohr^3, built on
+        each access."""
+        return np.concatenate([w for _, w in self._kept()])
+
+    @property
+    def index(self):
+        """(npts,) int32 flat index of each kept point into the product
+        grid, built on each access."""
+        return np.concatenate([k for k, _ in self._kept()]).astype(np.int32)
 
     def chunk(self, i, work=None):
         """(start, points) of chunk i, the ``_CHUNK`` kept points from
@@ -279,41 +297,36 @@ class MolecularGrid:
 class Walk:
     """The chunks of a walk over a grid at one point per orbit.
 
-    The kept points of one radial shell whose directions share an orbit of
-    ``orbits`` (``direction_orbits``'s (reps, inverse)) are one orbit of
-    the grid, and its representative sits at direction reps[o] of that
-    shell. The representatives come in (shell, orbit) order, ``evaluated``
-    of them, and chunk i is representatives i * ``_CHUNK`` up to
-    i * ``_CHUNK`` + ``_CHUNK`` - 1. Over the identity's orbits, one per
-    direction, the representatives are the kept points in order.
+    ``orbits`` (``direction_orbits``'s (reps, inverse)) are those of
+    operations that fix every nucleus, so each lies within one orbit of
+    the grid's rows (``_row``). The members of a row whose directions
+    share an orbit o are one orbit of the grid: its representative sits
+    at direction reps[o] of the row's shell, and weighs the row's weight
+    times the orbit's member count. The representatives come in (shell,
+    orbit) order, ``evaluated`` of them, and chunk i is representatives
+    i * ``_CHUNK`` up to i * ``_CHUNK`` + ``_CHUNK`` - 1. Over the
+    nuclei's own orbits the representatives are the grid's rows; over the
+    identity's, one per direction, they are the kept points in order,
+    with their weights.
 
-    A walk holds two tables of one integer per radial shell: the first
-    kept point of each shell, and the representatives before it, counted
-    with one ``np.bincount`` per block of whole shells of at most
-    ``_BLOCK`` product-grid points. A chunk finds the shells it spans in
-    them. ``evaluated`` is exact, known before any chunk is formed.
+    Beside that table over the directions, a walk holds the
+    representatives before each radial shell, where a chunk finds the
+    shells it spans. ``evaluated`` is exact, known before any chunk.
     """
 
     def __init__(self, grid: MolecularGrid, orbits):
         self.grid = grid
-        self.reps, self.inverse = orbits
-        n_ang = grid.directions.shape[1]
-        n_shells, n_orbits = grid.radial.size, len(self.reps)
-        # the first kept point of each shell, and len(grid) past the last
-        starts = np.arange(n_shells + 1, dtype=grid.index.dtype) * n_ang
-        self.first = np.searchsorted(grid.index, starts)
-        if n_orbits == n_ang:  # every kept point is an orbit
-            self.before = self.first
-        else:
-            occupied = np.empty(n_shells, dtype=np.intp)
-            step = max(1, _BLOCK // n_ang)
-            for s in range(0, n_shells, step):
-                e = min(s + step, n_shells)
-                hits = np.bincount(self._slots(s, e),
-                                   minlength=(e - s) * n_orbits)
-                occupied[s:e] = np.count_nonzero(
-                    hits.reshape(e - s, n_orbits), axis=1)
-            self.before = np.concatenate(([0], np.cumsum(occupied)))
+        self.reps, inverse = orbits
+        self.counts = np.bincount(inverse)  # members of each orbit
+        self._row = grid.nuclear_orbits[1][self.reps]
+        n_rows, index = len(grid.nuclear_orbits[0]), grid.orbit_index
+        # the first row of each shell, and the rows past the last
+        starts = np.arange(grid.radial.size + 1, dtype=index.dtype) * n_rows
+        self.before = np.searchsorted(index, starts)
+        if len(self.reps) != n_rows:  # some rows hold several orbits
+            split = np.bincount(self._row, minlength=n_rows)
+            self.before = np.concatenate(
+                ([0], np.cumsum(split[index % n_rows])))[self.before]
         self.evaluated = int(self.before[-1])
         # each orbit's direction, and each shell's radius and centre
         self._u = grid.directions[:, self.reps]
@@ -324,81 +337,70 @@ class Walk:
     def __len__(self):
         return -(-self.evaluated // _CHUNK)
 
-    def _slots(self, s, e):
-        """The slot (shell - s) * len(reps) + orbit of each kept point of
-        the shells s..e-1, in order."""
-        n_ang = self.grid.directions.shape[1]
-        index = self.grid.index[self.first[s]:self.first[e]]
-        shell = index // n_ang
-        orbit = np.take(self.inverse, index - shell * n_ang)
-        shell -= s
-        shell *= len(self.reps)
-        shell += orbit
-        return shell
-
     def chunk(self, i, work=None) -> Chunk:
-        """Chunk i: the shells that hold its representatives are taken
-        whole, their kept points' weights and counts summed per slot with
-        ``np.bincount``, in grid order from 0.0, and the chunk's occupied
-        slots kept. Each representative is formed as the build forms a
-        point (r * u, then plus the centre) into the buffer "points" of
-        ``work`` (a ``backends.Workspace``, a fresh one if None), valid
-        until the next chunk is formed in it. Over the identity's orbits
-        the weights are the kept weights, bit for bit."""
+        """Chunk i: the cells of the shells that hold its representatives,
+        in (shell, orbit) order, of which the chunk's are the nonzero ones
+        from its first representative on. Each representative is formed
+        as the build forms a point (r * u, then plus the centre) into the
+        buffer "points" of ``work`` (a ``backends.Workspace``, a fresh one
+        if None), valid until the next chunk is formed in it."""
         lo = i * _CHUNK
         hi = min(lo + _CHUNK, self.evaluated)
         s = int(np.searchsorted(self.before, lo, side="right")) - 1
         e = int(np.searchsorted(self.before, hi))
-        kept = self._slots(s, e)
-        counts = np.bincount(kept)
-        summed = np.bincount(kept, weights=self.grid.weights[
-            self.first[s]:self.first[e]])
+        cells = self.grid.cells(s, e)[:, self._row].reshape(-1)
         first = lo - int(self.before[s])
-        slots = np.flatnonzero(counts)[first:first + hi - lo]
-        shell = slots // len(self.reps)
-        orbit = slots - shell * len(self.reps)
+        slots = np.flatnonzero(cells)[first:first + hi - lo]
+        shell, orbit = np.divmod(slots, len(self.reps))
         shell += s
+        counts = self.counts[orbit]
         work = Workspace() if work is None else work
         pts = work.take("points", (3, hi - lo))
         np.multiply(np.take(self._r, shell), np.take(self._u, orbit, axis=1),
                     out=pts)
         pts += np.take(self._c, shell, axis=1)
-        return Chunk(int(self.first[s]), summed[slots], points=pts.T,
-                     counts=counts[slots], slots=slots, kept_slots=kept)
+        return Chunk(lo, cells[slots] * counts, points=pts.T, counts=counts,
+                     walk=self)
+
+    def first_kept(self, k) -> int:
+        """The global index of the lowest kept member of representative k:
+        the members of the rows of the shells before its own, and the kept
+        directions of its shell below reps[o], its orbit's lowest."""
+        s = int(np.searchsorted(self.before, k, side="right")) - 1
+        grid = self.grid
+        reps, inverse = grid.nuclear_orbits
+        cells = grid.cells(s, s + 1)[0]
+        orbit = np.flatnonzero(cells[self._row])[k - int(self.before[s])]
+        rows = grid.orbit_index[:np.searchsorted(grid.orbit_index, np.array(
+            s * len(reps), dtype=grid.orbit_index.dtype))]
+        return int(np.bincount(inverse)[rows % len(reps)].sum()
+                   + np.count_nonzero(cells[inverse[:self.reps[orbit]]]))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Chunk:
     """One integration chunk: the weights (m,) of its points, and for a
-    chunk of a ``Walk`` the representatives (m, 3) it evaluates and the
-    member count of each.
+    chunk of a ``Walk`` the representatives (m, 3) it evaluates, the
+    member count of each and the walk.
 
-    start is the chunk's first kept point, or for a walk's chunk that of
-    the shells it spans, and ``kept_slots`` the slot of each kept point of
-    those shells; ``slots`` are the chunk's own, one per representative,
-    ascending. A kept point whose slot is not among them belongs to a
-    neighbouring chunk. Without them, the chunk's points are the kept
-    points from start, in order.
+    start is the chunk's first kept point, or for a walk's chunk its first
+    representative. Without a walk, the chunk's points are the kept points
+    from start, in order.
     """
     start: int
     weights: np.ndarray
     points: np.ndarray | None = None
     counts: np.ndarray | None = None
-    slots: np.ndarray | None = None
-    kept_slots: np.ndarray | None = None
+    walk: Walk | None = None
 
     def first_kept(self, bad) -> int:
         """The global index of the lowest kept point whose point, or
-        representative, bad (m,) flags; it flags one. For a walk's chunk
-        the shells' kept points are scanned for it here, so a chunk that
-        raises no error pays nothing for it."""
-        if self.slots is None:
-            return self.start + int(np.argmax(bad))
-        kept = self.kept_slots
-        column = np.minimum(np.searchsorted(self.slots, kept),
-                            len(self.slots) - 1)
-        return self.start + int(np.argmax((self.slots[column] == kept)
-                                          & bad[column]))
+        representative, bad (m,) flags; it flags one. For a walk's chunk,
+        the lowest member of the first flagged representative, found by
+        ``Walk.first_kept`` only here, so a chunk that raises no error pays
+        nothing for it."""
+        first = self.start + int(np.argmax(bad))
+        return first if self.walk is None else self.walk.first_kept(first)
 
 
 # The signed swaps of x and y, each with or without z -> -z: the image of
@@ -479,11 +481,11 @@ def direction_orbits(order: int, operations):
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
     """Union of Becke-weighted atomic product grids, built and weighed in
-    blocks of whole radial shells.
+    blocks of whole radial shells, one row per kept (shell, orbit of the
+    molecule's ``symmetry_operations``).
 
-    The cell weights are taken at one Lebedev direction per orbit of the
-    molecule's ``symmetry_operations`` and gathered back to the rest of
-    the orbit, the same bits as at every direction (module docstring).
+    The cell weights are taken at one Lebedev direction per orbit, the
+    same bits as at every direction of it (module docstring).
 
     Refuses, before it allocates anything, a grid whose unscreened point
     count exceeds ``MAX_GRID_POINTS``, the most that its 32-bit point
@@ -499,46 +501,41 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     radii = molecule.bragg_radii()
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     directions = ang_pts.T.copy()
-    n_ang = len(ang_wts)
-    # one atom has no cell weights to take, so its blocks are sized by
-    # every direction
-    operations = symmetry_operations(centers) if nat > 1 else [0]
-    reps, inverse = direction_orbits(spec.lebedev_order, operations)
-    weighed = directions[:, reps]
-    shells = max(1, _BLOCK // len(reps))  # per call of the kernel
-    expand = max(1, _BLOCK // n_ang)  # screened and written at a time
+    orbits = direction_orbits(spec.lebedev_order, symmetry_operations(centers))
+    reps, inverse = orbits
+    n_orbits = len(reps)
+    weighed, ang = directions[:, reps], ang_wts[reps]
+    shells = max(1, _BLOCK // n_orbits)  # per call of the kernel
     radial = np.empty((nat, n_radial))
-    weights = np.empty(size)
-    index = np.empty(size, dtype=np.int32)
-    block = np.empty(3 * min(shells, n_radial) * len(reps)) if nat > 1 else None
-    cell = None
+    weights = np.empty(nat * n_radial * n_orbits)
+    index = np.empty(len(weights), dtype=np.int32)
+    block = np.empty(3 * min(shells, n_radial) * n_orbits)
     n = 0
     for a in range(nat):
         r, wr = radial_grid(n_radial, radii[a])
         radial[a] = r
         for i in range(0, n_radial, shells):
             count = min(shells, n_radial - i)
-            if nat > 1:
-                first = a * n_radial + i
-                pts = _shell_points(radial, centers, weighed, first,
-                                    first + count, block)
-                # the owner's row, so the other atoms' rows are freed
-                cell = becke_weights(pts.T, centers, radii,
-                                     stiffness=spec.stiffness,
-                                     size_adjust=spec.size_adjust
-                                     )[a].reshape(count, -1).copy()
-            for j in range(i, i + count, expand):
-                wb = wr[j:min(j + expand, i + count)]
-                w = (4.0 * math.pi) * (wb[:, None] * ang_wts[None, :])
-                if cell is not None:
-                    w *= cell[j - i:j - i + len(wb), inverse]
-                w = w.reshape(-1)
-                kept = np.flatnonzero(w >= WEIGHT_SCREEN)
-                weights[n:n + len(kept)] = w[kept]
-                index[n:n + len(kept)] = kept + (a * n_radial + j) * n_ang
-                n += len(kept)
-    return MolecularGrid(weights=weights[:n], index=index[:n], radial=radial,
-                         directions=directions, molecule=molecule, spec=spec)
+            w = (4.0 * math.pi) * (wr[i:i + count, None] * ang[None, :])
+            if nat > 1:  # one atom has no cell weights to take
+                # r * u, then plus the centre, as a walk forms a point
+                pts = block[:3 * count * n_orbits].reshape(3, count, -1)
+                np.multiply(r[i:i + count, None], weighed[:, None], out=pts)
+                pts += centers[a][:, None, None]
+                w *= becke_weights(pts.reshape(3, -1).T, centers, radii,
+                                   stiffness=spec.stiffness,
+                                   size_adjust=spec.size_adjust
+                                   )[a].reshape(count, -1)
+            w = w.reshape(-1)
+            kept = np.flatnonzero(w >= WEIGHT_SCREEN)
+            weights[n:n + len(kept)] = w[kept]
+            index[n:n + len(kept)] = kept + (a * n_radial + i) * n_orbits
+            n += len(kept)
+    members = np.bincount(inverse)[index[:n] % n_orbits]
+    return MolecularGrid(orbit_weights=weights[:n], orbit_index=index[:n],
+                         n_points=int(members.sum()), radial=radial,
+                         directions=directions, nuclear_orbits=orbits,
+                         molecule=molecule, spec=spec)
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:

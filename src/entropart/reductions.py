@@ -11,9 +11,10 @@ among them the Gram matrix. ``GridSums.chunk`` reduces the values at one
 chunk of the grid to each integrand's chunk partial, its dot product
 with the weights, and returns them; ``GridSums`` keeps only what its
 constructor computes. The walk gives it the values at ``_CHUNK``
-representatives of the grid's symmetry orbits at a time, with each
-orbit's summed kept weight (``quadrature.Walk.chunk``), and for a field
-with no symmetry ``_CHUNK`` kept points and their weights.
+representatives of the grid's symmetry orbits at a time, each weighing
+its grid row's weight times its member count (``quadrature.Walk.chunk``),
+and for a field with no symmetry ``_CHUNK`` kept points and their
+weights.
 ``integrals`` takes the partials of every chunk, in grid order, and sums
 each integral once, as the exactly rounded sum (``math.fsum``) of its
 partials. A chunk's partials are taken as ``quadrature.integrate`` takes
@@ -43,12 +44,12 @@ the arrays are allocated at the first chunk and reused, so a chunk's
 values hold only until the next chunk. A row holds one float per point
 the chunk evaluates, one per orbit (``quadrature.Walk.chunk``):
 ``_CHUNK`` = 4096 in every chunk but the last. Beside the coordinates of
-the representatives (3 rows), a chunk holds one 32-bit slot per kept
-point of the shells it spans (about 5.6 per evaluated point for a
-molecule on the z axis, whose 35 orbits of 194 directions per shell
-hold 5.5 directions each), and for nat atoms, nprim primitives, K
-orbitals, m_A primitives on atom A and P = nat(nat+1)/2 pair terms the
-workspace holds these rows:
+the representatives (3 rows), a chunk holds the weights of the (shell,
+orbit) cells of the shells it spans, per orbit of the grid's rows and
+per orbit of the walk, about a row each, and the slot, shell, orbit,
+member count and weight of each representative; and for nat atoms,
+nprim primitives, K orbitals, m_A primitives on atom A and
+P = nat(nat+1)/2 pair terms the workspace holds these rows:
 
 - ``eval_primitives``: r^2 and a scratch array per centre, plus dx, dy or
   dz for each axis on which a primitive has a power, (2 + axes) nat rows;

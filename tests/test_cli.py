@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, formats, config, exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -154,8 +155,6 @@ def test_sweep_without_alphas_is_shannon_only(tmp_path):
 
 
 def test_units_bits_scales_entropies_only(tmp_path):
-    # several rows, because the p4-sum residual of any one row may round
-    # to exactly zero (every hf row from 1.4 to 10 bohr does on this grid)
     base = ("sweep", "--method", "hl", "--distances", "1.4,2,3,4,6",
             "--alphas", "2", *QUICK)
     nats = tmp_path / "nats.csv"
@@ -173,17 +172,41 @@ def test_units_bits_scales_entropies_only(tmp_path):
         # probabilities, counts and energies are unit free
         for col in ("N", "E_total", "renyi2_p_atom_0", "p4_0.0.0.0"):
             assert row_b[col] == row_n[col]
-    # so is the residual of the p4 sum; the other residuals are entropies
+    # the other residuals are entropies
     docs = {}
     for units in ("nats", "bits"):
         proc = run_cli(*base, "--units", units, "--format", "json", check=0)
         docs[units] = [row["identities"]
                        for row in json.loads(proc.stdout)["rows"]]
-    assert any(ids["renyi2_p4_sum"] != 0.0 for ids in docs["nats"])
     for ids_n, ids_b in zip(docs["nats"], docs["bits"], strict=True):
         assert ids_b["renyi2_p4_sum"] == ids_n["renyi2_p4_sum"]
         assert ids_b["renyi2_scaling"] * ln2 == pytest.approx(
             ids_n["renyi2_scaling"], rel=1e-12)
+
+
+def test_units_bits_leaves_the_p4_sum_residual_unscaled():
+    # the residual of the p4 sum is a probability, so it carries no unit;
+    # one p4 entry is nudged so that the residual is not zero by rounding
+    from entropart import AtomicGridSpec, analyze_model
+    from entropart.cli import _analysis_leaves
+    fa = analyze_model("hl", 1.4, AtomicGridSpec(150, 110),
+                       alphas=(2.0,)).analysis
+    dec = fa.renyi[2.0]
+    pp = dec.pair_partition
+    key = min(pp.p4)
+    p4 = {**pp.p4, key: pp.p4[key] + 1e-9}
+    fa = dataclasses.replace(fa, renyi={2.0: dataclasses.replace(
+        dec, pair_partition=dataclasses.replace(pp, p4=p4))})
+
+    def residuals(scale):
+        return {path[1]: v for _, path, v in _analysis_leaves(fa, scale)
+                if path[0] == "identities"}
+
+    scale = 1.0 / math.log(2.0)
+    nats, bits = residuals(1.0), residuals(scale)
+    assert nats["renyi2_p4_sum"] == pytest.approx(1e-9, rel=1e-6)
+    assert bits["renyi2_p4_sum"] == nats["renyi2_p4_sum"]
+    assert bits["renyi2_scaling"] == nats["renyi2_scaling"] * scale
 
 
 def test_parallel_sweep_is_deterministic(tmp_path):
@@ -617,6 +640,30 @@ def test_grid_dump_h2(tmp_path):
     owners = {row["owner_atom"] for row in rows}
     assert owners == {"0", "1"}
     assert all(float(row["weight"]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("distances, n_radial, lebedev, screened", [
+    (None, 300, 146, 6), ("1.4", 150, 110, 98)], ids=["atom", "h2"])
+def test_grid_dump_rows_are_the_listed_grid(tmp_path, distances, n_radial,
+                                            lebedev, screened):
+    # every kept point of a grid that screens some, in order, each number
+    # as the CSV writes it
+    from entropart.cli import _fnum
+    from entropart.molecule import Molecule
+    from entropart.quadrature import AtomicGridSpec
+    from references import listed_grid
+    out = tmp_path / "grid.csv"
+    where = () if distances is None else ("--distances", distances)
+    run_cli("grid-dump", *where, "--n-radial", str(n_radial), "--lebedev",
+            str(lebedev), "--out", str(out), check=0)
+    molecule = (Molecule([("H", (0.0, 0.0, 0.0))]) if distances is None
+                else Molecule.h2(float(distances)))
+    points, weights, owners = listed_grid(
+        molecule, AtomicGridSpec(n_radial=n_radial, lebedev_order=lebedev))
+    assert len(points) == len(molecule) * n_radial * lebedev - screened
+    want = [f"{_fnum(x)},{_fnum(y)},{_fnum(z)},{_fnum(w)},{o}"
+            for (x, y, z), w, o in zip(points, weights, owners)]
+    assert out.read_text().splitlines()[3:] == want
 
 
 def test_plot_script_emission(tmp_path):

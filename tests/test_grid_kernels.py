@@ -3,12 +3,13 @@
 ``becke_weights_kernel`` takes the cell function once per unordered atom
 pair, in place, ``eval_primitives`` forms distances once per centre, and
 ``build_molecular_grid`` weighs each atom grid in blocks of whole radial
-shells and writes the kept weights and point indices straight into the
-grid's arrays, and ``MolecularGrid.chunks`` forms the coordinates of each
-integration chunk as the walk reaches it. The references below are the
-ordered-pair kernel, the per-primitive kernel and the whole-atom
-list-and-``vstack`` build (``references.listed_grid``): the new code must
-give the same bits wherever its arithmetic is unchanged.
+shells and writes the weight and index of each kept (shell, orbit)
+straight into the grid's arrays, and ``MolecularGrid.chunks`` forms the
+coordinates of each integration chunk as the walk reaches it. The
+references below are the ordered-pair kernel, the per-primitive kernel
+and the whole-atom list-and-``vstack`` build (``references.listed_grid``):
+the new code must give the same bits wherever its arithmetic is
+unchanged.
 """
 import dataclasses
 import math
@@ -302,7 +303,7 @@ def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
     points, weights, owners = listed_grid(mol, spec, kernel)
     assert np.array_equal(grid.points, points)
     assert np.array_equal(grid.weights, weights)
-    owner = grid.owner_atom
+    owner, flat = grid.owner_atom, grid.index
     assert owner.dtype == np.int64 and np.array_equal(owner, owners)
     starts, crossing, screened = [], 0, 0
     n_ang = spec.lebedev_order
@@ -312,30 +313,49 @@ def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
         assert chunk.shape == (min(_CHUNK, len(grid) - start), 3)
         assert np.array_equal(chunk, points[start:stop])
         crossing += owner[start] != owner[stop - 1]
-        index = grid.index[start:stop]
+        index = flat[start:stop]
         screened += index[-1] - index[0] + 1 > len(index)
         k = start + len(chunk) // 2
         assert np.array_equal(grid.position(k), points[k])
-        assert divmod(int(grid.index[k]), n_ang)[0] // spec.n_radial == owner[k]
+        assert divmod(int(flat[k]), n_ang)[0] // spec.n_radial == owner[k]
     assert starts == list(range(0, len(grid), _CHUNK))
     assert (crossing > 0, screened > 0) == across
 
 
 def test_grid_holds_weights_and_indices_per_point():
-    mol = OHLI
-    spec = AtomicGridSpec(n_radial=150, lebedev_order=110)
-    grid = build_molecular_grid(mol, spec)
-    per_point = {f.name for f in dataclasses.fields(grid)
-                 if isinstance(getattr(grid, f.name), np.ndarray)
-                 and len(getattr(grid, f.name)) == len(grid)}
-    assert per_point == {"weights", "index"}
-    assert grid.index.dtype == np.int32 and grid.weights.dtype == np.float64
-    assert grid.radial.shape == (3, 150) and grid.directions.shape == (3, 110)
-    # the indices increase along the grid, and the whole arrays are built
-    # on each access, not kept
-    assert (np.diff(grid.index) > 0).all()
+    # the grid stores one weight and one 32-bit index per kept (radial
+    # shell, orbit of directions), 12 bytes a row; the kept-point arrays
+    # are built from them on each access, not kept
+    for mol, spec, rows, kept in [
+            # on the z axis, 70 of 434 and 35 of 194 orbits of directions
+            # per shell
+            (_h_chain(2, 1.4), AtomicGridSpec(n_radial=1000, lebedev_order=434),
+             138_278, 862_258),
+            (_h_chain(8, 1.8), AtomicGridSpec(), 106_078, 600_784),
+            # only the identity fixes these nuclei: one row per kept point
+            (OHLI, AtomicGridSpec(n_radial=150, lebedev_order=110),
+             48_815, 48_815)]:
+        grid = build_molecular_grid(mol, spec)
+        per_row = {f.name for f in dataclasses.fields(grid)
+                   if isinstance(getattr(grid, f.name), np.ndarray)
+                   and getattr(grid, f.name).shape == (rows,)}
+        assert per_row == {"orbit_weights", "orbit_index"}
+        assert grid.orbit_index.dtype == np.int32
+        assert grid.orbit_weights.dtype == np.float64
+        assert grid.orbit_index.nbytes + grid.orbit_weights.nbytes == 12 * rows
+        assert len(grid) == kept
+        assert grid.radial.shape == (len(mol), spec.n_radial)
+        assert grid.directions.shape == (3, spec.lebedev_order)
+        # the indices increase along the grid, rows and kept points alike
+        assert (np.diff(grid.orbit_index) > 0).all()
+        index, weights = grid.index, grid.weights
+        assert index.dtype == np.int32 and weights.dtype == np.float64
+        assert len(index) == len(weights) == kept
+        assert (np.diff(index) > 0).all()
     assert not np.shares_memory(grid.points, grid.points)
     assert not np.shares_memory(grid.owner_atom, grid.owner_atom)
+    assert not np.shares_memory(grid.weights, grid.weights)
+    assert not np.shares_memory(grid.index, grid.index)
 
 
 _RSS = textwrap.dedent("""
@@ -362,8 +382,10 @@ _RSS = textwrap.dedent("""
 def test_dense_analysis_peak_rss_above_import():
     # H2 fci on 1000x434 (862,258 points): with three coordinates, a weight
     # and an owner per point the grid alone held 33 MiB, and the peak RSS
-    # grew 36.1 MiB over the import; weights and 32-bit indices (9.9 MiB)
-    # grow it 13.5 MiB (2-core x86-64 Linux, NumPy 2.4)
+    # grew 36.1 MiB over the import; a weight and a 32-bit index per point
+    # (9.9 MiB) grew it 13.5 MiB (15.0-15.4 MiB, remeasured), and per
+    # (radial shell, orbit of directions) (1.6 MiB) 6.7-6.8 MiB (2-core
+    # x86-64 Linux, NumPy 2.4)
     src = os.path.dirname(os.path.dirname(entropart.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

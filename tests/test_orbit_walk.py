@@ -3,11 +3,11 @@
 ``analyze_field`` walks the grid at one point per orbit of the operations
 that fix every nucleus and every primitive of the field
 (``PrimitiveBasis.operations``, ``MolecularGrid.orbits``), evaluates the
-field there and weights it by the orbit's summed kept weight, 4096
-representatives a chunk (``MolecularGrid.walk``). Where only the identity
-is left, the representatives are the kept points and every integral must
-be the bits of ``references.walk`` over the arrays of ``pair_fields``;
-elsewhere it moves by rounding only. The walk must also evaluate only the
+field there and weights it by its grid row's weight times its member
+count, 4096 representatives a chunk (``MolecularGrid.walk``). Where only
+the identity is left, the representatives are the kept points and every
+integral must be the bits of ``references.walk`` over the arrays of
+``pair_fields``; elsewhere it moves by rounding only. The walk must also evaluate only the
 representatives, each once, so that a reduction that silently stops
 applying fails here.
 """
@@ -175,8 +175,9 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     # against a loop over the kept points: each representative stands for
     # the kept points of one shell whose directions share an orbit, in
     # (shell, orbit) order, 4096 to a chunk; it is the image of every
-    # member under an operation, exactly, its weight their kept weights
-    # summed in grid order and its count theirs
+    # member under an operation, exactly; every member carries the weight
+    # of its row of the grid, bit for bit, and the representative weighs
+    # that weight times its member count, exactly, their sum to rounding
     field = _h8_field(h8_wfn_path)
     grid = build_molecular_grid(field.molecule, SPEC)
     ops = field.basis.operations()
@@ -185,27 +186,35 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     orbits = grid.orbits(ops)
     reps, inverse = orbits
     n_ang, positions = grid.directions.shape[1], grid.points
-    sums, members = {}, {}
-    for k in range(len(grid)):
-        shell, j = divmod(int(grid.index[k]), n_ang)
-        key = (shell, int(inverse[j]))
-        sums[key] = sums.get(key, 0.0) + float(grid.weights[k])
-        members.setdefault(key, []).append(k)
-    keys = sorted(sums)
+    weights, row_orbit = grid.weights, grid.nuclear_orbits[1]
+    n_rows = len(grid.nuclear_orbits[0])
+    rows = {divmod(int(k), n_rows): w
+            for k, w in zip(grid.orbit_index, grid.orbit_weights)}
+    members = {}
+    for k, flat in enumerate(grid.index.tolist()):
+        shell, j = divmod(flat, n_ang)
+        members.setdefault((shell, int(inverse[j])), []).append(k)
+    keys = sorted(members)
     walk = grid.walk(orbits)
     assert walk.evaluated == len(keys) == _evaluated(grid, orbits)
     assert len(walk) == -(-len(keys) // _CHUNK) == 3
     for i in range(3):
         chunk = walk.chunk(i)
         mine = keys[i * _CHUNK:(i + 1) * _CHUNK]
-        assert chunk.weights.tolist() == [sums[key] for key in mine]
+        row = [rows[shell, row_orbit[reps[orbit]]] for shell, orbit in mine]
         assert chunk.counts.tolist() == [len(members[key]) for key in mine]
+        assert chunk.weights.tolist() == [
+            w * len(members[key]) for w, key in zip(row, mine)]
+        assert np.allclose(chunk.weights,
+                           [weights[members[key]].sum() for key in mine],
+                           rtol=1e-15, atol=0.0)
         for m, (shell, orbit) in enumerate(mine):
             atom = shell // grid.spec.n_radial
             r = grid.radial.reshape(-1)[shell]
             u = grid.directions[:, reps[orbit]]
             assert np.array_equal(chunk.points[m],
                                   r * u + grid.molecule.positions[atom])
+            assert (weights[members[shell, orbit]] == row[m]).all()
             for k in members[shell, orbit]:
                 assert any(np.array_equal(_SIGNS[g] * positions[k][_PERMS[g]],
                                           chunk.points[m]) for g in ops)
@@ -213,6 +222,38 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
             bad = np.zeros(len(mine), dtype=bool)
             bad[m] = True
             assert chunk.first_kept(bad) == members[shell, orbit][0]
+
+
+@pytest.mark.parametrize("mol, spec", [
+    (Molecule.h2(1.4), SPEC),
+    # screened points in the innermost shells
+    (Molecule([("H", (0.0, 0.0, 0.0))]),
+     AtomicGridSpec(n_radial=300, lebedev_order=146))], ids=["h2", "atom"])
+def test_rows_split_into_the_walks_orbits(mol, spec):
+    # a walk over fewer operations than fix the nuclei (the identity and
+    # y -> -y) splits each row of the grid into several of its orbits; each
+    # representative weighs its row's weight times its member count, and
+    # an error at it names its lowest kept member
+    grid = build_molecular_grid(mol, spec)
+    orbits = grid.orbits([0, 2])
+    reps, inverse = orbits
+    assert len(reps) > len(grid.nuclear_orbits[0])
+    shell, orbit = _pairs(grid, orbits)
+    slot = shell * len(reps) + orbit
+    keys, first, counts = np.unique(slot, return_index=True,
+                                    return_counts=True)
+    weights = grid.weights
+    walk = grid.walk(orbits)
+    assert walk.evaluated == len(keys)
+    for i in range(len(walk)):
+        chunk = walk.chunk(i)
+        mine = slice(i * _CHUNK, i * _CHUNK + len(chunk.weights))
+        assert chunk.counts.tolist() == counts[mine].tolist()
+        assert np.array_equal(chunk.weights, weights[first[mine]] * counts[mine])
+        for m in range(0, len(chunk.weights), 11):
+            bad = np.zeros(len(chunk.weights), dtype=bool)
+            bad[m] = True
+            assert chunk.first_kept(bad) == first[mine][m]
 
 
 def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(

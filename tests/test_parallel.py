@@ -280,7 +280,8 @@ def test_each_chunk_is_the_walks_chunk():
     # screened points and a short last chunk; every chunk of a fresh
     # workspace, and each in turn of one workspace, in any order
     grid = build_molecular_grid(fci_model(1.4).molecule(), SPEC)
-    spans = [np.ptp(grid.index[s:s + _CHUNK]) + 1
+    index = grid.index
+    spans = [np.ptp(index[s:s + _CHUNK]) + 1
              for s in range(0, len(grid), _CHUNK)]
     assert max(spans) > _CHUNK  # a chunk with screened points among its own
     serial = [(start, pts.copy()) for start, pts in grid.chunks()]
