@@ -28,10 +28,12 @@ SCALING_TOLERANCE = 1e-10   # density/shape total relations
 LIMIT_TOLERANCE = 1e-4      # infinite-separation references
 
 # evaluated points x pair terms of a walk for each worker it is shared
-# among: with less, a forked worker costs about what its share saves (on
-# two cores, two workers break even on an H2 fci walk, 3 pair terms, at
-# 125,000-150,000, and save about 27% of the walk at 1000 x 434, at
-# 414,834, and 28% on the H8 chain, at 3.8 million)
+# among: with less, a forked worker costs about what its share saves. On
+# two cores, two workers broke even on an H2 fci walk, 3 pair terms, at
+# 125,000-150,000 before the grid was held in orbit form; since then they
+# save about 4% of the walk at 1000 x 434, at 414,834 (29.4 against
+# 28.1 ms, faster in 8 of 12 rounds), and 25% on the H8 chain, at 3.8
+# million (138 against 104 ms), README's Parallelism table
 WORK_PER_WORKER = 70_000
 
 
@@ -80,10 +82,12 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
                   alphas=(), jobs=None) -> FieldAnalysis:
     """Walk the grid once and run every requested decomposition.
 
-    The walk (``MolecularGrid.walk``) evaluates the field at one point
-    per orbit of the operations that fix every nucleus of the grid and
-    every primitive of the field (``MolecularGrid.orbits``,
-    ``PrimitiveBasis.operations``), each weighted by its grid row's
+    The field's symmetry (``PairDensityField.symmetry``) gives both the
+    walk's operations, which map the field onto itself and fix each of
+    its nuclei, and the atoms that it exchanges. The walk
+    (``MolecularGrid.walk``) evaluates the field at one point per orbit
+    of those operations that also fix every nucleus of the grid, each
+    weighted by its grid row's
     weight times its orbit's member count, one chunk of ``_CHUNK`` = 4096
     such representatives at a time (``Walk.chunk``); with no operation but
     the identity these are the kept points and their weights. Each chunk's
@@ -104,21 +108,28 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     the result is the serial walk's for any W, and the chunks' clamp
     counts are summed and added to ``field.diagnostics`` once
     (``field.record``, one warning for the points negated). The
-    integrals of atoms and pairs that a symmetry of the field and the
-    grid exchanges are replaced by their mean (``reductions.symmetrized``
-    over ``_permutations``), so they are the same bits. Then the
-    normalization check, before any result is built.
+    integrals of atoms and pairs that a symmetry of the field exchanges
+    are replaced by their mean (``reductions.symmetrized`` over the
+    symmetry's permutations), so they are the same bits; only on a grid
+    on the field's nuclei, each at the same position with the same
+    element, since elsewhere the grid need not be exchanged with them.
+    Then the normalization check, before any result is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
     sums = GridSums(field.pair_keys, alphas, grid)
-    walk = grid.walk(grid.orbits(field.basis.operations()))
+    operations, permutations = field.symmetry()
+    walk = grid.walk(operations)
     cap = walk.evaluated * len(field.pair_keys) // WORK_PER_WORKER
     task = functools.partial(_chunk, field, walk, sums, Workspace())
     partials, counts = zip(*parallel.map(task, len(walk), jobs, cap))
     counts = sum(counts, ClampDiagnostics())
     field.record(counts)
+    on_nuclei = (np.array_equal(grid.molecule.positions,
+                                field.molecule.positions)
+                 and [a.z for a in grid.molecule.atoms]
+                 == [a.z for a in field.molecule.atoms])
     values = symmetrized(integrals(partials), field.pair_keys,
-                         _permutations(field, grid))
+                         permutations if on_nuclei else [])
     n_grid = float(values["rho"][0])
     check_normalization(n_grid, field.n_electrons)
     shannon = shannon_from_sums(values, field.pair_keys, n_grid, counts)
@@ -126,16 +137,6 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
              for a in alphas}
     return FieldAnalysis(n_declared=field.n_electrons, n_grid=n_grid,
                          shannon=shannon, renyi=renyi)
-
-
-def _permutations(field, grid):
-    """``field.atom_permutations()`` when the grid is on the field's
-    nuclei, each at the same position with the same element; otherwise
-    none."""
-    same = (np.array_equal(grid.molecule.positions, field.molecule.positions)
-            and [a.z for a in grid.molecule.atoms]
-            == [a.z for a in field.molecule.atoms])
-    return field.atom_permutations() if same else []
 
 
 def _chunk(field, walk, sums, work, i):

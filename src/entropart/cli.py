@@ -24,7 +24,8 @@ from .analysis import (LIMIT_TOLERANCE, analyze_field, analyze_model,
 from .models import METHODS, atom_field, hydrogen_atom_energy
 from .molecule import MAX_COORDINATE, Molecule
 from .quadrature import (MAX_GRID_POINTS, MAX_STIFFNESS, AtomicGridSpec,
-                         build_molecular_grid, grid_estimate, walk_orbits)
+                         build_molecular_grid, direction_orbits,
+                         grid_estimate, symmetry_operations)
 from .reductions import gram_partials_bytes
 from .renyi import ALPHA_ONE_GUARD
 from .wfnio import WfnParseError, field_from_document, parse_wfn
@@ -176,20 +177,29 @@ class Settings:
     def grid_comment(self):
         return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
 
-    def require_grid_fits(self, n_atoms, alphas=(), orbits=None):
-        """Refuse, before anything is allocated, a grid larger than memory
-        (its arrays and, when the analysis on it takes order 2 among
-        alphas, the Gram partials that grow with it) or than its 32-bit
-        point indices address. The walk evaluates at most one point per
-        orbit of each radial shell, for ``orbits`` orbits of the
-        directions (None: every direction)."""
-        points, nbytes = grid_estimate(n_atoms, self.grid_spec)
+    def require_grid_fits(self, molecule, alphas=(), operations=None):
+        """Refuse, before anything is allocated, a grid on the molecule's
+        nuclei larger than memory or than its 32-bit point indices
+        address. An analysis walks the grid at one point per orbit of
+        ``operations`` (operations that fix every nucleus, as
+        ``PairDensityField.symmetry`` gives them) in each radial shell:
+        it needs the grid's 12 bytes per (shell, orbit of the nuclei's
+        ``symmetry_operations``) and, when it takes order 2 among alphas,
+        the Gram partials that grow with the points it evaluates. Without
+        operations the grid is not walked but its kept points are
+        expanded, 12 bytes per product-grid point."""
+        spec = self.grid_spec
+        points, nbytes = grid_estimate(len(molecule), spec)
         what = f"a grid of {points} points"
-        if 2.0 in alphas:
-            per_shell = orbits or self.grid_spec.lebedev_order
-            nbytes += gram_partials_bytes(
-                n_atoms, n_atoms * self.grid_spec.n_radial * per_shell)
-            what += " with its order-2 Gram partials"
+        if operations is not None:
+            order, shells = spec.lebedev_order, len(molecule) * spec.n_radial
+            nuclear = symmetry_operations(molecule.positions)
+            # a row per (shell, orbit) where grid_estimate counts a point
+            nbytes = nbytes // order * len(direction_orbits(order, nuclear)[0])
+            if 2.0 in alphas:
+                evaluated = shells * len(direction_orbits(order, operations)[0])
+                nbytes += gram_partials_bytes(len(molecule), evaluated)
+                what += " with its order-2 Gram partials"
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, OSError, ValueError):
@@ -417,7 +427,10 @@ def cmd_sweep(args):
                                                       stem + ".png"):
         raise UsageError(f"--emit-plot-script writes {stem}.gp and its plot "
                          f"{stem}.png, so --out cannot be either of them")
-    settings.require_grid_fits(2, settings.alphas)
+    h2 = Molecule.h2(settings.distances[0])
+    # the models' s primitives keep every operation that fixes the nuclei
+    settings.require_grid_fits(h2, settings.alphas,
+                               symmetry_operations(h2.positions))
     *results, atom = parallel.map(functools.partial(_sweep_task, settings),
                                   len(settings.distances) + 1, settings.jobs)
 
@@ -474,11 +487,8 @@ def _analyze_wfn(path, settings, single_center=False):
 def _analyze(field, settings):
     """The FieldAnalysis of field on the settings' grid, once the grid is
     known to fit."""
-    orbits = walk_orbits(field.molecule.positions,
-                         settings.grid_spec.lebedev_order,
-                         field.basis.operations())
-    settings.require_grid_fits(len(field.molecule), settings.alphas,
-                               len(orbits[0]))
+    settings.require_grid_fits(field.molecule, settings.alphas,
+                               field.symmetry()[0])
     grid = build_molecular_grid(field.molecule, settings.grid_spec)
     return analyze_field(field, grid, alphas=settings.alphas,
                          jobs=settings.jobs)
@@ -532,7 +542,7 @@ def cmd_grid_dump(args):
         _check_distances(dist)
         molecule = Molecule.h2(dist[0])
         what = f"H2 at R={dist[0]:g} bohr"
-    settings.require_grid_fits(len(molecule))
+    settings.require_grid_fits(molecule)
     grid = build_molecular_grid(molecule, settings.grid_spec)
     with _output(settings.out) as stream:
         stream.write(f"# entropart {__version__} grid-dump: {what}\n")

@@ -104,20 +104,6 @@ class PrimitiveBasis:
                                self.exponents, self.norms, self.ang_pows,
                                work=work)
 
-    def operations(self) -> np.ndarray:
-        """The operations of ``quadrature.symmetry_operations`` that map
-        every primitive onto itself, value for value: each fixes the
-        primitive's centre exactly, keeps its powers (powers[perm] ==
-        powers) and flips an even number of its odd powers
-        (prod signs**powers = 1). Then every density the primitives carry,
-        whatever its coefficients, takes the same value at a point and at
-        its image, up to rounding."""
-        ops = symmetry_operations(self.molecule.positions[self.center_index])
-        pows = self.ang_pows[:, None]  # (nprim, 1, 3) against (nprim, ops, 3)
-        kept = ((self.ang_pows[:, _PERMS[ops]] == pows).all(axis=2)
-                & (np.prod(_SIGNS[ops] ** pows, axis=2) == 1.0))
-        return ops[kept.all(axis=0)]
-
     def image(self, g: int, atoms):
         """(sigma, signs) for operation g of ``quadrature.symmetry_operations``
         followed by the translation that takes nucleus a to nucleus
@@ -274,6 +260,7 @@ class PairDensityField:
         self._projectors = [dm.orbitals[rows].T if k < len(rows) else None
                             for rows in self._rows]
         self._blocks = [self._coupling(a, b) for a, b in self.pair_keys]
+        self._symmetry = None
 
     @property
     def n_electrons(self) -> float:
@@ -291,25 +278,34 @@ class PairDensityField:
             return n[:, None] * c[rb].T
         return c[ra] * n if primitive_a else np.diag(n)  # C_A N, or N
 
-    def atom_permutations(self) -> list:
-        """The permutations of the atoms, other than the identity, of the
-        operations of ``quadrature.nuclear_permutations`` of the field's
-        nuclei that map the field onto itself: every primitive onto a
-        primitive (``PrimitiveBasis.image``) and the density matrix onto
-        itself (``DensityMatrix.invariant``). Under such an operation g,
-        rho^(perm[A] perm[B]) at g(r) is rho^AB at r, for every pair.
-        Each permutation is listed once, at the first operation that
-        gives it and maps the field onto itself."""
-        found = {tuple(range(len(self.molecule)))}
-        out = []
-        for g, atoms in nuclear_permutations(self.molecule).items():
-            if tuple(atoms) in found:
-                continue
-            image = self.basis.image(g, atoms)
-            if image is not None and self.dm.invariant(*image):
-                found.add(tuple(atoms))
-                out.append(atoms)
-        return out
+    def symmetry(self):
+        """(operations, permutations): of the operations of
+        ``quadrature.nuclear_permutations`` of the field's nuclei, those
+        that map the field onto itself, every primitive onto a primitive
+        (``PrimitiveBasis.image``) and the density matrix onto itself
+        (``DensityMatrix.invariant``). Under such an operation g,
+        rho^(perm[A] perm[B]) at g(r) is rho^AB at r, for every pair, up
+        to rounding. ``operations`` are those of them that fix every
+        nucleus exactly (``quadrature.symmetry_operations``), ascending,
+        the identity first: a walk of a grid on these nuclei needs one
+        point per orbit of them. ``permutations`` are the distinct atom
+        permutations of all of them other than the identity, each at the
+        first operation that gives it. Found on the first call, and kept."""
+        if self._symmetry is None:
+            fixed = symmetry_operations(self.molecule.positions)
+            operations, permutations = [], {}
+            for g, atoms in nuclear_permutations(self.molecule).items():
+                if g not in fixed and tuple(atoms) in permutations:
+                    continue  # it could add only its permutation, found
+                image = self.basis.image(g, atoms)
+                if image is not None and self.dm.invariant(*image):
+                    if g in fixed:
+                        operations.append(g)
+                    permutations.setdefault(tuple(atoms), atoms)
+            del permutations[tuple(range(len(self.molecule)))]
+            self._symmetry = (np.array(operations),
+                              list(permutations.values()))
+        return self._symmetry
 
     def pair_block(self, points, work=None, counts=None):
         """(rho, terms, counts) at one block of points: the clamped

@@ -26,10 +26,10 @@ of 194; one in a coordinate plane 105 of 194; any other molecule one
 orbit per direction.
 
 An analysis walks the grid (``MolecularGrid.walk``) at one point per
-orbit of the operations that also fix every primitive of the field
-(``density.PrimitiveBasis.operations``): these map a kept point onto a
-point of the same radial shell at which the field takes the same value,
-up to rounding. Its chunks are ``_CHUNK`` representatives each, in
+orbit of the operations that fix every nucleus and map the field onto
+itself (``density.PairDensityField.symmetry``): these map a kept point
+onto a point of the same radial shell at which the field takes the same
+value, up to rounding. Its chunks are ``_CHUNK`` representatives each, in
 (shell, orbit) order. The H8 chain on 400 x 194 evaluates 106,078 of
 its 600,784 kept points in 26 chunks, H2 27,734 of 154,928 in 7 and the
 atom at the origin 7,598 of 77,594 in 2. Over the identity's orbits the
@@ -113,7 +113,7 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     matrix only when it is asked for. At order 2 the chunks' partials,
     held until ``reductions.integrals`` sums them, also hold Gram partials
     that grow with the points the walk evaluates, at most nat * n_radial
-    times the orbits per shell (``walk_orbits``);
+    times the orbits per shell of the walk's operations;
     ``reductions.gram_partials_bytes`` counts them.
     """
     points = n_atoms * spec.n_radial * spec.lebedev_order
@@ -216,15 +216,15 @@ class MolecularGrid:
     def __len__(self):
         return self.n_points
 
-    def orbits(self, operations):
-        """``walk_orbits`` of this grid's nuclei and Lebedev order."""
-        return walk_orbits(self.molecule.positions, self.spec.lebedev_order,
-                           operations)
-
-    def walk(self, orbits):
-        """The ``Walk`` of this grid over ``orbits``, ``direction_orbits``'s
-        (reps, inverse)."""
-        return Walk(self, orbits)
+    def walk(self, operations):
+        """The ``Walk`` of this grid over the ``direction_orbits`` of those
+        of ``operations`` (indices into the table of
+        ``symmetry_operations``) that also map every nucleus of the grid
+        exactly onto itself: a kept point and its image under one of them
+        lie in the same radial shell."""
+        fixed = np.intersect1d(operations,
+                               symmetry_operations(self.molecule.positions))
+        return Walk(self, direction_orbits(self.spec.lebedev_order, fixed))
 
     def cells(self, s, e):
         """(e - s, len(reps)) weights of the (shell, orbit) cells of the
@@ -265,12 +265,12 @@ class MolecularGrid:
         start = i * ``_CHUNK``: the walk over the identity's orbits, so
         points (n, 3) are the kept points in order, formed as the build
         forms them, valid until the next chunk is formed in ``work``."""
-        return i * _CHUNK, self.walk(self.orbits([0])).chunk(i, work).points
+        return i * _CHUNK, self.walk([0]).chunk(i, work).points
 
     def chunks(self):
         """(start, points) of every chunk in order, as ``chunk`` gives
         them, in one buffer."""
-        walk, work = self.walk(self.orbits([0])), Workspace()
+        walk, work = self.walk([0]), Workspace()
         for i in range(len(walk)):
             yield i * _CHUNK, walk.chunk(i, work).points
 
@@ -457,16 +457,6 @@ def direction_images(order: int) -> np.ndarray:
         images[g, np.lexsort(directions[perm] * signs[:, None])] = order_of
     images.flags.writeable = False
     return images
-
-
-def walk_orbits(centers, order: int, operations):
-    """``direction_orbits`` of those of ``operations`` (indices into the
-    table of ``symmetry_operations``) that also map every nucleus of
-    ``centers`` exactly onto itself: a kept point of a grid on these
-    nuclei and its image under one of them lie in the same radial shell.
-    Known before the grid is built."""
-    fixed = np.intersect1d(operations, symmetry_operations(centers))
-    return direction_orbits(order, fixed)
 
 
 def direction_orbits(order: int, operations):

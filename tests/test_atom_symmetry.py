@@ -2,7 +2,7 @@
 
 ``analyze_field`` averages the integrals of the pair terms, atomic net
 densities and Gram entries over the atom permutations of the operations
-that map the field onto itself (``PairDensityField.atom_permutations``,
+that map the field onto itself (``PairDensityField.symmetry``,
 ``reductions.symmetrized``). In exact arithmetic the exchanged integrals
 are equal; on a grid they differ by rounding, by how the walk's chunks
 fall, unless they are averaged. A field that no operation maps onto
@@ -20,7 +20,7 @@ from entropart.models import build_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (AtomicGridSpec, build_molecular_grid,
                                   integrate, nuclear_permutations)
-from entropart.reductions import integrals, symmetrized
+from entropart.reductions import _group, integrals, symmetrized
 
 ALPHAS = (0.5, 2.0, 3.0)
 SPEC = AtomicGridSpec(n_radial=60, lebedev_order=110)
@@ -84,7 +84,7 @@ def test_nuclear_permutations_match_elements():
 @pytest.mark.parametrize("separation", [1.4, 2.0, 3.0])
 def test_exchanged_atoms_get_the_same_bits(method, separation, monkeypatch):
     field = build_model(method, separation).field()
-    assert [p.tolist() for p in field.atom_permutations()] == [[1, 0]]
+    assert [p.tolist() for p in field.symmetry()[1]] == [[1, 0]]
     grid = build_molecular_grid(field.molecule, SPEC)
     values, walked = _walked(monkeypatch, field, grid)
     # pair keys (0, 0), (0, 1), (1, 1); Gram entries in upper-triangle order
@@ -106,14 +106,46 @@ def test_the_sign_of_an_exchanged_p_primitive_counts(monkeypatch):
     s0 + s1 + pz0 - pz1 goes to itself and s0 + s1 + pz0 + pz1 to
     s0 + s1 - pz0 - pz1, so only the first field exchanges its atoms."""
     symmetric, grid = _s_pz_h2([1.0, 0.3, 1.0, -0.3])
-    assert [p.tolist() for p in symmetric.atom_permutations()] == [[1, 0]]
+    assert [p.tolist() for p in symmetric.symmetry()[1]] == [[1, 0]]
     values, _ = _walked(monkeypatch, symmetric, grid)
     assert values[("pair", 0)][0] == values[("pair", 0)][2]
 
     lopsided, grid = _s_pz_h2([1.0, 0.3, 1.0, 0.3])
-    assert lopsided.atom_permutations() == []
+    assert lopsided.symmetry()[1] == []
     values, walked = _walked(monkeypatch, lopsided, grid)
     assert values is walked
+
+
+def test_a_square_exchanges_its_atoms_by_a_group_of_order_eight(
+        monkeypatch):
+    # H4 on the corners of a square in the xy plane, in cyclic order, with
+    # an s primitive on each and a density matrix that depends only on how
+    # far apart two corners are: the eight symmetries of the square
+    mol = Molecule([("H", (x, y, 0.0)) for x, y in
+                    [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]])
+    basis = PrimitiveBasis(mol, range(4), [1] * 4, [1.0] * 4)
+    d = np.array([[0.5, 0.2, 0.05, 0.2], [0.2, 0.5, 0.2, 0.05],
+                  [0.05, 0.2, 0.5, 0.2], [0.2, 0.05, 0.2, 0.5]])
+    grid = build_molecular_grid(mol, SPEC)
+    probe = PairDensityField(basis, DensityMatrix(d, 1.0))
+    n = integrate(probe.pair_fields(grid.points)[0], grid)
+    field = PairDensityField(basis, DensityMatrix(d, n))
+    operations, permutations = field.symmetry()
+    # only the identity and z -> -z fix every corner
+    assert operations.tolist() == [0, 1]
+    assert len(permutations) == 7
+    assert len(_group(permutations, 4)) == 8
+    values, walked = _walked(monkeypatch, field, grid)
+    # pair keys (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), ...
+    neighbours = [field.pair_keys.index(key)
+                  for key in [(0, 1), (1, 2), (2, 3), (0, 3)]]
+    for k in range(3):
+        assert len({values[("pair", k)][m] for m in neighbours}) == 1
+    for alpha in ALPHAS:
+        assert len(set(values[("net_pow", alpha)])) == 1
+    for family in values:
+        assert np.allclose(values[family], walked[family], rtol=1e-14,
+                           atol=0.0), family
 
 
 def test_a_nearly_symmetric_density_matrix_is_not_averaged(monkeypatch):
@@ -121,10 +153,10 @@ def test_a_nearly_symmetric_density_matrix_is_not_averaged(monkeypatch):
     basis = PrimitiveBasis(mol, [0, 1], [1, 1], [1.0, 1.0])
     d = np.array([[0.6, 0.4], [0.4, 0.6]])
     assert len(PairDensityField(basis, DensityMatrix(d, 2.0))
-               .atom_permutations()) == 1
+               .symmetry()[1]) == 1
     d[1, 1] = np.nextafter(0.6, 1.0)
     assert PairDensityField(basis, DensityMatrix(d, 2.0)
-                            ).atom_permutations() == []
+                            ).symmetry()[1] == []
 
 
 def test_symmetrized_is_the_mean_of_the_images():

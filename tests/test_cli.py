@@ -349,9 +349,10 @@ def test_gram_partials_bytes_of_h20():
     assert gram_partials_bytes(1, 1) == 16
 
 
-def _h20_wfn(tmp_path, types):
+def _h20_wfn(tmp_path, types, admixture=0.0):
     """An H20 chain on the z axis, one primitive of the given types per
-    atom and 10 doubly occupied orbitals, written as a .wfn file."""
+    atom and 10 doubly occupied orbitals, written as a .wfn file: orbital
+    k is primitive k plus admixture times primitive k + 2."""
     import numpy as np
 
     from entropart import PrimitiveBasis, build_document, write_wfn
@@ -359,7 +360,8 @@ def _h20_wfn(tmp_path, types):
 
     mol = Molecule([("H", (0.0, 0.0, 2.0 * i)) for i in range(20)])
     basis = PrimitiveBasis(mol, range(20), types, [0.8] * 20)
-    mos = [(2.0, -0.5, np.eye(20)[k]) for k in range(10)]
+    eye = np.eye(20)
+    mos = [(2.0, -0.5, eye[k] + admixture * eye[k + 2]) for k in range(10)]
     path = tmp_path / "h20.wfn"
     path.write_text(write_wfn(build_document(mol, basis, mos, title="H20")))
     return path
@@ -395,10 +397,12 @@ def _memory_check(monkeypatch, capsys, argv, memory):
 def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
                                                  monkeypatch, capsys):
     # H20 on the default grid, a px primitive on one atom and a py on the
-    # next, so that the walk evaluates every kept point: 19 MB of grid
-    # arrays (12 bytes a point) fit in 100 MB of physical memory, the
-    # 134 MB of order-2 Gram partials do not
-    path = _h20_wfn(tmp_path, [2, 3] + [1] * 18)
+    # next, each in an orbital with an s primitive two atoms on, so that
+    # no operation but the identity maps the field onto itself and the
+    # walk evaluates every kept point: 3.4 MB of grid rows (12 bytes per
+    # radial shell and orbit of the nuclei's 35 per shell) fit in 100 MB
+    # of physical memory, the 134 MB of order-2 Gram partials do not
+    path = _h20_wfn(tmp_path, [2, 3] + [1] * 18, admixture=0.5)
     got = _memory_check(monkeypatch, capsys,
                         ["analyze", str(path), "--alphas", alphas],
                         100_000_000)
@@ -416,17 +420,43 @@ def test_the_memory_check_counts_the_points_the_walk_evaluates(
         tmp_path, monkeypatch, capsys):
     # with s primitives the walk evaluates at most 35 of the 194
     # directions of each of the 20 x 400 shells, 280,000 points in 69
-    # chunks: 18,624,000 bytes of grid arrays and 2 x 69 x 22,155 Gram
-    # entries of 8 bytes, 43,083,120 bytes in all, where every direction
-    # would take 134 MB of Gram partials
+    # chunks: 3,360,000 bytes of grid rows, 12 per shell and orbit, and
+    # 2 x 69 x 22,155 Gram entries of 8 bytes, 27,819,120 bytes in all,
+    # where every direction would take 134 MB of Gram partials
     argv = ["analyze", str(_h20_wfn(tmp_path, [1] * 20)), "--alphas", "2"]
-    need = 1_552_000 * 12 + 2 * 69 * 22_155 * 8
-    assert need == 43_083_120
+    need = 280_000 * 12 + 2 * 69 * 22_155 * 8
+    assert need == 27_819_120
     code, err = _memory_check(monkeypatch, capsys, argv, need - 4096)
     assert code == 2 and err.startswith(
         "error: a grid of 1552000 points with its order-2 Gram partials "
         "needs at least 0.0 GiB, more than the 0.0 GiB of physical memory")
     assert _memory_check(monkeypatch, capsys, argv, need + 4096) is None
+
+
+def test_the_memory_check_counts_grid_rows_unless_points_are_expanded(
+        tmp_path, monkeypatch, capsys):
+    # H2 on the z axis on the default grid: 155,200 product-grid points,
+    # 1,862,400 bytes expanded, but 2 x 400 shells of 35 orbits held,
+    # 336,000 bytes; analyze walks the rows, grid-dump expands the points
+    import numpy as np
+
+    from entropart import PrimitiveBasis, build_document, write_wfn
+    from entropart.molecule import Molecule
+
+    mol = Molecule.h2(1.4)
+    basis = PrimitiveBasis(mol, [0, 1], [1, 1], [1.0, 1.0])
+    path = tmp_path / "h2.wfn"
+    path.write_text(write_wfn(build_document(
+        mol, basis, [(2.0, -0.5, np.array([0.5, 0.5]))], title="H2")))
+    memory = 1_000_000
+    assert 336_000 < memory < 1_862_400
+    assert _memory_check(monkeypatch, capsys, ["analyze", str(path)],
+                         memory) is None
+    code, err = _memory_check(monkeypatch, capsys,
+                              ["grid-dump", "--distances", "1.4"], memory)
+    assert code == 2 and err.startswith(
+        "error: a grid of 155200 points needs at least 0.0 GiB, more than "
+        "the 0.0 GiB of physical memory")
 
 
 def _main(argv, capsys):

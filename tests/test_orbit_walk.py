@@ -1,8 +1,8 @@
 """The walk at one point per symmetry orbit.
 
 ``analyze_field`` walks the grid at one point per orbit of the operations
-that fix every nucleus and every primitive of the field
-(``PrimitiveBasis.operations``, ``MolecularGrid.orbits``), evaluates the
+that fix every nucleus and map the field onto itself
+(``PairDensityField.symmetry``, ``MolecularGrid.walk``), evaluates the
 field there and weights it by its grid row's weight times its member
 count, 4096 representatives a chunk (``MolecularGrid.walk``). Where only
 the identity is left, the representatives are the kept points and every
@@ -23,8 +23,8 @@ from entropart.density import (NEGATIVE_CLAMP, ClampDiagnostics, DensityMatrix,
 from entropart.models import atom_field, build_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, _PERMS, _SIGNS, AtomicGridSpec,
-                                  build_molecular_grid, integrate,
-                                  symmetry_operations)
+                                  build_molecular_grid, direction_orbits,
+                                  integrate, symmetry_operations)
 from entropart.reductions import integrals
 from entropart.wfnio import field_from_document, parse_wfn
 
@@ -85,6 +85,12 @@ def _walked(monkeypatch, field, grid, calls):
     return values
 
 
+def _orbits(grid, operations):
+    """``direction_orbits``'s (reps, inverse) of the operations on the
+    grid's Lebedev directions."""
+    return direction_orbits(grid.spec.lebedev_order, operations)
+
+
 def _pairs(grid, orbits):
     """The (shell, orbit) of every kept point, from its flat index."""
     shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
@@ -107,7 +113,8 @@ def test_without_symmetry_the_walk_keeps_its_bits(make, monkeypatch,
                                                   pair_block_calls):
     field = make()
     grid = build_molecular_grid(field.molecule, SPEC)
-    assert grid.orbits(field.basis.operations())[0].tolist() == list(range(110))
+    assert field.symmetry()[0].tolist() == [0]
+    assert grid.walk(field.symmetry()[0]).reps.tolist() == list(range(110))
     got = _walked(monkeypatch, field, grid, pair_block_calls)
     assert sum(pair_block_calls) == len(grid)
     want = _reference(field, grid)
@@ -161,7 +168,7 @@ def test_the_walk_evaluates_one_point_per_orbit(case, kept, evaluated,
     else:
         field = atom_field() if case == "atom" else build_model("fci", 1.4).field()
     grid = build_molecular_grid(field.molecule)
-    orbits = grid.orbits(field.basis.operations())
+    orbits = _orbits(grid, field.symmetry()[0])
     assert len(orbits[0]) == (19 if case == "atom" else 35)
     analyze_field(field, grid, jobs=1)
     assert len(grid) == kept
@@ -180,10 +187,10 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     # that weight times its member count, exactly, their sum to rounding
     field = _h8_field(h8_wfn_path)
     grid = build_molecular_grid(field.molecule, SPEC)
-    ops = field.basis.operations()
+    ops = field.symmetry()[0]
     # every operation that keeps z
     assert ops.tolist() == [g for g in range(16) if _SIGNS[g, 2] == 1.0]
-    orbits = grid.orbits(ops)
+    orbits = _orbits(grid, ops)
     reps, inverse = orbits
     n_ang, positions = grid.directions.shape[1], grid.points
     weights, row_orbit = grid.weights, grid.nuclear_orbits[1]
@@ -195,7 +202,7 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
         shell, j = divmod(flat, n_ang)
         members.setdefault((shell, int(inverse[j])), []).append(k)
     keys = sorted(members)
-    walk = grid.walk(orbits)
+    walk = grid.walk(ops)
     assert walk.evaluated == len(keys) == _evaluated(grid, orbits)
     assert len(walk) == -(-len(keys) // _CHUNK) == 3
     for i in range(3):
@@ -235,7 +242,7 @@ def test_rows_split_into_the_walks_orbits(mol, spec):
     # representative weighs its row's weight times its member count, and
     # an error at it names its lowest kept member
     grid = build_molecular_grid(mol, spec)
-    orbits = grid.orbits([0, 2])
+    orbits = _orbits(grid, [0, 2])
     reps, inverse = orbits
     assert len(reps) > len(grid.nuclear_orbits[0])
     shell, orbit = _pairs(grid, orbits)
@@ -243,7 +250,7 @@ def test_rows_split_into_the_walks_orbits(mol, spec):
     keys, first, counts = np.unique(slot, return_index=True,
                                     return_counts=True)
     weights = grid.weights
-    walk = grid.walk(orbits)
+    walk = grid.walk([0, 2])
     assert walk.evaluated == len(keys)
     for i in range(len(walk)):
         chunk = walk.chunk(i)
@@ -268,18 +275,49 @@ def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(
     fixes_x = [g for g in nuclear
                if np.array_equal(_SIGNS[g] * np.eye(3)[0][_PERMS[g]],
                                  np.eye(3)[0])]
-    assert field.basis.operations().tolist() == fixes_x
+    assert field.symmetry()[0].tolist() == fixes_x
     assert [(_PERMS[g].tolist(), _SIGNS[g].tolist()) for g in fixes_x] == [
         ([0, 1, 2], [1.0, 1.0, 1.0]), ([0, 1, 2], [1.0, -1.0, 1.0])]
     grid = build_molecular_grid(mol, SPEC)
     got = _walked(monkeypatch, field, grid, pair_block_calls)
     # y -> -y leaves 61 of 110 directions per shell
-    evaluated = _evaluated(grid, grid.orbits(fixes_x))
+    evaluated = _evaluated(grid, _orbits(grid, fixes_x))
     assert len(grid) / 2 < sum(pair_block_calls) == evaluated < len(grid) * 0.6
     assert len(pair_block_calls) == -(-evaluated // _CHUNK)
     want = _reference(field, grid)
     for family in want:
         assert np.allclose(got[family], want[family], rtol=1e-14, atol=0.0), family
+
+
+def test_a_field_invariant_under_more_than_its_primitives_walks_them_all(
+        monkeypatch, pair_block_calls):
+    # an s and a px primitive on each atom of H2 on the z axis, with no s-px
+    # coupling in the density matrix: negating x negates each px, which
+    # changes the primitives but not the density matrix, so the walk takes
+    # every operation that fixes the nuclei and keeps x and y apart
+    mol = Molecule.h2(1.4)
+    c = np.array([[0.6, 0.0, 0.4, 0.0], [0.0, 0.3, 0.0, 0.0],
+                  [0.4, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.3]])
+    field = _field(mol, [0, 0, 1, 1], [1, 2, 1, 2], [1.0, 0.7, 1.0, 0.7], c=c)
+    ops = field.symmetry()[0]
+    assert ops.tolist() == [0, 2, 4, 6]
+    grid = build_molecular_grid(mol, SPEC)
+    got = _walked(monkeypatch, field, grid, pair_block_calls)
+    evaluated = _evaluated(grid, _orbits(grid, ops))
+    assert (evaluated, len(grid)) == (4_042, 13_162)
+    assert pair_block_calls == [_CHUNK] * (evaluated // _CHUNK) + [
+        evaluated % _CHUNK]
+    want = _reference(field, grid)
+    for family in want:
+        assert np.allclose(got[family], want[family], rtol=1e-14, atol=0.0), family
+    # each operation maps every pair term onto itself
+    points = np.random.default_rng(7).normal(scale=1.5, size=(50, 3))
+    pairs = field.pair_fields(points)[1]
+    for g in ops:
+        images = field.pair_fields(_SIGNS[g] * points[:, _PERMS[g]])[1]
+        for key, values in pairs.items():
+            assert np.allclose(images[key], values, rtol=1e-14, atol=0.0), (
+                g, key)
 
 
 def test_a_symmetric_walk_counts_clamps_at_every_grid_point(pair_block_calls):

@@ -23,7 +23,7 @@ from entropart.density import (NEGATIVE_CLAMP, ClampDiagnostics, DensityMatrix,
 from entropart.models import fci_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec, build_molecular_grid,
-                                  integrate)
+                                  direction_orbits, integrate)
 
 SPEC = AtomicGridSpec(n_radial=100, lebedev_order=86)
 # H2 on this grid evaluates 17,336 points, five walk chunks
@@ -44,7 +44,7 @@ def _force(monkeypatch, cpus):
 
 def _walk(field, grid):
     """The walk of field over grid, one point per orbit."""
-    return grid.walk(grid.orbits(field.basis.operations()))
+    return grid.walk(field.symmetry()[0])
 
 
 def _fci():
@@ -60,7 +60,8 @@ def _kept(field, grid, c, rep):
     """The global index of the first kept point whose orbit is the walk's
     representative rep of chunk c: the orbits are the distinct (shell,
     orbit) pairs of the kept points, in order."""
-    reps, inverse = grid.orbits(field.basis.operations())
+    reps, inverse = direction_orbits(grid.spec.lebedev_order,
+                                     field.symmetry()[0])
     shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
     pair = shell * len(reps) + inverse[j]
     return int(np.argmax(pair == np.unique(pair)[c * _CHUNK + rep]))

@@ -22,7 +22,8 @@ from entropart.density import (NEGATIVE_CLAMP, DensityMatrix, PairDensityField,
 from entropart.models import hf_model
 from entropart.molecule import Molecule
 from entropart.quadrature import (_CHUNK, AtomicGridSpec,
-                                  build_molecular_grid, integrate)
+                                  build_molecular_grid, direction_orbits,
+                                  integrate)
 from entropart.reductions import GridSums, integrals
 
 SPEC = AtomicGridSpec(n_radial=100, lebedev_order=86)
@@ -159,7 +160,8 @@ def test_each_integral_is_taken_once_per_chunk(monkeypatch, which,
     for alpha in (0.5, 2.0):
         widths["rho_pow", alpha] = 1
         widths["net_pow", alpha] = nat
-    reps, inverse = grid.orbits(field.basis.operations())
+    reps, inverse = direction_orbits(grid.spec.lebedev_order,
+                                     field.symmetry()[0])
     shell, j = np.divmod(grid.index.astype(np.int64), grid.directions.shape[1])
     evaluated = len(np.unique(shell * len(reps) + inverse[j]))
     n_chunks = -(-evaluated // _CHUNK)
