@@ -87,7 +87,7 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     its nuclei, and the atoms that it exchanges. The walk
     (``MolecularGrid.walk``) evaluates the field at one point per orbit
     of those operations that also fix every nucleus of the grid, each
-    weighted by its grid row's
+    weighted by its grid cell's
     weight times its orbit's member count, one chunk of ``_CHUNK`` = 4096
     such representatives at a time (``Walk.chunk``); with no operation but
     the identity these are the kept points and their weights. Each chunk's

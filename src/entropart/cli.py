@@ -179,11 +179,12 @@ class Settings:
 
     def require_grid_fits(self, molecule, alphas=(), operations=None):
         """Refuse, before anything is allocated, a grid on the molecule's
-        nuclei larger than memory or than its 32-bit point indices
-        address. An analysis walks the grid at one point per orbit of
-        ``operations`` (operations that fix every nucleus, as
+        nuclei larger than memory or than the int32 ``index`` of its
+        expanded kept points addresses (``MAX_GRID_POINTS``, counted
+        before screening). An analysis walks the grid at one point per
+        orbit of ``operations`` (operations that fix every nucleus, as
         ``PairDensityField.symmetry`` gives them) in each radial shell:
-        it needs the grid's 12 bytes per (shell, orbit of the nuclei's
+        it needs the grid's 8 bytes per (shell, orbit of the nuclei's
         ``symmetry_operations``) and, when it takes order 2 among alphas,
         the Gram partials that grow with the points it evaluates. Without
         operations the grid is not walked but its kept points are
@@ -194,8 +195,8 @@ class Settings:
         if operations is not None:
             order, shells = spec.lebedev_order, len(molecule) * spec.n_radial
             nuclear = symmetry_operations(molecule.positions)
-            # a row per (shell, orbit) where grid_estimate counts a point
-            nbytes = nbytes // order * len(direction_orbits(order, nuclear)[0])
+            # a float64 per (shell, orbit), MolecularGrid.cells
+            nbytes = 8 * shells * len(direction_orbits(order, nuclear)[0])
             if 2.0 in alphas:
                 evaluated = shells * len(direction_orbits(order, operations)[0])
                 nbytes += gram_partials_bytes(len(molecule), evaluated)

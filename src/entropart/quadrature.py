@@ -18,12 +18,13 @@ negation is exact; the squared distance to a nucleus is
 ((dx)^2 + (dy)^2) + (dz)^2, whose sum commutes; and every later step of
 the kernel is elementwise per point, or the column sum over atoms. So
 the cell weights are taken at one direction per orbit, screening keeps
-or drops an orbit of a shell whole, and the grid keeps 12 bytes per kept
-(shell, orbit) (``MolecularGrid``). A molecule on the z axis is fixed by
-the eight operations that keep z and has 22 orbits of 110 directions, 35
-of 194 and 70 of 434; the atom at the origin, fixed by all sixteen, 19
-of 194; one in a coordinate plane 105 of 194; any other molecule one
-orbit per direction.
+or drops an orbit of a shell whole, and the grid keeps one float64 per
+(shell, orbit), 0.0 where it is dropped (``MolecularGrid.cells``), 1.1
+MiB for H2 at 1000 x 434. A molecule on the z axis is fixed by the
+eight operations that keep z and has 22 orbits of 110 directions, 35 of
+194 and 70 of 434; the atom at the origin, fixed by all sixteen, 19 of
+194; one in a coordinate plane 105 of 194; any other molecule one orbit
+per direction.
 
 An analysis walks the grid (``MolecularGrid.walk``) at one point per
 orbit of the operations that fix every nucleus and map the field onto
@@ -40,12 +41,12 @@ the same bits each time.
 
 Each atom grid is weighed in blocks of whole radial shells, at most
 ``_BLOCK`` weighed points each (one shell of every supported Lebedev
-order fits), screened per orbit and written straight into the grid's
-arrays, allocated once at one row per (shell, orbit). Beyond those
-arrays the build holds the kernel's 2 nat + 9 floats per weighed point
-of one block: measured as peak RSS (VmHWM) over the grid's arrays,
-1.0 MiB for H2 at 400 x 194, 1.8 MiB at 1000 x 434 and 2.2 MiB for the
-H8 chain at 400 x 194, a bound that does not grow with the grid. Every
+order fits), screened per orbit and written straight into its rows of
+the grid's table, allocated once. Beyond that table the build holds the
+kernel's 2 nat + 9 floats per weighed point of one block: measured as
+peak RSS (VmHWM) over the grid's arrays, 1.0 MiB for H2 at 400 x 194,
+1.8 MiB at 1000 x 434 and 2.2 MiB for the H8 chain at 400 x 194, a
+bound that does not grow with the grid. Every
 step is elementwise per point, apart from the sum of the cell weights
 over atoms, so the grid does not depend on the block size.
 """
@@ -65,7 +66,7 @@ from .molecule import Molecule
 WEIGHT_SCREEN = 1e-16
 _CHUNK = 4096  # fixed chunk size: the deterministic reduction contract
 _BLOCK = 4 * _CHUNK  # points per block of radial shells while a grid is built
-MAX_GRID_POINTS = 2**31 - 1  # the most that int32 point indices address
+MAX_GRID_POINTS = 2**31 - 1  # the most that the int32 ``index`` addresses
 MAX_STIFFNESS = 100  # cell-function iterations; past about 60 weights stay put
 
 
@@ -98,7 +99,7 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     on the grid's arrays for any molecule: those of the kept-point arrays
     ``weights`` and ``index`` that the grid builds on access, a float64
     weight and an int32 point index per point, 12 bytes. The grid itself
-    keeps 12 bytes per kept (radial shell, orbit of directions), as many
+    keeps 8 bytes per (radial shell, orbit of directions), one per point
     only where no operation but the identity fixes the nuclei.
     Not counted, because they do not grow with the points: the radial nodes
     (nat * n_radial floats) and the Lebedev directions, and the working set
@@ -186,27 +187,24 @@ def becke_weights(points, centers, radii=None, stiffness: int = 3,
 
 @dataclasses.dataclass(frozen=True)
 class MolecularGrid:
-    """The kept points of every atom's product grid, one row per kept
-    (radial shell, orbit of directions); coordinates are formed as they
-    are needed.
+    """The weights of every atom's product grid, one per (radial shell,
+    orbit of directions), 0.0 where screening dropped the orbit;
+    coordinates are formed as they are needed.
 
     The orbits are ``nuclear_orbits``, ``direction_orbits``'s (reps,
-    inverse) of the nuclei's ``symmetry_operations``. Row k holds the
-    weight of each of its members and ``orbit_index[k] = shell *
-    len(reps) + orbit``, ascending; shell i of atom a is a * n_radial + i.
-    Its members are the directions j with ``inverse[j] == orbit``, each at
+    inverse) of the nuclei's ``symmetry_operations``. ``cells[a *
+    n_radial + i, o]`` is the weight of each member of orbit o in shell i
+    of atom a: the directions j with ``inverse[j] == o``, each at
     ``radial[a, i] * directions[:, j]`` plus the atom's centre. The kept
-    points are the members of every row, ``len`` of them, in the order of
-    their flat index a * n_radial * n_ang + i * n_ang + j. ``walk`` gives
-    the chunks of a walk over the orbits of some operations, one point
-    per orbit; ``chunk``, ``chunks`` and ``position`` are the walk over
-    the identity's orbits, the kept points themselves. ``weights``,
-    ``index``, ``points`` and ``owner_atom`` build the whole kept-point
-    arrays on each access and keep nothing.
+    points are the members of every nonzero cell, ``len`` of them, in the
+    order of their flat index a * n_radial * n_ang + i * n_ang + j.
+    ``walk`` gives the chunks of a walk over the orbits of some
+    operations, one point per orbit; ``chunk``, ``chunks`` and
+    ``position`` are the walk over the identity's orbits, the kept points
+    themselves. ``weights``, ``index``, ``points`` and ``owner_atom``
+    build the whole kept-point arrays on each access and keep nothing.
     """
-    orbit_weights: np.ndarray  # (rows,) bohr^3, all factors folded in
-    orbit_index: np.ndarray    # (rows,) int32 shell * len(reps) + orbit
-    n_points: int              # kept points, the members of every row
+    cells: np.ndarray          # (nat * n_radial, len(reps)) bohr^3
     radial: np.ndarray         # (nat, n_radial) radial nodes, bohr
     directions: np.ndarray     # (3, n_ang) Lebedev unit vectors
     nuclear_orbits: tuple      # (reps, inverse) of the nuclei's operations
@@ -214,7 +212,8 @@ class MolecularGrid:
     spec: AtomicGridSpec
 
     def __len__(self):
-        return self.n_points
+        members = np.bincount(self.nuclear_orbits[1])
+        return int(np.count_nonzero(self.cells, axis=0) @ members)
 
     def walk(self, operations):
         """The ``Walk`` of this grid over the ``direction_orbits`` of those
@@ -226,25 +225,14 @@ class MolecularGrid:
                                symmetry_operations(self.molecule.positions))
         return Walk(self, direction_orbits(self.spec.lebedev_order, fixed))
 
-    def cells(self, s, e):
-        """(e - s, len(reps)) weights of the (shell, orbit) cells of the
-        shells s..e-1: each row's weight, 0.0 where the orbit was
-        screened."""
-        n_orbits = len(self.nuclear_orbits[0])
-        lo, hi = np.searchsorted(self.orbit_index, np.array(
-            [s, e], dtype=self.orbit_index.dtype) * n_orbits)
-        out = np.zeros((e - s) * n_orbits)
-        out[self.orbit_index[lo:hi] - s * n_orbits] = self.orbit_weights[lo:hi]
-        return out.reshape(e - s, n_orbits)
-
     def _kept(self):
         """(flat index, weight) of the kept points, per block of whole
         shells of at most ``_BLOCK`` product-grid points."""
         inverse = self.nuclear_orbits[1]
-        n_ang, n_shells = len(inverse), self.radial.size
+        n_ang, n_shells = len(inverse), len(self.cells)
         step = max(1, _BLOCK // n_ang)
         for s in range(0, n_shells, step):
-            w = self.cells(s, min(s + step, n_shells))[:, inverse].reshape(-1)
+            w = self.cells[s:s + step, inverse].reshape(-1)
             kept = np.flatnonzero(w)
             yield kept + s * n_ang, w[kept]
 
@@ -299,34 +287,31 @@ class Walk:
 
     ``orbits`` (``direction_orbits``'s (reps, inverse)) are those of
     operations that fix every nucleus, so each lies within one orbit of
-    the grid's rows (``_row``). The members of a row whose directions
-    share an orbit o are one orbit of the grid: its representative sits
-    at direction reps[o] of the row's shell, and weighs the row's weight
-    times the orbit's member count. The representatives come in (shell,
-    orbit) order, ``evaluated`` of them, and chunk i is representatives
-    i * ``_CHUNK`` up to i * ``_CHUNK`` + ``_CHUNK`` - 1. Over the
-    nuclei's own orbits the representatives are the grid's rows; over the
+    the nuclei, one column of the grid's ``cells`` (``_column``). The
+    members of a nonzero cell whose directions share an orbit o are one
+    orbit of the grid: its representative sits at direction reps[o] of
+    the cell's shell, and weighs the cell's weight times the orbit's
+    member count. The representatives come in (shell, orbit) order,
+    ``evaluated`` of them, and chunk i is representatives i * ``_CHUNK``
+    up to i * ``_CHUNK`` + ``_CHUNK`` - 1. Over the nuclei's own orbits
+    the representatives are the grid's nonzero cells; over the
     identity's, one per direction, they are the kept points in order,
     with their weights.
 
-    Beside that table over the directions, a walk holds the
-    representatives before each radial shell, where a chunk finds the
-    shells it spans. ``evaluated`` is exact, known before any chunk.
+    Beside its tables over the orbits, a walk holds the representatives
+    before each radial shell, where a chunk finds the shells it spans.
+    ``evaluated`` is exact, known before any chunk.
     """
 
     def __init__(self, grid: MolecularGrid, orbits):
         self.grid = grid
         self.reps, inverse = orbits
         self.counts = np.bincount(inverse)  # members of each orbit
-        self._row = grid.nuclear_orbits[1][self.reps]
-        n_rows, index = len(grid.nuclear_orbits[0]), grid.orbit_index
-        # the first row of each shell, and the rows past the last
-        starts = np.arange(grid.radial.size + 1, dtype=index.dtype) * n_rows
-        self.before = np.searchsorted(index, starts)
-        if len(self.reps) != n_rows:  # some rows hold several orbits
-            split = np.bincount(self._row, minlength=n_rows)
-            self.before = np.concatenate(
-                ([0], np.cumsum(split[index % n_rows])))[self.before]
+        self._column = grid.nuclear_orbits[1][self.reps]
+        # a nonzero cell in column c holds split[c] orbits of the walk
+        split = np.bincount(self._column, minlength=grid.cells.shape[1])
+        self.before = np.concatenate(
+            ([0], np.cumsum((grid.cells != 0) @ split)))
         self.evaluated = int(self.before[-1])
         # each orbit's direction, and each shell's radius and centre
         self._u = grid.directions[:, self.reps]
@@ -348,7 +333,7 @@ class Walk:
         hi = min(lo + _CHUNK, self.evaluated)
         s = int(np.searchsorted(self.before, lo, side="right")) - 1
         e = int(np.searchsorted(self.before, hi))
-        cells = self.grid.cells(s, e)[:, self._row].reshape(-1)
+        cells = self.grid.cells[s:e, self._column].reshape(-1)
         first = lo - int(self.before[s])
         slots = np.flatnonzero(cells)[first:first + hi - lo]
         shell, orbit = np.divmod(slots, len(self.reps))
@@ -364,17 +349,14 @@ class Walk:
 
     def first_kept(self, k) -> int:
         """The global index of the lowest kept member of representative k:
-        the members of the rows of the shells before its own, and the kept
-        directions of its shell below reps[o], its orbit's lowest."""
+        the members of the nonzero cells of the shells before its own, and
+        the kept directions of its shell below reps[o], its orbit's
+        lowest."""
         s = int(np.searchsorted(self.before, k, side="right")) - 1
-        grid = self.grid
-        reps, inverse = grid.nuclear_orbits
-        cells = grid.cells(s, s + 1)[0]
-        orbit = np.flatnonzero(cells[self._row])[k - int(self.before[s])]
-        rows = grid.orbit_index[:np.searchsorted(grid.orbit_index, np.array(
-            s * len(reps), dtype=grid.orbit_index.dtype))]
-        return int(np.bincount(inverse)[rows % len(reps)].sum()
-                   + np.count_nonzero(cells[inverse[:self.reps[orbit]]]))
+        cells, inverse = self.grid.cells, self.grid.nuclear_orbits[1]
+        orbit = np.flatnonzero(cells[s, self._column])[k - int(self.before[s])]
+        return int(np.count_nonzero(cells[:s], axis=0) @ np.bincount(inverse)
+                   + np.count_nonzero(cells[s, inverse[:self.reps[orbit]]]))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -430,18 +412,17 @@ def nuclear_permutations(molecule: Molecule) -> dict:
     identity is always one, with t = 0; t is the one that takes nucleus 0
     to the nucleus nearest where the centroid's translation takes it."""
     centers = molecule.positions
-    z = [atom.z for atom in molecule.atoms]
-    where = {tuple(c): b for b, c in enumerate(centers.tolist())}
+    z = np.array([atom.z for atom in molecule.atoms])
     mean = centers.mean(axis=0)
-    out = {}
-    for g, (perm, signs) in enumerate(zip(_PERMS, _SIGNS)):
-        images = centers[:, perm] * signs
-        guess = images[0] + (mean - mean[perm] * signs)
-        t = centers[np.argmin(((centers - guess) ** 2).sum(axis=1))] - images[0]
-        atoms = [where.get(tuple(c)) for c in (images + t).tolist()]
-        if None not in atoms and all(z[a] == z[b] for a, b in enumerate(atoms)):
-            out[g] = np.array(atoms)
-    return out
+    images = (centers[:, _PERMS] * _SIGNS).swapaxes(0, 1)  # (g, nucleus, axis)
+    guess = images[:, 0] + (mean - mean[_PERMS] * _SIGNS)
+    nearest = np.argmin(((centers - guess[:, None]) ** 2).sum(axis=2), axis=1)
+    moved = images + (centers[nearest] - images[:, 0])[:, None]
+    match = (moved[:, :, None] == centers).all(axis=3)  # (g, nucleus, b)
+    # the last nucleus b at the image, if several coincide
+    atoms = len(centers) - 1 - np.argmax(match[:, :, ::-1], axis=2)
+    ok = match.any(axis=2).all(axis=1) & (z[atoms] == z).all(axis=1)
+    return {int(g): atoms[g] for g in np.flatnonzero(ok)}
 
 
 @functools.cache
@@ -471,15 +452,15 @@ def direction_orbits(order: int, operations):
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
     """Union of Becke-weighted atomic product grids, built and weighed in
-    blocks of whole radial shells, one row per kept (shell, orbit of the
-    molecule's ``symmetry_operations``).
+    blocks of whole radial shells, one weight per (shell, orbit of the
+    molecule's ``symmetry_operations``), 0.0 where it is screened.
 
     The cell weights are taken at one Lebedev direction per orbit, the
     same bits as at every direction of it (module docstring).
 
     Refuses, before it allocates anything, a grid whose unscreened point
-    count exceeds ``MAX_GRID_POINTS``, the most that its 32-bit point
-    indices address."""
+    count exceeds ``MAX_GRID_POINTS``, the most that the 32-bit point
+    indices of its expanded ``index`` address."""
     if spec is None:
         spec = AtomicGridSpec()
     size, _ = grid_estimate(len(molecule), spec)
@@ -492,15 +473,13 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     directions = ang_pts.T.copy()
     orbits = direction_orbits(spec.lebedev_order, symmetry_operations(centers))
-    reps, inverse = orbits
+    reps = orbits[0]
     n_orbits = len(reps)
     weighed, ang = directions[:, reps], ang_wts[reps]
     shells = max(1, _BLOCK // n_orbits)  # per call of the kernel
     radial = np.empty((nat, n_radial))
-    weights = np.empty(nat * n_radial * n_orbits)
-    index = np.empty(len(weights), dtype=np.int32)
+    cells = np.empty((nat * n_radial, n_orbits))
     block = np.empty(3 * min(shells, n_radial) * n_orbits)
-    n = 0
     for a in range(nat):
         r, wr = radial_grid(n_radial, radii[a])
         radial[a] = r
@@ -516,16 +495,11 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                                    stiffness=spec.stiffness,
                                    size_adjust=spec.size_adjust
                                    )[a].reshape(count, -1)
-            w = w.reshape(-1)
-            kept = np.flatnonzero(w >= WEIGHT_SCREEN)
-            weights[n:n + len(kept)] = w[kept]
-            index[n:n + len(kept)] = kept + (a * n_radial + i) * n_orbits
-            n += len(kept)
-    members = np.bincount(inverse)[index[:n] % n_orbits]
-    return MolecularGrid(orbit_weights=weights[:n], orbit_index=index[:n],
-                         n_points=int(members.sum()), radial=radial,
-                         directions=directions, nuclear_orbits=orbits,
-                         molecule=molecule, spec=spec)
+            row = a * n_radial + i
+            # a NaN weight fails the comparison and is screened too
+            cells[row:row + count] = np.where(w >= WEIGHT_SCREEN, w, 0.0)
+    return MolecularGrid(cells=cells, radial=radial, directions=directions,
+                         nuclear_orbits=orbits, molecule=molecule, spec=spec)
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:

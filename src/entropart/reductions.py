@@ -12,7 +12,7 @@ chunk of the grid to each integrand's chunk partial, its dot product
 with the weights, and returns them; ``GridSums`` keeps only what its
 constructor computes. The walk gives it the values at ``_CHUNK``
 representatives of the grid's symmetry orbits at a time, each weighing
-its grid row's weight times its member count (``quadrature.Walk.chunk``),
+its grid cell's weight times its member count (``quadrature.Walk.chunk``),
 and for a field with no symmetry ``_CHUNK`` kept points and their
 weights.
 ``integrals`` takes the partials of every chunk, in grid order, and sums
@@ -45,8 +45,8 @@ values hold only until the next chunk. A row holds one float per point
 the chunk evaluates, one per orbit (``quadrature.Walk.chunk``):
 ``_CHUNK`` = 4096 in every chunk but the last. Beside the coordinates of
 the representatives (3 rows), a chunk holds the weights of the (shell,
-orbit) cells of the shells it spans, per orbit of the grid's rows and
-per orbit of the walk, about a row each, and the slot, shell, orbit,
+orbit) cells of the shells it spans, per orbit of the walk, about a
+row, and the slot, shell, orbit,
 member count and weight of each representative; and for nat atoms,
 nprim primitives, K orbitals, m_A primitives on atom A and
 P = nat(nat+1)/2 pair terms the workspace holds these rows:

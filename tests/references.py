@@ -8,6 +8,10 @@ kernel: one normalized Cartesian Gaussian at one position.
 ``listed_grid`` builds a molecular grid atom by atom into lists, with the
 Becke cell weights taken at every Lebedev direction, and stacks them.
 
+``listed_nuclear_permutations`` finds the atom permutations of the
+symmetry operations one operation and one nucleus at a time, looking
+each image up among the nuclei by its coordinates.
+
 The package integrates the decomposition; ``shannon_point_terms`` gives
 its integrands at each point, whose closure add - nadd = total holds
 pointwise wherever rho > 0. ``walk`` reduces one integration chunk at a
@@ -23,7 +27,8 @@ import numpy as np
 from entropart import lebedev
 from entropart.backends import Workspace, becke_weights_kernel
 from entropart.density import primitive_norm
-from entropart.quadrature import _CHUNK, WEIGHT_SCREEN, Chunk, radial_grid
+from entropart.quadrature import (_CHUNK, _PERMS, _SIGNS, WEIGHT_SCREEN,
+                                  Chunk, radial_grid)
 from entropart.reductions import GridSums, integrals
 from entropart.shannon import safe_log
 
@@ -105,3 +110,23 @@ def listed_grid(molecule, spec, kernel=becke_weights_kernel):
         all_wts.append(w[keep])
         owners.append(np.full(int(keep.sum()), a, dtype=np.int64))
     return np.vstack(all_pts), np.concatenate(all_wts), np.concatenate(owners)
+
+
+def listed_nuclear_permutations(molecule) -> dict:
+    """``quadrature.nuclear_permutations``, one operation at a time: each
+    image of the nuclei, translated so that nucleus 0 lands on the nucleus
+    nearest where the centroid's translation takes it, looked up by its
+    exact coordinates."""
+    centers = molecule.positions
+    z = [atom.z for atom in molecule.atoms]
+    where = {tuple(c): b for b, c in enumerate(centers.tolist())}
+    mean = centers.mean(axis=0)
+    out = {}
+    for g, (perm, signs) in enumerate(zip(_PERMS, _SIGNS)):
+        images = centers[:, perm] * signs
+        guess = images[0] + (mean - mean[perm] * signs)
+        t = centers[np.argmin(((centers - guess) ** 2).sum(axis=1))] - images[0]
+        atoms = [where.get(tuple(c)) for c in (images + t).tolist()]
+        if None not in atoms and all(z[a] == z[b] for a, b in enumerate(atoms)):
+            out[g] = np.array(atoms)
+    return out

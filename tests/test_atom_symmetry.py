@@ -21,6 +21,7 @@ from entropart.molecule import Molecule
 from entropart.quadrature import (AtomicGridSpec, build_molecular_grid,
                                   integrate, nuclear_permutations)
 from entropart.reductions import _group, integrals, symmetrized
+from references import listed_nuclear_permutations
 
 ALPHAS = (0.5, 2.0, 3.0)
 SPEC = AtomicGridSpec(n_radial=60, lebedev_order=110)
@@ -78,6 +79,33 @@ def test_nuclear_permutations_match_elements():
     assert all(atoms.tolist() == [0, 1] for atoms in heh.values())
     off = Molecule([("H", (0.1, 0.2, 0.3)), ("H", (0.5, -0.4, 1.5))])
     assert list(nuclear_permutations(off)) == [0]
+
+
+def _square(half, centre=None):
+    corners = [("H", (x * half, y * half, 0.0))
+               for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    return Molecule(([(centre, (0.0, 0.0, 0.0))] if centre else []) + corners)
+
+
+@pytest.mark.parametrize("mol", [
+    Molecule.h2(1.4),
+    Molecule([("He", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, 1.4))]),
+    Molecule([("H", (0.1, 0.2, 0.3)), ("H", (0.5, -0.4, 1.5))]),
+    _square(1.1),
+    # two H8 chains: one mirrored about its centre exactly, and one whose
+    # mirror image misses its nuclei by rounding
+    Molecule([("H", (0.0, 0.0, 1.8 * (i - 3.5))) for i in range(8)]),
+    Molecule([("H", (0.0, 0.0, 1.6514 * i)) for i in range(8)]),
+    Molecule([("H", (0.0, 0.0, 0.0))]),
+    _square(1.5, centre="Li"),
+], ids=["h2", "heh", "off-axis", "h4-square", "h8-centred", "h8-from-0",
+        "atom", "li-h4"])
+def test_nuclear_permutations_are_the_listed_ones(mol):
+    got, want = nuclear_permutations(mol), listed_nuclear_permutations(mol)
+    assert list(got) == list(want) and all(type(g) is int for g in got)
+    for g, atoms in want.items():
+        assert got[g].dtype == atoms.dtype
+        assert got[g].tolist() == atoms.tolist()
 
 
 @pytest.mark.parametrize("method", ["hf", "hl", "fci"])

@@ -399,7 +399,7 @@ def test_gram_partials_count_in_the_memory_check(alphas, refused, tmp_path,
     # H20 on the default grid, a px primitive on one atom and a py on the
     # next, each in an orbital with an s primitive two atoms on, so that
     # no operation but the identity maps the field onto itself and the
-    # walk evaluates every kept point: 3.4 MB of grid rows (12 bytes per
+    # walk evaluates every kept point: 2.2 MB of grid cells (8 bytes per
     # radial shell and orbit of the nuclei's 35 per shell) fit in 100 MB
     # of physical memory, the 134 MB of order-2 Gram partials do not
     path = _h20_wfn(tmp_path, [2, 3] + [1] * 18, admixture=0.5)
@@ -420,12 +420,12 @@ def test_the_memory_check_counts_the_points_the_walk_evaluates(
         tmp_path, monkeypatch, capsys):
     # with s primitives the walk evaluates at most 35 of the 194
     # directions of each of the 20 x 400 shells, 280,000 points in 69
-    # chunks: 3,360,000 bytes of grid rows, 12 per shell and orbit, and
-    # 2 x 69 x 22,155 Gram entries of 8 bytes, 27,819,120 bytes in all,
+    # chunks: 2,240,000 bytes of grid cells, 8 per shell and orbit, and
+    # 2 x 69 x 22,155 Gram entries of 8 bytes, 26,699,120 bytes in all,
     # where every direction would take 134 MB of Gram partials
     argv = ["analyze", str(_h20_wfn(tmp_path, [1] * 20)), "--alphas", "2"]
-    need = 280_000 * 12 + 2 * 69 * 22_155 * 8
-    assert need == 27_819_120
+    need = 280_000 * 8 + 2 * 69 * 22_155 * 8
+    assert need == 26_699_120
     code, err = _memory_check(monkeypatch, capsys, argv, need - 4096)
     assert code == 2 and err.startswith(
         "error: a grid of 1552000 points with its order-2 Gram partials "
@@ -437,7 +437,7 @@ def test_the_memory_check_counts_grid_rows_unless_points_are_expanded(
         tmp_path, monkeypatch, capsys):
     # H2 on the z axis on the default grid: 155,200 product-grid points,
     # 1,862,400 bytes expanded, but 2 x 400 shells of 35 orbits held,
-    # 336,000 bytes; analyze walks the rows, grid-dump expands the points
+    # 224,000 bytes; analyze walks the cells, grid-dump expands the points
     import numpy as np
 
     from entropart import PrimitiveBasis, build_document, write_wfn
@@ -449,7 +449,7 @@ def test_the_memory_check_counts_grid_rows_unless_points_are_expanded(
     path.write_text(write_wfn(build_document(
         mol, basis, [(2.0, -0.5, np.array([0.5, 0.5]))], title="H2")))
     memory = 1_000_000
-    assert 336_000 < memory < 1_862_400
+    assert 224_000 < memory < 1_862_400
     assert _memory_check(monkeypatch, capsys, ["analyze", str(path)],
                          memory) is None
     code, err = _memory_check(monkeypatch, capsys,

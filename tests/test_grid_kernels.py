@@ -29,8 +29,8 @@ from entropart.backends import (EXP_UNDERFLOW, becke_weights_kernel,
                                 eval_primitives)
 from entropart.density import TYPE_POWS, PrimitiveBasis
 from entropart.molecule import Molecule
-from entropart.quadrature import (_BLOCK, _CHUNK, AtomicGridSpec,
-                                  build_molecular_grid, grid_estimate)
+from entropart.quadrature import (_BLOCK, _CHUNK, WEIGHT_SCREEN,
+                                  AtomicGridSpec, build_molecular_grid)
 from references import listed_grid
 
 FIXED = settings(derandomize=True, deadline=None, database=None,
@@ -272,17 +272,17 @@ def test_blocked_grid_is_the_listed_build(mol, spec, kernel, weighed, blocks,
     (_h_chain(8, 1.8), AtomicGridSpec(n_radial=400, lebedev_order=194)),
 ], ids=["h-1000x434", "h2-400x194", "h2-1000x434", "h8-400x194"])
 def test_grid_build_working_set_does_not_grow_with_the_grid(mol, spec):
-    # beyond the grid's own arrays the build holds the kernel's 2 nat + 9
-    # floats per weighed point of at most _BLOCK, and one part of at most
-    # _BLOCK gathered weights (2.7 MiB traced at nat = 8), whatever the
+    # beyond the grid's own table the build holds the kernel's 2 nat + 9
+    # floats per weighed point of at most _BLOCK, and one block of at most
+    # _BLOCK screened weights (2.5 MiB traced at nat = 8), whatever the
     # size of the grid
     tracemalloc.start()
     try:
-        build_molecular_grid(mol, spec)
+        grid = build_molecular_grid(mol, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    excess = peak - grid_estimate(len(mol), spec)[1]
+    excess = peak - grid.cells.nbytes
     assert excess < 4 * 2 ** 20, excess / 2 ** 20
 
 
@@ -323,31 +323,35 @@ def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
 
 
 def test_grid_holds_weights_and_indices_per_point():
-    # the grid stores one weight and one 32-bit index per kept (radial
-    # shell, orbit of directions), 12 bytes a row; the kept-point arrays
-    # are built from them on each access, not kept
-    for mol, spec, rows, kept in [
+    # the grid stores one float64 weight per (radial shell, orbit of
+    # directions), 0.0 where the orbit was screened, in one table of its
+    # own, 8 bytes a cell; the kept-point arrays, their weights and 32-bit
+    # indices, are built from it on each access, not kept
+    for mol, spec, cells, kept in [
             # on the z axis, 70 of 434 and 35 of 194 orbits of directions
             # per shell
             (_h_chain(2, 1.4), AtomicGridSpec(n_radial=1000, lebedev_order=434),
              138_278, 862_258),
             (_h_chain(8, 1.8), AtomicGridSpec(), 106_078, 600_784),
-            # only the identity fixes these nuclei: one row per kept point
+            # only the identity fixes these nuclei: one cell per direction
             (OHLI, AtomicGridSpec(n_radial=150, lebedev_order=110),
              48_815, 48_815)]:
         grid = build_molecular_grid(mol, spec)
-        per_row = {f.name for f in dataclasses.fields(grid)
-                   if isinstance(getattr(grid, f.name), np.ndarray)
-                   and getattr(grid, f.name).shape == (rows,)}
-        assert per_row == {"orbit_weights", "orbit_index"}
-        assert grid.orbit_index.dtype == np.int32
-        assert grid.orbit_weights.dtype == np.float64
-        assert grid.orbit_index.nbytes + grid.orbit_weights.nbytes == 12 * rows
+        n_orbits = len(grid.nuclear_orbits[0])
+        shape = (len(mol) * spec.n_radial, n_orbits)
+        tables = {f.name for f in dataclasses.fields(grid)
+                  if isinstance(getattr(grid, f.name), np.ndarray)
+                  and getattr(grid, f.name).shape == shape}
+        assert tables == {"cells"}
+        assert grid.cells.dtype == np.float64
+        assert grid.cells.flags.c_contiguous and grid.cells.base is None
+        assert grid.cells.nbytes == 8 * len(mol) * spec.n_radial * n_orbits
+        assert np.count_nonzero(grid.cells) == cells
+        assert (grid.cells[grid.cells != 0] >= WEIGHT_SCREEN).all()
         assert len(grid) == kept
         assert grid.radial.shape == (len(mol), spec.n_radial)
         assert grid.directions.shape == (3, spec.lebedev_order)
-        # the indices increase along the grid, rows and kept points alike
-        assert (np.diff(grid.orbit_index) > 0).all()
+        # the indices increase along the kept points
         index, weights = grid.index, grid.weights
         assert index.dtype == np.int32 and weights.dtype == np.float64
         assert len(index) == len(weights) == kept

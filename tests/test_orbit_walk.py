@@ -183,7 +183,7 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     # the kept points of one shell whose directions share an orbit, in
     # (shell, orbit) order, 4096 to a chunk; it is the image of every
     # member under an operation, exactly; every member carries the weight
-    # of its row of the grid, bit for bit, and the representative weighs
+    # of its cell of the grid, bit for bit, and the representative weighs
     # that weight times its member count, exactly, their sum to rounding
     field = _h8_field(h8_wfn_path)
     grid = build_molecular_grid(field.molecule, SPEC)
@@ -194,9 +194,8 @@ def test_orbit_chunks_are_their_members_summed(h8_wfn_path):
     reps, inverse = orbits
     n_ang, positions = grid.directions.shape[1], grid.points
     weights, row_orbit = grid.weights, grid.nuclear_orbits[1]
-    n_rows = len(grid.nuclear_orbits[0])
-    rows = {divmod(int(k), n_rows): w
-            for k, w in zip(grid.orbit_index, grid.orbit_weights)}
+    rows = {(int(shell), int(o)): grid.cells[shell, o]
+            for shell, o in zip(*np.nonzero(grid.cells))}
     members = {}
     for k, flat in enumerate(grid.index.tolist()):
         shell, j = divmod(flat, n_ang)
