@@ -116,7 +116,7 @@ def analyze_field(field: PairDensityField, grid: MolecularGrid,
     Then the normalization check, before any result is built.
     """
     alphas = list(dict.fromkeys(_validate_alpha(a) for a in alphas))
-    sums = GridSums(field.pair_keys, alphas, grid)
+    sums = GridSums(field.pair_keys, alphas)
     operations, permutations = field.symmetry()
     walk = grid.walk(operations)
     cap = walk.evaluated * len(field.pair_keys) // WORK_PER_WORKER

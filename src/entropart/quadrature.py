@@ -37,7 +37,10 @@ atom at the origin 7,598 of 77,594 in 2. Over the identity's orbits the
 representatives are the kept points themselves, in order, with their
 weights, bit for bit. Coordinates are formed one chunk at a time, the way the
 build forms them (r * u, then plus the centre, per axis), so they are
-the same bits each time.
+the same bits each time, as are the grid's ``points``. An orbit's
+representative is its lowest kept member (its lowest direction, and
+screening keeps an orbit whole), so a chunk holds the position of the
+point that a non-finite value's error names.
 
 Each atom grid is weighed in blocks of whole radial shells, at most
 ``_BLOCK`` weighed points each (one shell of every supported Lebedev
@@ -107,9 +110,9 @@ def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
     RSS of about 1.0 MiB over the grid's arrays for two atoms and 2.2 MiB
     for the H8 chain on the default grid. Nor what an analysis on the grid
     needs: each worker of its walk holds one chunk workspace, which the
-    ``reductions`` docstring lists, and the walk one integer per radial
-    shell (``Walk``). The field adds P = nat(nat+1)/2 pair
-    blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
+    ``reductions`` docstring lists, and the walk four numbers per radial
+    shell and six per orbit (``Walk``). The field adds P = nat(nat+1)/2
+    pair blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
     atoms with m_A and m_B primitives, plus the nprim**2 coefficient
     matrix only when it is asked for. At order 2 the chunks' partials,
     held until ``reductions.integrals`` sums them, also hold Gram partials
@@ -199,10 +202,10 @@ class MolecularGrid:
     points are the members of every nonzero cell, ``len`` of them, in the
     order of their flat index a * n_radial * n_ang + i * n_ang + j.
     ``walk`` gives the chunks of a walk over the orbits of some
-    operations, one point per orbit; ``chunk``, ``chunks`` and
-    ``position`` are the walk over the identity's orbits, the kept points
-    themselves. ``weights``, ``index``, ``points`` and ``owner_atom``
-    build the whole kept-point arrays on each access and keep nothing.
+    operations, one point per orbit; over the identity's orbits
+    (``walk([0])``) these are the kept points themselves. ``weights``,
+    ``index``, ``points`` and ``owner_atom`` build the whole kept-point
+    arrays on each access from one expansion, and keep nothing.
     """
     cells: np.ndarray          # (nat * n_radial, len(reps)) bohr^3
     radial: np.ndarray         # (nat, n_radial) radial nodes, bohr
@@ -225,61 +228,50 @@ class MolecularGrid:
                                symmetry_operations(self.molecule.positions))
         return Walk(self, direction_orbits(self.spec.lebedev_order, fixed))
 
-    def _kept(self):
-        """(flat index, weight) of the kept points, per block of whole
-        shells of at most ``_BLOCK`` product-grid points."""
-        inverse = self.nuclear_orbits[1]
-        n_ang, n_shells = len(inverse), len(self.cells)
-        step = max(1, _BLOCK // n_ang)
-        for s in range(0, n_shells, step):
+    def _expanded(self):
+        """(flat index, owner atom, weight, point (3,)) of the kept points
+        in order, as arrays per block of whole shells of at most ``_BLOCK``
+        product-grid points, each point formed as a walk forms it."""
+        inverse, n_radial = self.nuclear_orbits[1], self.spec.n_radial
+        n_ang, step = len(inverse), max(1, _BLOCK // len(inverse))
+        centre = np.repeat(self.molecule.positions.T, n_radial, axis=1)
+        for s in range(0, len(self.cells), step):
             w = self.cells[s:s + step, inverse].reshape(-1)
             kept = np.flatnonzero(w)
-            yield kept + s * n_ang, w[kept]
+            flat = kept + s * n_ang
+            shell, j = np.divmod(flat, n_ang)
+            pts = (np.take(self.radial, shell)
+                   * np.take(self.directions, j, axis=1))
+            pts += np.take(centre, shell, axis=1)
+            yield flat, shell // n_radial, w[kept], pts.T
 
     @property
     def weights(self):
         """(npts,) float64 weight of each kept point, in bohr^3, built on
         each access."""
-        return np.concatenate([w for _, w in self._kept()])
+        return np.concatenate([w for _, _, w, _ in self._expanded()])
 
     @property
     def index(self):
         """(npts,) int32 flat index of each kept point into the product
         grid, built on each access."""
-        return np.concatenate([k for k, _ in self._kept()]).astype(np.int32)
-
-    def chunk(self, i, work=None):
-        """(start, points) of chunk i, the ``_CHUNK`` kept points from
-        start = i * ``_CHUNK``: the walk over the identity's orbits, so
-        points (n, 3) are the kept points in order, formed as the build
-        forms them, valid until the next chunk is formed in ``work``."""
-        return i * _CHUNK, self.walk([0]).chunk(i, work).points
-
-    def chunks(self):
-        """(start, points) of every chunk in order, as ``chunk`` gives
-        them, in one buffer."""
-        walk, work = self.walk([0]), Workspace()
-        for i in range(len(walk)):
-            yield i * _CHUNK, walk.chunk(i, work).points
-
-    def position(self, k):
-        """The coordinates of kept point k, formed as ``chunk`` forms them."""
-        return self.chunk(k // _CHUNK)[1][k % _CHUNK].copy()
+        return np.concatenate([k for k, _, _, _ in self._expanded()]
+                              ).astype(np.int32)
 
     @property
     def points(self):
         """(npts, 3) coordinates in bohr, built on each access."""
-        out = np.empty((len(self), 3))
-        for start, pts in self.chunks():
+        out, start = np.empty((len(self), 3)), 0
+        for *_, pts in self._expanded():
             out[start:start + len(pts)] = pts
+            start += len(pts)
         return out
 
     @property
     def owner_atom(self):
         """(npts,) int64 atom whose shell produced each point, built on each
         access."""
-        per_atom = self.spec.n_radial * self.directions.shape[1]
-        return (self.index // per_atom).astype(np.int64)
+        return np.concatenate([a for _, a, _, _ in self._expanded()])
 
 
 class Walk:
@@ -365,9 +357,8 @@ class Chunk:
     chunk of a ``Walk`` the representatives (m, 3) it evaluates, the
     member count of each and the walk.
 
-    start is the chunk's first kept point, or for a walk's chunk its first
-    representative. Without a walk, the chunk's points are the kept points
-    from start, in order.
+    start is the chunk's first representative, or for a chunk of bare
+    weights the index of its first weight among them.
     """
     start: int
     weights: np.ndarray
@@ -376,7 +367,7 @@ class Chunk:
     walk: Walk | None = None
 
     def first_kept(self, bad) -> int:
-        """The global index of the lowest kept point whose point, or
+        """The global index of the lowest point whose weight, or
         representative, bad (m,) flags; it flags one. For a walk's chunk,
         the lowest member of the first flagged representative, found by
         ``Walk.first_kept`` only here, so a chunk that raises no error pays
@@ -503,50 +494,61 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
 
 
 def integrate(field, grid: MolecularGrid | None = None, weights=None) -> float:
-    """Deterministic quadrature sum of an array of point values.
+    """Deterministic quadrature sum of an array of point values over a
+    grid's kept points or over explicit weights, not both.
 
     The reduction uses fixed-size chunks with an exactly rounded sum of the
     chunk partials, so repeated runs over the same grid agree bit for bit
-    regardless of threading in the caller.
+    regardless of threading in the caller. Over a grid the chunks are its
+    walk's over the identity, the kept points weighing their weights times
+    1, exactly, so a non-finite value's error names its position too.
     """
-    if weights is None:
-        if grid is None:
-            raise ValueError("need a grid or explicit weights")
-        weights = grid.weights
-    weights = np.asarray(weights, dtype=float)
+    if (grid is None) == (weights is None):
+        raise ValueError("need a grid or explicit weights" if grid is None
+                         else "need a grid or explicit weights, not both")
     if callable(field):
         raise ValueError("field must be an array of point values, "
                          "not a callable")
     values = np.asarray(field, dtype=float)
-    if values.shape != weights.shape:
-        raise ValueError(f"field has shape {values.shape}, expected {weights.shape}")
+    if grid is None:
+        weights = np.asarray(weights, dtype=float)
+        shape = weights.shape
+        chunks = (Chunk(start, weights[start:start + _CHUNK])
+                  for start in range(0, len(weights), _CHUNK))
+    else:
+        walk = grid.walk([0])
+        shape, chunks = (walk.evaluated,), map(walk.chunk, range(len(walk)))
+    if values.shape != shape:
+        raise ValueError(f"field has shape {values.shape}, expected {shape}")
     return math.fsum(
-        float(chunk_partials(values[start:start + _CHUNK],
-                             Chunk(start, weights[start:start + _CHUNK]),
-                             grid)[0])
-        for start in range(0, len(weights), _CHUNK))
+        float(chunk_partials(values[c.start:c.start + len(c.weights)], c)[0])
+        for c in chunks)
 
 
-def chunk_partials(values, chunk: Chunk, grid=None) -> np.ndarray:
+def chunk_partials(values, chunk: Chunk) -> np.ndarray:
     """The partials of ``integrate`` over one chunk, one per row of values
     ((m,) or (rows, m)): each row's dot product with the chunk's weights
     (m,). A non-finite value raises ``nonfinite_error`` at the first row
     that holds one, naming the chunk's ``first_kept`` of its non-finite
-    values: the lowest kept point whose orbit's value is not finite."""
+    values, the lowest kept point whose orbit's value is not finite, and
+    for a walk's chunk its position, the representative's (module
+    docstring)."""
     rows = np.atleast_2d(values)
     partials = np.array([np.dot(row, chunk.weights) for row in rows])
     if not np.isfinite(partials).all():
         for row in rows:
             bad = ~np.isfinite(row)
             if bad.any():
-                raise nonfinite_error(chunk.first_kept(bad), grid)
+                j = np.argmax(bad)
+                at = None if chunk.points is None else chunk.points[j]
+                raise nonfinite_error(chunk.first_kept(bad), at)
     return partials
 
 
-def nonfinite_error(index: int, grid: MolecularGrid | None = None):
+def nonfinite_error(index: int, position=None):
     """The error for a non-finite field value at kept point ``index``,
-    with its position when the grid is known."""
+    with its position (3,) when it is known."""
     where = f" at point index {index}"
-    if grid is not None:
-        where += f", position {grid.position(index)}"
+    if position is not None:
+        where += f", position {position}"
     return ValueError(f"non-finite field value{where}")

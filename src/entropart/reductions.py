@@ -29,10 +29,11 @@ without symmetry, to rounding with it.
 
 ``chunk`` keeps nothing, so any worker may reduce a chunk. It raises at
 the first check the chunk fails, in the order it computes the
-integrals: a non-finite density or integrand, with the global index and
-position of its first kept point as ``integrate`` reports it (for a
-walk's chunk, the lowest kept point whose orbit's value is not finite,
-found only then, by ``quadrature.Chunk.first_kept``), and, at
+integrals: a non-finite density or integrand, with the global index of
+the lowest kept point whose orbit's value is not finite, found only
+then, by ``quadrature.Chunk.first_kept``, and that point's position,
+which is the representative's in the chunk (``quadrature.chunk_partials``
+formats both as ``integrate`` does), and, at
 fractional orders, an atomic net density below the clamp threshold. The
 caller maps the chunks in grid order and raises the first chunk that
 fails, so the error is the serial walk's.
@@ -46,8 +47,8 @@ the chunk evaluates, one per orbit (``quadrature.Walk.chunk``):
 ``_CHUNK`` = 4096 in every chunk but the last. Beside the coordinates of
 the representatives (3 rows), a chunk holds the weights of the (shell,
 orbit) cells of the shells it spans, per orbit of the walk, about a
-row, and the slot, shell, orbit,
-member count and weight of each representative; and for nat atoms,
+row, the slots of the nonzero ones, and the slot, shell, orbit, member
+count and weight of each representative; and for nat atoms,
 nprim primitives, K orbitals, m_A primitives on atom A and
 P = nat(nat+1)/2 pair terms the workspace holds these rows:
 
@@ -116,18 +117,15 @@ class GridSums:
     pair_keys orders the rows of the pair-term stacks given to ``chunk``, and
     alphas are the orders whose moments of rho and of the atomic net
     densities are taken. The Shannon integrals are always taken, and the
-    Gram matrix of the pair terms when 2.0 is among the orders. grid (a
-    ``quadrature.MolecularGrid``, or None over bare arrays) places the
-    points named in a non-finite value's error.
+    Gram matrix of the pair terms when 2.0 is among the orders.
     """
 
-    def __init__(self, pair_keys, alphas, grid):
+    def __init__(self, pair_keys, alphas):
         self.pair_keys = list(pair_keys)
         self._diag = np.array([i for i, (a, b) in enumerate(self.pair_keys)
                                if a == b], dtype=np.intp)
         self.alphas = list(alphas)
         self.gram = 2.0 in self.alphas
-        self.grid = grid
         self._upper = np.triu_indices(len(self.pair_keys))
 
     def chunk(self, chunk, rho, terms, work):
@@ -146,7 +144,7 @@ class GridSums:
         def keep(family, values):
             """The family's partial, one per row, as ``integrate`` takes
             it, or the error of its first non-finite value."""
-            partials[family] = chunk_partials(values, chunk, self.grid)
+            partials[family] = chunk_partials(values, chunk)
 
         weights = chunk.weights
         n = len(weights)

@@ -77,11 +77,11 @@ def shannon_point_terms(rho, pairs) -> ShannonPointTerms:
 
 
 def walk(weights, rho, pairs, alphas) -> dict:
-    """The ``integrals`` of ``GridSums(sorted(pairs), alphas, None)`` over
+    """The ``integrals`` of ``GridSums(sorted(pairs), alphas)`` over
     whole arrays; pairs maps each pair key to its array."""
     keys = sorted(pairs)
     terms = np.array([pairs[k] for k in keys])
-    sums, work = GridSums(keys, alphas, None), Workspace()
+    sums, work = GridSums(keys, alphas), Workspace()
     return integrals([
         sums.chunk(Chunk(start, weights[start:start + _CHUNK]),
                    rho[start:start + _CHUNK],

@@ -307,7 +307,9 @@ def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
     assert owner.dtype == np.int64 and np.array_equal(owner, owners)
     starts, crossing, screened = [], 0, 0
     n_ang = spec.lebedev_order
-    for start, chunk in grid.chunks():
+    walk = grid.walk([0])  # the kept points themselves
+    for c in map(walk.chunk, range(len(walk))):
+        start, chunk = c.start, c.points
         stop = start + len(chunk)
         starts.append(start)
         assert chunk.shape == (min(_CHUNK, len(grid) - start), 3)
@@ -316,7 +318,8 @@ def test_chunk_coordinates_are_the_listed_build(mol, spec, kernel, across):
         index = flat[start:stop]
         screened += index[-1] - index[0] + 1 > len(index)
         k = start + len(chunk) // 2
-        assert np.array_equal(grid.position(k), points[k])
+        assert np.array_equal(walk.chunk(k // _CHUNK).points[k % _CHUNK],
+                              points[k])
         assert divmod(int(flat[k]), n_ang)[0] // spec.n_radial == owner[k]
     assert starts == list(range(0, len(grid), _CHUNK))
     assert (crossing > 0, screened > 0) == across

@@ -58,6 +58,15 @@ def _px_py_h2():
     return _field(mol, [0, 0, 1, 1], [1, 2, 1, 3], [1.0, 0.7, 1.0, 0.7])
 
 
+def _sp_hybrid_h2():
+    """An sp hybrid along x on each atom of H2 on the z axis: the nuclei
+    are fixed by eight operations, the field by the identity and
+    y -> -y."""
+    return _field(Molecule.h2(1.4), [0, 0, 1, 1], [1, 2, 1, 2],
+                  [1.0, 0.7, 1.0, 0.7],
+                  c=np.outer([1.0, 0.8, 1.0, 0.8], [1.0, 0.8, 1.0, 0.8]))
+
+
 def _generic_h3():
     mol = Molecule([("H", (0.1, 0.2, 0.3)), ("H", (0.5, -0.4, 1.5)),
                     ("H", (-0.9, 0.6, 0.8))])
@@ -264,11 +273,10 @@ def test_rows_split_into_the_walks_orbits(mol, spec):
 
 def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(
         monkeypatch, pair_block_calls):
-    # an sp hybrid along x on each atom of H2 on the z axis: negating x and
-    # swapping x and y change it; negating y does not
-    mol = Molecule.h2(1.4)
-    field = _field(mol, [0, 0, 1, 1], [1, 2, 1, 2], [1.0, 0.7, 1.0, 0.7],
-                   c=np.outer([1.0, 0.8, 1.0, 0.8], [1.0, 0.8, 1.0, 0.8]))
+    # negating x and swapping x and y change the hybrid; negating y does
+    # not
+    field = _sp_hybrid_h2()
+    mol = field.molecule
     nuclear = symmetry_operations(mol.positions)
     assert len(nuclear) == 8
     fixes_x = [g for g in nuclear
@@ -286,6 +294,40 @@ def test_an_s_px_hybrid_keeps_only_the_operations_that_fix_it(
     want = _reference(field, grid)
     for family in want:
         assert np.allclose(got[family], want[family], rtol=1e-14, atol=0.0), family
+
+
+def test_a_split_walk_names_the_grid_point_of_a_non_finite_value(
+        monkeypatch):
+    # the hybrid's walk splits each cell of the grid into several of its
+    # orbits; a non-finite density at a representative of its second chunk
+    # names the lowest kept member of the representative's orbit, a point
+    # other than the representative's own number, and that point's
+    # position in the grid, which is the representative's, bit for bit
+    field = _sp_hybrid_h2()
+    grid = build_molecular_grid(field.molecule, SPEC)
+    ops = field.symmetry()[0]
+    walk = grid.walk(ops)
+    assert len(walk.reps) > len(grid.nuclear_orbits[0]) and len(walk) == 2
+    shell, orbit = _pairs(grid, _orbits(grid, ops))
+    first = np.unique(shell * len(walk.reps) + orbit, return_index=True)[1]
+    rep = _CHUNK + 300
+    index = int(first[rep])
+    assert index != rep
+    assert np.array_equal(grid.points[index], walk.chunk(1).points[300])
+    evaluate, calls = field.pair_block, []
+
+    def pair_block(points, work=None, counts=None):
+        rho, terms, block = evaluate(points, work, counts)
+        calls.append(len(points))
+        if len(calls) == 2:
+            rho[300] = np.inf
+        return rho, terms, block
+
+    monkeypatch.setattr(field, "pair_block", pair_block)
+    with pytest.raises(ValueError) as info:
+        analyze_field(field, grid, jobs=1)
+    assert str(info.value) == (f"non-finite field value at point index "
+                               f"{index}, position {grid.points[index]}")
 
 
 def test_a_field_invariant_under_more_than_its_primitives_walks_them_all(
@@ -327,8 +369,9 @@ def test_a_symmetric_walk_counts_clamps_at_every_grid_point(pair_block_calls):
     field = _field(mol, [0, 1], [1, 1], [1.0, 1.0], c=c)
     grid = build_molecular_grid(mol, SPEC)
     full = ClampDiagnostics()
-    for i in range(-(-len(grid) // _CHUNK)):
-        full += field.pair_block(grid.chunk(i)[1])[2]
+    identity = grid.walk([0])  # the kept points themselves
+    for i in range(len(identity)):
+        full += field.pair_block(identity.chunk(i).points)[2]
     assert full.clamped > 0 and full.negated > 0
     del pair_block_calls[:]
     with warnings.catch_warnings(record=True) as caught:

@@ -285,11 +285,14 @@ def test_each_chunk_is_the_walks_chunk():
     spans = [np.ptp(index[s:s + _CHUNK]) + 1
              for s in range(0, len(grid), _CHUNK)]
     assert max(spans) > _CHUNK  # a chunk with screened points among its own
-    serial = [(start, pts.copy()) for start, pts in grid.chunks()]
+    walk, one = grid.walk([0]), Workspace()  # the kept points themselves
+    serial = [(c.start, c.points.copy())
+              for c in (walk.chunk(i, one) for i in range(len(walk)))]
     assert len(serial) == 5 and len(serial[-1][1]) < _CHUNK
     work = Workspace()
     for i in (4, 0, 3, 1, 2):
-        for start, pts in (grid.chunk(i), grid.chunk(i, work)):
+        for start, pts in ((c.start, c.points)
+                           for c in (walk.chunk(i), walk.chunk(i, work))):
             assert start == serial[i][0] == i * _CHUNK
             assert pts.shape == serial[i][1].shape
             assert np.array_equal(pts, serial[i][1])
@@ -321,7 +324,7 @@ def test_a_non_finite_density_in_a_childs_share(cpus, monkeypatch):
     serial = _message(lambda: analyze_field(field, grid, jobs=1))
     index = _kept(field, grid, 1, 7)
     assert serial == (ValueError, f"non-finite field value at point index "
-                                  f"{index}, position {grid.position(index)}")
+                                  f"{index}, position {grid.points[index]}")
     _force(monkeypatch, cpus)
     assert _message(lambda: analyze_field(field, grid, jobs=cpus)) == serial
 
@@ -362,7 +365,7 @@ def test_a_non_finite_pair_integrand_keeps_its_first_point(cpus, monkeypatch):
     serial = _message(lambda: analyze_field(field, grid, jobs=1))
     index = _kept(field, grid, 1, 9)
     assert serial == (ValueError, f"non-finite field value at point index "
-                                  f"{index}, position {grid.position(index)}")
+                                  f"{index}, position {grid.points[index]}")
     _force(monkeypatch, cpus)
     assert _message(lambda: analyze_field(field, grid, jobs=cpus)) == serial
 
@@ -487,8 +490,9 @@ def test_clamp_counts_are_summed_with_one_warning(cpus, monkeypatch):
 def test_pair_block_returns_its_counts_and_leaves_the_field():
     field, grid = _clamped_h2()
     counts = ClampDiagnostics()
-    for i in range(-(-len(grid) // _CHUNK)):
-        counts += field.pair_block(grid.chunk(i)[1])[2]
+    walk = grid.walk([0])  # the kept points themselves
+    for i in range(len(walk)):
+        counts += field.pair_block(walk.chunk(i).points)[2]
     assert field.diagnostics == ClampDiagnostics()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

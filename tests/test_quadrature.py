@@ -119,6 +119,10 @@ def test_integrate_callable_and_checks():
         integrate(np.ones(7), grid)
     with pytest.raises(ValueError, match="grid or explicit weights"):
         integrate(np.ones(7))
+    # weights that are not the grid's would have errors name wrong points
+    with pytest.raises(ValueError, match=(
+            "^need a grid or explicit weights, not both$")):
+        integrate(values, grid, weights=grid.weights)
 
 
 def test_integrate_refuses_a_callable():

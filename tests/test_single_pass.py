@@ -100,7 +100,7 @@ def test_non_finite_integrand_keeps_its_global_point_index():
     index = int(np.argmax(~np.isfinite(rho ** 3)))
     assert index >= _CHUNK
     message = (f"^non-finite field value at point index {index}, position "
-               f"{re.escape(str(grid.position(index)))}$")
+               f"{re.escape(str(grid.points[index]))}$")
     with pytest.raises(ValueError, match=message):
         analyze_field(field, grid, alphas=(3.0,))
     # it is raised before a wrong electron count, which is reported
