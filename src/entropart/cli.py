@@ -177,30 +177,28 @@ class Settings:
     def grid_comment(self):
         return "grid: " + " ".join(f"{k}={v}" for k, v in self.grid.items())
 
-    def require_grid_fits(self, molecule, alphas=(), operations=None):
+    def require_grid_fits(self, molecule, alphas=(), operations=None,
+                          workers=1):
         """Refuse, before anything is allocated, a grid on the molecule's
         nuclei larger than memory or than the int32 ``index`` of its
         expanded kept points addresses (``MAX_GRID_POINTS``, counted
-        before screening). An analysis walks the grid at one point per
+        before screening). Each of ``workers`` processes that run at once
+        holds the grid's ``cells`` (``grid_estimate``) and, when order 2
+        is among alphas, the Gram partials of a walk at one point per
         orbit of ``operations`` (operations that fix every nucleus, as
-        ``PairDensityField.symmetry`` gives them) in each radial shell:
-        it needs the grid's 8 bytes per (shell, orbit of the nuclei's
-        ``symmetry_operations``) and, when it takes order 2 among alphas,
-        the Gram partials that grow with the points it evaluates. Without
-        operations the grid is not walked but its kept points are
-        expanded, 12 bytes per product-grid point."""
+        ``PairDensityField.symmetry`` gives them) in each radial shell,
+        which grow with the points it evaluates."""
         spec = self.grid_spec
-        points, nbytes = grid_estimate(len(molecule), spec)
+        points, nbytes = grid_estimate(molecule, spec)
         what = f"a grid of {points} points"
-        if operations is not None:
-            order, shells = spec.lebedev_order, len(molecule) * spec.n_radial
-            nuclear = symmetry_operations(molecule.positions)
-            # a float64 per (shell, orbit), MolecularGrid.cells
-            nbytes = 8 * shells * len(direction_orbits(order, nuclear)[0])
-            if 2.0 in alphas:
-                evaluated = shells * len(direction_orbits(order, operations)[0])
-                nbytes += gram_partials_bytes(len(molecule), evaluated)
-                what += " with its order-2 Gram partials"
+        if 2.0 in alphas:
+            orbits = direction_orbits(spec.lebedev_order, operations)[0]
+            evaluated = len(molecule) * spec.n_radial * len(orbits)
+            nbytes += gram_partials_bytes(len(molecule), evaluated)
+            what += " with its order-2 Gram partials"
+        if workers > 1:
+            what += f" on each of {workers} workers"
+        nbytes *= workers
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, OSError, ValueError):
@@ -429,11 +427,14 @@ def cmd_sweep(args):
         raise UsageError(f"--emit-plot-script writes {stem}.gp and its plot "
                          f"{stem}.png, so --out cannot be either of them")
     h2 = Molecule.h2(settings.distances[0])
-    # the models' s primitives keep every operation that fixes the nuclei
+    tasks = len(settings.distances) + 1
+    # the models' s primitives keep every operation that fixes the nuclei;
+    # each worker holds its own row's grid and walk
     settings.require_grid_fits(h2, settings.alphas,
-                               symmetry_operations(h2.positions))
+                               symmetry_operations(h2.positions),
+                               parallel.workers(settings.jobs, tasks))
     *results, atom = parallel.map(functools.partial(_sweep_task, settings),
-                                  len(settings.distances) + 1, settings.jobs)
+                                  tasks, settings.jobs)
 
     block = _reference_block(settings, atom)
     rows = [[*_flat_leaves({"R": res.separation, "E_total": res.energy}),
@@ -549,7 +550,8 @@ def cmd_grid_dump(args):
         stream.write(f"# entropart {__version__} grid-dump: {what}\n")
         stream.write(f"# {settings.grid_comment()}\n")
         stream.write("x,y,z,weight,owner_atom\n")
-        for _, owners, weights, points in grid._expanded():
+        for flat, weights in grid._kept():
+            points, owners = grid._placed(flat)
             for p, w, o in zip(points, weights, owners):
                 stream.write(f"{_fnum(p[0])},{_fnum(p[1])},{_fnum(p[2])},"
                              f"{_fnum(w)},{int(o)}\n")

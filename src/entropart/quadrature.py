@@ -95,33 +95,15 @@ class AtomicGridSpec:
             raise ValueError(f"stiffness must be in [1, {MAX_STIFFNESS}]")
 
 
-def grid_estimate(n_atoms: int, spec: AtomicGridSpec):
-    """(points, bytes) of a molecular grid before it is built.
-
-    Points are counted before weight screening. Bytes are an upper bound
-    on the grid's arrays for any molecule: those of the kept-point arrays
-    ``weights`` and ``index`` that the grid builds on access, a float64
-    weight and an int32 point index per point, 12 bytes. The grid itself
-    keeps 8 bytes per (radial shell, orbit of directions), one per point
-    only where no operation but the identity fixes the nuclei.
-    Not counted, because they do not grow with the points: the radial nodes
-    (nat * n_radial floats) and the Lebedev directions, and the working set
-    while one block of radial shells is weighed (module docstring), a peak
-    RSS of about 1.0 MiB over the grid's arrays for two atoms and 2.2 MiB
-    for the H8 chain on the default grid. Nor what an analysis on the grid
-    needs: each worker of its walk holds one chunk workspace, which the
-    ``reductions`` docstring lists, and the walk four numbers per radial
-    shell and six per orbit (``Walk``). The field adds P = nat(nat+1)/2
-    pair blocks of at most min(K, m_A) min(K, m_B) floats for K orbitals and
-    atoms with m_A and m_B primitives, plus the nprim**2 coefficient
-    matrix only when it is asked for. At order 2 the chunks' partials,
-    held until ``reductions.integrals`` sums them, also hold Gram partials
-    that grow with the points the walk evaluates, at most nat * n_radial
-    times the orbits per shell of the walk's operations;
-    ``reductions.gram_partials_bytes`` counts them.
-    """
-    points = n_atoms * spec.n_radial * spec.lebedev_order
-    return points, points * 12
+def grid_estimate(molecule: Molecule, spec: AtomicGridSpec):
+    """(points, bytes) of a molecular grid before it is built: its
+    product-grid points, counted before weight screening, and the bytes
+    of its ``cells``, a float64 per radial shell and orbit of
+    ``_nuclear_orbits``. What else a build and an analysis hold is
+    listed in README and the ``reductions`` docstring."""
+    shells = len(molecule) * spec.n_radial
+    orbits = len(_nuclear_orbits(molecule, spec)[0])
+    return shells * spec.lebedev_order, 8 * shells * orbits
 
 
 def radial_grid(n: int, bragg_radius: float):
@@ -205,7 +187,8 @@ class MolecularGrid:
     operations, one point per orbit; over the identity's orbits
     (``walk([0])``) these are the kept points themselves. ``weights``,
     ``index``, ``points`` and ``owner_atom`` build the whole kept-point
-    arrays on each access from one expansion, and keep nothing.
+    arrays on each access from the kept flat indices and weights, and
+    keep nothing; only ``points`` forms coordinates.
     """
     cells: np.ndarray          # (nat * n_radial, len(reps)) bohr^3
     radial: np.ndarray         # (nat, n_radial) radial nodes, bohr
@@ -228,50 +211,52 @@ class MolecularGrid:
                                symmetry_operations(self.molecule.positions))
         return Walk(self, direction_orbits(self.spec.lebedev_order, fixed))
 
-    def _expanded(self):
-        """(flat index, owner atom, weight, point (3,)) of the kept points
-        in order, as arrays per block of whole shells of at most ``_BLOCK``
-        product-grid points, each point formed as a walk forms it."""
-        inverse, n_radial = self.nuclear_orbits[1], self.spec.n_radial
+    def _kept(self):
+        """(flat index, weight) of the kept points in order, as arrays per
+        block of whole shells of at most ``_BLOCK`` product-grid points."""
+        inverse = self.nuclear_orbits[1]
         n_ang, step = len(inverse), max(1, _BLOCK // len(inverse))
-        centre = np.repeat(self.molecule.positions.T, n_radial, axis=1)
         for s in range(0, len(self.cells), step):
             w = self.cells[s:s + step, inverse].reshape(-1)
             kept = np.flatnonzero(w)
-            flat = kept + s * n_ang
-            shell, j = np.divmod(flat, n_ang)
-            pts = (np.take(self.radial, shell)
-                   * np.take(self.directions, j, axis=1))
-            pts += np.take(centre, shell, axis=1)
-            yield flat, shell // n_radial, w[kept], pts.T
+            yield kept + s * n_ang, w[kept]
+
+    def _placed(self, flat):
+        """(points (m, 3), owner atoms (m,)) of the kept points at flat
+        indices, each point formed as a walk forms it."""
+        shell, j = np.divmod(flat, self.directions.shape[1])
+        atom = shell // self.spec.n_radial
+        pts = np.take(self.radial, shell) * np.take(self.directions, j, axis=1)
+        pts += np.take(self.molecule.positions.T, atom, axis=1)
+        return pts.T, atom
 
     @property
     def weights(self):
         """(npts,) float64 weight of each kept point, in bohr^3, built on
         each access."""
-        return np.concatenate([w for _, _, w, _ in self._expanded()])
+        return np.concatenate([w for _, w in self._kept()])
 
     @property
     def index(self):
         """(npts,) int32 flat index of each kept point into the product
         grid, built on each access."""
-        return np.concatenate([k for k, _, _, _ in self._expanded()]
-                              ).astype(np.int32)
+        return np.concatenate([k for k, _ in self._kept()]).astype(np.int32)
 
     @property
     def points(self):
         """(npts, 3) coordinates in bohr, built on each access."""
         out, start = np.empty((len(self), 3)), 0
-        for *_, pts in self._expanded():
-            out[start:start + len(pts)] = pts
-            start += len(pts)
+        for flat, _ in self._kept():
+            out[start:start + len(flat)] = self._placed(flat)[0]
+            start += len(flat)
         return out
 
     @property
     def owner_atom(self):
         """(npts,) int64 atom whose shell produced each point, built on each
         access."""
-        return np.concatenate([a for _, a, _, _ in self._expanded()])
+        return np.concatenate([k for k, _ in self._kept()]) // (
+            self.spec.n_radial * self.directions.shape[1])
 
 
 class Walk:
@@ -440,6 +425,13 @@ def direction_orbits(order: int, operations):
     return np.unique(rep, return_inverse=True)
 
 
+def _nuclear_orbits(molecule: Molecule, spec: AtomicGridSpec):
+    """``direction_orbits`` of the nuclei's ``symmetry_operations``: the
+    columns of the grid's ``cells``."""
+    return direction_orbits(spec.lebedev_order,
+                            symmetry_operations(molecule.positions))
+
+
 def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
                          ) -> MolecularGrid:
     """Union of Becke-weighted atomic product grids, built and weighed in
@@ -454,7 +446,7 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     indices of its expanded ``index`` address."""
     if spec is None:
         spec = AtomicGridSpec()
-    size, _ = grid_estimate(len(molecule), spec)
+    size, _ = grid_estimate(molecule, spec)
     if size > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {size} points exceeds the "
                          f"{MAX_GRID_POINTS} that 32-bit point indices address")
@@ -463,7 +455,7 @@ def build_molecular_grid(molecule: Molecule, spec: AtomicGridSpec | None = None
     radii = molecule.bragg_radii()
     ang_pts, ang_wts = lebedev.lebedev_grid(spec.lebedev_order)
     directions = ang_pts.T.copy()
-    orbits = direction_orbits(spec.lebedev_order, symmetry_operations(centers))
+    orbits = _nuclear_orbits(molecule, spec)
     reps = orbits[0]
     n_orbits = len(reps)
     weighed, ang = directions[:, reps], ang_wts[reps]

@@ -339,11 +339,13 @@ def test_grid_beyond_32_bit_indices_exits_2(argv, wfn_fixtures, monkeypatch,
 
 
 def test_gram_partials_bytes_of_h20():
+    from entropart.molecule import Molecule
     from entropart.quadrature import AtomicGridSpec, grid_estimate
     from entropart.reductions import gram_partials_bytes
 
     # 210 pair terms, 22,155 Gram entries per chunk, 379 chunks, twice
-    points, _ = grid_estimate(20, AtomicGridSpec())
+    h20 = Molecule([("H", (0.0, 0.0, 2.0 * i)) for i in range(20)])
+    points, _ = grid_estimate(h20, AtomicGridSpec())
     assert points == 1_552_000
     assert gram_partials_bytes(20, points) == 2 * 379 * 22_155 * 8
     assert gram_partials_bytes(1, 1) == 16
@@ -433,11 +435,12 @@ def test_the_memory_check_counts_the_points_the_walk_evaluates(
     assert _memory_check(monkeypatch, capsys, argv, need + 4096) is None
 
 
-def test_the_memory_check_counts_grid_rows_unless_points_are_expanded(
+def test_the_memory_check_charges_every_command_the_grid_cells(
         tmp_path, monkeypatch, capsys):
-    # H2 on the z axis on the default grid: 155,200 product-grid points,
-    # 1,862,400 bytes expanded, but 2 x 400 shells of 35 orbits held,
-    # 224,000 bytes; analyze walks the cells, grid-dump expands the points
+    # H2 on the z axis on the default grid: 155,200 product-grid points
+    # held as 2 x 400 shells of 35 orbits, 224,000 bytes of cells; analyze
+    # walks them, and grid-dump writes its points block by block from them,
+    # so neither is charged the 1,862,400 bytes of 12 per point
     import numpy as np
 
     from entropart import PrimitiveBasis, build_document, write_wfn
@@ -448,15 +451,55 @@ def test_the_memory_check_counts_grid_rows_unless_points_are_expanded(
     path = tmp_path / "h2.wfn"
     path.write_text(write_wfn(build_document(
         mol, basis, [(2.0, -0.5, np.array([0.5, 0.5]))], title="H2")))
-    memory = 1_000_000
-    assert 224_000 < memory < 1_862_400
-    assert _memory_check(monkeypatch, capsys, ["analyze", str(path)],
-                         memory) is None
-    code, err = _memory_check(monkeypatch, capsys,
-                              ["grid-dump", "--distances", "1.4"], memory)
+    cells = 224_000
+    for argv in (["analyze", str(path)], ["grid-dump", "--distances", "1.4"]):
+        assert _memory_check(monkeypatch, capsys, argv, cells + 4096) is None
+        assert _memory_check(monkeypatch, capsys, argv, 1_862_400 - 4096) \
+            is None
+        # refused before radial_grid runs
+        code, err = _memory_check(monkeypatch, capsys, argv, cells - 4096)
+        assert code == 2 and err.startswith(
+            "error: a grid of 155200 points needs at least 0.0 GiB, more "
+            "than the 0.0 GiB of physical memory")
+
+
+def test_the_sweep_charges_a_grid_and_walk_per_worker(monkeypatch, capsys):
+    # H2 on the default grid holds 224,000 bytes of cells, and its walk at
+    # order 2 2 x 7 chunks x 6 Gram entries of 8 bytes: 224,672 bytes per
+    # row, held by each worker that runs a row at once
+    import entropart.parallel
+
+    monkeypatch.setattr(entropart.parallel, "workers",
+                        lambda jobs=None, cap=None: min(jobs, 2))
+    need = 224_000 + 2 * 7 * 6 * 8
+    memory = need * 3 // 2
+    argv = ["sweep", "--method", "hf", "--distances", "1.4,2", "--alphas", "2"]
+    code, err = _memory_check(monkeypatch, capsys, argv + ["--jobs", "2"],
+                              memory)
     assert code == 2 and err.startswith(
-        "error: a grid of 155200 points needs at least 0.0 GiB, more than "
-        "the 0.0 GiB of physical memory")
+        "error: a grid of 155200 points with its order-2 Gram partials on "
+        "each of 2 workers needs at least 0.0 GiB")
+    assert _memory_check(monkeypatch, capsys, argv + ["--jobs", "1"],
+                         memory) is None
+
+
+@pytest.mark.parametrize("method", ["hf", "hl", "fci"])
+def test_sweep_model_fields_keep_the_nuclear_operations(method):
+    # cmd_sweep charges the Gram partials of a walk over the nuclei's
+    # operations, because the models' fields keep every one of them
+    import numpy as np
+
+    from entropart.cli import _DEFAULTS
+    from entropart.models import atom_field, build_model
+    from entropart.molecule import Molecule
+    from entropart.quadrature import symmetry_operations
+
+    for R in _DEFAULTS["distances"]:
+        assert np.array_equal(build_model(method, R).field().symmetry()[0],
+                              symmetry_operations(Molecule.h2(R).positions))
+    atom = atom_field()
+    assert np.array_equal(atom.symmetry()[0],
+                          symmetry_operations(atom.molecule.positions))
 
 
 def _main(argv, capsys):
@@ -545,8 +588,8 @@ def test_a_distance_too_short_for_the_models_exits_1(capsys):
 def test_jobs_pool_is_capped(jobs, cpus, distances, workers, monkeypatch,
                              capsys):
     # a sweep shares its rows and the reference atom among
-    # min(--jobs, usable CPUs, tasks) workers, and the walks inside a
-    # worker run serially
+    # min(--jobs, usable CPUs, tasks) workers, its memory check charges
+    # that many grids, and the walks inside a worker run serially
     from entropart import parallel
 
     started = []
@@ -567,8 +610,8 @@ def test_jobs_pool_is_capped(jobs, cpus, distances, workers, monkeypatch,
                         "--jobs", str(jobs), "--n-radial", "60",
                         "--lebedev", "50"], capsys)
     assert code == 0
-    assert started[0] == workers
-    assert started[1:] and set(started[1:]) == {1}
+    assert started[:2] == [workers, workers]  # the check's, then the pool's
+    assert started[2:] and set(started[2:]) == {1}
 
 
 @pytest.mark.parametrize("error, line", [

@@ -365,16 +365,18 @@ def test_grid_holds_weights_and_indices_per_point():
     assert not np.shares_memory(grid.index, grid.index)
 
 
-_RSS = textwrap.dedent("""
-    from entropart import (AtomicGridSpec, analyze_field, build_model,
-                           build_molecular_grid)
-
+_PEAK = textwrap.dedent("""
     def peak_kib():
         # the process's own peak RSS; ru_maxrss also carries the peak of the
         # process that started it, which can hide this one
         with open("/proc/self/status") as f:
             return next(int(line.split()[1]) for line in f
                         if line.startswith("VmHWM:"))
+""")
+
+_RSS = _PEAK + textwrap.dedent("""
+    from entropart import (AtomicGridSpec, analyze_field, build_model,
+                           build_molecular_grid)
 
     before = peak_kib()
     model = build_model("fci", 1.4)
@@ -382,6 +384,26 @@ _RSS = textwrap.dedent("""
     analyze_field(model.field(), grid, alphas=(0.5, 2.0, 3.0))
     print(len(grid), peak_kib() - before)
 """)
+
+_DUMP_RSS = _PEAK + textwrap.dedent("""
+    import sys
+
+    import entropart.cli
+
+    before = peak_kib()
+    entropart.cli.main(["grid-dump", "--distances", "1.4", "--n-radial",
+                        sys.argv[1], "--lebedev", "434", "--out", "/dev/null"])
+    print(peak_kib() - before)
+""")
+
+
+def _run(code, *args):
+    """The standard output of ``python -c code args`` on this package."""
+    src = os.path.dirname(os.path.dirname(entropart.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -393,11 +415,21 @@ def test_dense_analysis_peak_rss_above_import():
     # (9.9 MiB) grew it 13.5 MiB (15.0-15.4 MiB, remeasured), and per
     # (radial shell, orbit of directions) (1.6 MiB) 6.7-6.8 MiB (2-core
     # x86-64 Linux, NumPy 2.4)
-    src = os.path.dirname(os.path.dirname(entropart.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", _RSS], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    points, grown_kib = map(int, out.split())
+    points, grown_kib = map(int, _run(_RSS).split())
     assert points == 862_258
     assert grown_kib < 24 * 1024, grown_kib / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_grid_dump_peak_rss_grows_with_its_cells_alone():
+    # grid-dump writes H2's kept points block by block from the grid's
+    # cells, 8 bytes per radial shell and orbit (70 of 434 directions):
+    # 0.3 MiB at 300x434 (260,000 points) and 1.1 MiB at 1000x434
+    # (862,258). Beyond the cells the peak RSS grew 3.4-3.9 MiB over the
+    # import at both sizes, and at 3000x434 (2-core x86-64 Linux, NumPy
+    # 2.4); a weight per kept point held at once would add 4.6 MiB more at
+    # the larger one
+    beyond = [int(_run(_DUMP_RSS, str(n))) * 1024 - 8 * 2 * n * 70
+              for n in (300, 1000)]
+    assert beyond[1] - beyond[0] < 2**20, beyond

@@ -17,7 +17,7 @@ from entropart import lebedev
 from entropart.molecule import Molecule
 from entropart.quadrature import (AtomicGridSpec, build_molecular_grid,
                                   direction_images, direction_orbits,
-                                  symmetry_operations)
+                                  grid_estimate, symmetry_operations)
 from references import listed_grid
 
 # (molecule, operations that fix it, directions weighed per shell at
@@ -79,6 +79,21 @@ def test_direction_images_are_the_brute_force_match(order):
                 for u in directions]
         assert images[g].tolist() == want
     assert images[0].tolist() == list(range(order))  # the identity
+
+
+@pytest.mark.parametrize("order", [110, 434])
+@pytest.mark.parametrize("case", [*CASES, "atom", "h8-chain"])
+def test_grid_estimate_is_the_bytes_of_the_cells(case, order):
+    # the memory check charges a grid the estimate's bytes: they must be
+    # the table the build allocates, whatever the molecule's symmetry
+    mol = CASES[case][0] if case in CASES else {
+        "atom": Molecule([("H", (0.0, 0.0, 0.0))]),
+        "h8-chain": Molecule([("H", (0.0, 0.0, 1.8 * i)) for i in range(8)]),
+    }[case]
+    spec = AtomicGridSpec(n_radial=30, lebedev_order=order)
+    grid = build_molecular_grid(mol, spec)
+    assert grid_estimate(mol, spec) == (len(mol) * 30 * order,
+                                        grid.cells.nbytes)
 
 
 @pytest.mark.parametrize("order", lebedev.SUPPORTED_NODE_COUNTS)

@@ -70,12 +70,16 @@ def test_single_atom_grid_point_count():
     grid = build_molecular_grid(mol, spec)
     assert len(grid) == 200 * 110
     assert (grid.owner_atom == 0).all()
-    # one atom screens no point, so the estimate is exact
-    assert grid_estimate(1, spec) == (len(grid), grid.weights.nbytes
-                                      + grid.index.nbytes)
-    # estimated only: this grid would need 87 GiB, 12 bytes a point
-    assert grid_estimate(2, AtomicGridSpec(n_radial=20_000_000)) == (
-        7_760_000_000, 93_120_000_000)
+    # one atom screens no point, so the estimate is exact: its points, and
+    # the bytes of its cells, 8 per radial shell and orbit of directions,
+    # 12 orbits of 110 for the atom at the origin
+    assert grid_estimate(mol, spec) == (len(grid), grid.cells.nbytes)
+    assert grid.cells.nbytes == 200 * 12 * 8
+    # estimated only: this grid would need 10.4 GiB, 35 orbits of 194
+    # directions per shell of H2 on the z axis
+    assert grid_estimate(Molecule.h2(1.4),
+                         AtomicGridSpec(n_radial=20_000_000)) == (
+        7_760_000_000, 11_200_000_000)
 
 
 def test_grid_beyond_32_bit_indices_is_refused_before_allocation(monkeypatch):
@@ -84,7 +88,7 @@ def test_grid_beyond_32_bit_indices_is_refused_before_allocation(monkeypatch):
 
     monkeypatch.setattr(entropart.quadrature, "radial_grid", no_allocation)
     mol, spec = Molecule.h2(1.4), AtomicGridSpec(n_radial=20_000_000)
-    assert grid_estimate(2, spec)[0] > MAX_GRID_POINTS == 2**31 - 1
+    assert grid_estimate(mol, spec)[0] > MAX_GRID_POINTS == 2**31 - 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as info:
